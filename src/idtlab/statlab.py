@@ -7,6 +7,19 @@ test statistic is the maximum modulus of an ECF discrepancy over a fixed
 grid of frequency vectors; its acceptance threshold comes from
 ``calibrate``, which replays the test under a true-null configuration
 and returns an empirical quantile of the statistic.
+
+ECF evaluation is the cost every replay repeats, so the default grid
+takes a product-form kernel.  Its magnitudes are
+``THETA_COMPONENTS = 0.25 * 2**j`` and its pair frequencies are
+``(a, +-b)``, so every value is built from the unit phasors
+``exp(i*c*x)``: one ``cos``/``sin`` pair of ``0.25*x`` per path and
+time, then three complex squarings (``z(2c) = z(c)**2``) and
+conjugation for the negative magnitudes.  A single-time ECF is the mean
+of a phasor row; a pair ECF is ``[Z_k Z_l^T, Z_k conj(Z_l)^T] / N``,
+formed as one 4x8 matrix product.  For three times that is 3 ``cos``/
+``sin`` pairs per path instead of 108, one per frequency vector.  Any
+other frequency array, including every custom ``thetas``, takes the
+direct kernel: ``cos``/``sin`` of ``values @ thetas.T``.
 """
 
 from __future__ import annotations
@@ -31,6 +44,18 @@ from .transforms import lamperti_apply, scale_paths, sum_independent
 THETA_COMPONENTS = (0.25, 0.5, 1.0, 2.0)
 DEFAULT_THETA_ID = "m12:0.25-2"
 
+# The product kernel derives each magnitude from the previous one by a
+# complex squaring, so the components must double from the first.
+assert THETA_COMPONENTS == tuple(
+    THETA_COMPONENTS[0] * 2.0**j for j in range(len(THETA_COMPONENTS))
+)
+
+_SIGNED_COMPONENTS = THETA_COMPONENTS + tuple(-c for c in THETA_COMPONENTS)
+_SINGLE_THETAS = np.array(THETA_COMPONENTS).reshape(-1, 1)
+_PAIR_THETAS = np.array([(a, b) for a in THETA_COMPONENTS for b in _SIGNED_COMPONENTS])
+_SINGLE_THETAS.setflags(write=False)
+_PAIR_THETAS.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class EcfEvaluation:
@@ -44,14 +69,57 @@ class EcfEvaluation:
     def __post_init__(self):
         if self.theta_points.shape[0] != self.values.shape[0]:
             raise ValueError("one value per frequency vector required")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("ECF values must be finite")
         if np.any(np.abs(self.values) > 1.0 + 1e-12):
             raise ValueError("ECF modulus exceeded 1")
 
 
-def _ecf_block(values_sub: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def _direct_ecf(values_sub: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """ECF of the column-subset matrix at each row of ``thetas``."""
     phases = values_sub @ thetas.T
     return np.cos(phases).mean(axis=0) + 1j * np.sin(phases).mean(axis=0)
+
+
+def _phasors(x: np.ndarray) -> np.ndarray:
+    """``exp(i*s*x)`` for each ``s`` in ``_SIGNED_COMPONENTS``, one row each."""
+    k = len(THETA_COMPONENTS)
+    z = np.empty((2 * k, x.shape[0]), dtype=np.complex128)
+    arg = THETA_COMPONENTS[0] * x
+    z[0].real = np.cos(arg)
+    z[0].imag = np.sin(arg)
+    for j in range(1, k):
+        np.square(z[j - 1], out=z[j])
+    np.conjugate(z[:k], out=z[k:])
+    return z
+
+
+def _group_ecfs(values: np.ndarray, col_of, groups):
+    """ECF values of each ``(cols, thetas)`` group on ``values[:, col_of[c]]``.
+
+    Default-grid groups take the product kernel, with phasors computed
+    once per column and shared by every group of the call; any other
+    frequency array takes the direct kernel.
+    """
+    n = values.shape[0]
+    k = len(THETA_COMPONENTS)
+    phasors = {}
+
+    def z(col):
+        if col not in phasors:
+            phasors[col] = _phasors(values[:, col])
+        return phasors[col]
+
+    out = []
+    for cols, thetas in groups:
+        cols = [col_of[c] for c in cols]
+        if len(cols) == 1 and np.array_equal(thetas, _SINGLE_THETAS):
+            out.append(z(cols[0])[:k].mean(axis=1))
+        elif len(cols) == 2 and np.array_equal(thetas, _PAIR_THETAS):
+            out.append((z(cols[0])[:k] @ z(cols[1]).T).ravel() / n)
+        else:
+            out.append(_direct_ecf(values[:, cols], thetas))
+    return out
 
 
 def ecf(ensemble: PathEnsemble, time_indices, thetas) -> EcfEvaluation:
@@ -71,11 +139,10 @@ def ecf(ensemble: PathEnsemble, time_indices, thetas) -> EcfEvaluation:
         raise ValueError(
             f"frequency vectors have {thetas.shape[1]} components, expected {len(idx)}"
         )
-    sub = ensemble.values[:, idx]
     return EcfEvaluation(
         times=tuple(float(ensemble.grid.times[i]) for i in idx),
         theta_points=thetas,
-        values=_ecf_block(sub, thetas),
+        values=_group_ecfs(ensemble.values, idx, [(range(len(idx)), thetas)])[0],
         n_samples=ensemble.n_paths,
     )
 
@@ -87,16 +154,10 @@ def default_theta_groups(m_total: int):
     kept positive because ensembles are real, so the ECF at ``-theta`` is
     the conjugate and carries no extra information.
     """
-    groups = []
-    single = np.array(THETA_COMPONENTS).reshape(-1, 1)
-    for k in range(m_total):
-        groups.append(((k,), single))
-    comps = np.array(THETA_COMPONENTS)
-    signed = np.concatenate([comps, -comps])
-    pair = np.array([(a, b) for a in comps for b in signed])
+    groups = [((k,), _SINGLE_THETAS) for k in range(m_total)]
     for k in range(m_total):
         for l in range(k + 1, m_total):
-            groups.append(((k, l), pair))
+            groups.append(((k, l), _PAIR_THETAS))
     return groups
 
 
@@ -110,12 +171,9 @@ def _time_indices(grid: TimeGrid, times) -> list:
     return out
 
 
-def _group_ecfs(values: np.ndarray, col_of, groups):
-    out = []
-    for cols, thetas in groups:
-        sub = values[:, [col_of[c] for c in cols]]
-        out.append(_ecf_block(sub, thetas))
-    return out
+def _max_modulus(discrepancies) -> float:
+    """Largest modulus over every group's discrepancy; NaN anywhere gives NaN."""
+    return float(np.abs(np.concatenate(discrepancies)).max())
 
 
 def _resolve_groups(n_times: int, thetas):
@@ -220,7 +278,7 @@ def idt_test(
         summed = sum_independent(spec, n, grid, n_paths, rng.split(0))
         ref = _group_ecfs(summed.values, idx, groups)
     got = _group_ecfs(dilated.values, idx, groups)
-    statistic = max(float(np.abs(g - r).max()) for g, r in zip(got, ref))
+    statistic = _max_modulus([g - r for g, r in zip(got, ref)])
     return TestReport.from_distance(
         name=f"idt[{spec_label(spec)}]",
         statistic=statistic,
@@ -260,7 +318,7 @@ def selfsimilarity_test(
     scaled = scale_paths(generate(spec, grid, n_paths, rng.split(1)), a**h)
     got = _group_ecfs(dilated.values, idx, groups)
     ref = _group_ecfs(scaled.values, idx, groups)
-    statistic = max(float(np.abs(g - r).max()) for g, r in zip(got, ref))
+    statistic = _max_modulus([g - r for g, r in zip(got, ref)])
     return TestReport.from_distance(
         name=f"selfsimilarity[{spec_label(spec)}]",
         statistic=statistic,
@@ -302,7 +360,7 @@ def stability_test(
     )
     got = _group_ecfs(summed.values, idx, groups)
     ref = _group_ecfs(scaled.values, idx, groups)
-    statistic = max(float(np.abs(g - r).max()) for g, r in zip(got, ref))
+    statistic = _max_modulus([g - r for g, r in zip(got, ref)])
     return TestReport.from_distance(
         name=f"stability[{spec_label(spec)}]",
         statistic=statistic,
@@ -342,7 +400,7 @@ def stationarity_test(
     idx_b = [i + shift for i in idx_a]
     got = _group_ecfs(ensemble.values, idx_a, groups)
     ref = _group_ecfs(ensemble.values, idx_b, groups)
-    statistic = max(float(np.abs(g - r).max()) for g, r in zip(got, ref))
+    statistic = _max_modulus([g - r for g, r in zip(got, ref)])
     return TestReport.from_distance(
         name="stationarity",
         statistic=statistic,
@@ -388,9 +446,7 @@ def temporal_sd_test(
     f0 = _group_ecfs(whole.values, idx, groups)
     f1 = _group_ecfs(part.values, idx, groups)
     f2 = _group_ecfs(rest.values, idx, groups)
-    statistic = max(
-        float(np.abs(a - p * r).max()) for a, p, r in zip(f0, f1, f2)
-    )
+    statistic = _max_modulus([a - p * r for a, p, r in zip(f0, f1, f2)])
     return TestReport.from_distance(
         name=f"temporal_sd[{spec_label(spec)}]",
         statistic=statistic,

@@ -67,9 +67,6 @@ class ThresholdTable:
             )
         return float(self.entries[key])
 
-    def lookup_for(self, kind: str, spec, n_paths: int, quantile: float, **params) -> float:
-        return self.lookup(entry_key(kind, spec, n_paths, quantile, **params))
-
     def set(self, key: str, threshold: float) -> None:
         self.entries[key] = float(threshold)
 

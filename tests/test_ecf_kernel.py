@@ -1,0 +1,173 @@
+"""The product-form ECF kernel against the direct formula, and ECF invariants."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idtlab.kernels import FBmKernel
+from idtlab.processes import (
+    AdditiveTimeChange,
+    Brownian,
+    GammaSubordinator,
+    GaussianKernel,
+    PathEnsemble,
+    StableLine,
+    Subordinated,
+    TimeGrid,
+    generate,
+)
+from idtlab.randkit import RngState
+from idtlab.statlab import (
+    THETA_COMPONENTS,
+    _group_ecfs,
+    default_theta_groups,
+    ecf,
+    stationarity_test,
+)
+from idtlab.transforms import lamperti_apply
+
+GRID = TimeGrid([0.5, 1.0, 2.0])
+SPECS = {
+    "stable_line(0.8)": StableLine(0.8),
+    "stable_line(1.5)": StableLine(1.5),
+    "fbm(0.3)": GaussianKernel(FBmKernel(0.3)),
+    "subordinated": Subordinated(
+        Brownian(1.0, 0.0), AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7)
+    ),
+}
+SINGLE = default_theta_groups(1)[0][1]
+PAIR = default_theta_groups(2)[2][1]
+
+
+def direct_ecf(values, cols, thetas):
+    """The direct formula: cos/sin of every phase, averaged over paths."""
+    phases = values[:, list(cols)] @ np.asarray(thetas, dtype=np.float64).T
+    return np.cos(phases).mean(axis=0) + 1j * np.sin(phases).mean(axis=0)
+
+
+@pytest.fixture(scope="module", params=list(SPECS))
+def ensemble(request):
+    # the dilated grid reaches far into the tails of the heavy-tailed lines
+    return generate(SPECS[request.param], GRID.scale(3.0), 20000, RngState(31))
+
+
+def test_product_kernel_matches_direct_formula(ensemble):
+    groups = default_theta_groups(3)
+    got = _group_ecfs(ensemble.values, [0, 1, 2], groups)
+    for (cols, thetas), value in zip(groups, got):
+        ref = direct_ecf(ensemble.values, cols, thetas)
+        assert value.shape == ref.shape
+        assert np.abs(value - ref).max() <= 1e-12
+
+
+def test_public_ecf_uses_the_same_kernel(ensemble):
+    groups = default_theta_groups(3)
+    got = _group_ecfs(ensemble.values, [0, 1, 2], groups)
+    for (cols, thetas), value in zip(groups, got):
+        assert np.array_equal(ecf(ensemble, cols, thetas).values, value)
+
+
+def test_pair_rows_follow_signed_layout():
+    comps = np.array(THETA_COMPONENTS)
+    assert np.array_equal(PAIR[:, 0], np.repeat(comps, 8))
+    assert np.array_equal(PAIR[:, 1], np.tile(np.concatenate([comps, -comps]), 4))
+
+
+def test_custom_thetas_are_bit_identical_to_direct(ensemble):
+    rng = np.random.default_rng(5)
+    groups = [
+        ((0,), rng.normal(size=(5, 1))),
+        ((1, 2), rng.normal(size=(7, 2))),
+        ((0, 1, 2), rng.normal(size=(9, 3))),
+        ((0, 2), PAIR[:16]),
+    ]
+    got = _group_ecfs(ensemble.values, [0, 1, 2], groups)
+    for (cols, thetas), value in zip(groups, got):
+        assert np.array_equal(value, direct_ecf(ensemble.values, cols, thetas))
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("shift", [0, 1, 2])
+def test_stationarity_windows_match_direct_evaluation(window, shift):
+    y = np.linspace(-1.0, 1.0, 5)
+    ens = generate(GaussianKernel(FBmKernel(0.3)), TimeGrid(np.exp(y)), 5000, RngState(32))
+    lam = lamperti_apply(ens, 0.6, y)
+    groups = default_theta_groups(window)
+    idx_b = [i + shift for i in range(window)]
+    got = _group_ecfs(lam.values, idx_b, groups)
+    refs = [direct_ecf(lam.values, [idx_b[c] for c in cols], th) for cols, th in groups]
+    for value, ref in zip(got, refs):
+        assert np.abs(value - ref).max() <= 1e-12
+    first = [direct_ecf(lam.values, cols, th) for cols, th in groups]
+    expected = max(np.abs(a - b).max() for a, b in zip(first, refs))
+    statistic = stationarity_test(lam, window, shift, threshold=1.0).statistic
+    assert statistic == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# invariants through the public ecf()
+# ---------------------------------------------------------------------------
+
+ensembles = st.builds(
+    lambda label, seed, n: generate(SPECS[label], GRID, n, RngState(seed)),
+    st.sampled_from(list(SPECS)),
+    st.integers(0, 2**31),
+    st.integers(1, 400),
+)
+time_subsets = st.sampled_from([(0,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2)])
+
+
+def _thetas(m):
+    return st.lists(
+        st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m), min_size=1, max_size=6
+    ).map(np.array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ensembles, time_subsets, st.data())
+def test_ecf_invariants(ens, cols, data):
+    thetas = data.draw(_thetas(len(cols)))
+    value = ecf(ens, cols, thetas).values
+    assert np.all(np.abs(value) <= 1.0 + 1e-12)
+    assert np.array_equal(value, direct_ecf(ens.values, cols, thetas))
+    assert np.array_equal(ecf(ens, cols, -thetas).values, np.conj(value))
+    zero = ecf(ens, cols, np.zeros((1, len(cols)))).values
+    assert zero[0] == 1.0 + 0.0j
+
+
+@settings(max_examples=25, deadline=None)
+@given(ensembles, st.sampled_from([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]))
+def test_default_grid_invariants(ens, cols):
+    thetas = SINGLE if len(cols) == 1 else PAIR
+    value = ecf(ens, cols, thetas).values
+    assert np.all(np.abs(value) <= 1.0 + 1e-12)
+    assert np.abs(value - direct_ecf(ens.values, cols, thetas)).max() <= 1e-12
+    # -thetas is not the default grid, so this also crosses the two kernels
+    assert np.abs(ecf(ens, cols, -thetas).values - np.conj(value)).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# non-finite values never pass
+# ---------------------------------------------------------------------------
+
+
+def _ensemble_with_nan_column(col):
+    grid = TimeGrid([1.0, 2.0, 3.0, 4.0])
+    values = generate(GaussianKernel(FBmKernel(0.3)), grid, 500, RngState(33)).values.copy()
+    values[7, col] = np.nan
+    return PathEnsemble(grid, values, spec=None, seed=33)
+
+
+def test_nan_in_a_later_group_fails_the_test():
+    # the first group compares columns 0 and 1, both finite; the second
+    # compares column 1 with column 2, which holds the NaN
+    report = stationarity_test(_ensemble_with_nan_column(2), 2, 1, threshold=10.0)
+    assert np.isnan(report.statistic)
+    assert report.passed is False
+
+
+@pytest.mark.parametrize("thetas", [SINGLE, np.array([[0.3], [1.7]])])
+def test_ecf_rejects_non_finite_values(thetas):
+    with pytest.raises(ValueError, match="finite"):
+        ecf(_ensemble_with_nan_column(2), [2], thetas)
