@@ -178,9 +178,27 @@ _SPEC_KINDS = (
 )
 
 
+def _rejected(node: dict, path: str, exc: ValueError) -> ConfigError:
+    """A value a spec or family constructor rejected, named by its config fields."""
+    fields = [
+        repr(f"{path}.{key}")
+        for key, value in sorted(node.items())
+        if key != "kind" and not isinstance(value, dict)
+    ] or [repr(path)]
+    label = "field" if len(fields) == 1 else "fields"
+    return ConfigError(f"{label} {', '.join(fields)}: {exc}")
+
+
 def build_family(node: dict, path: str):
     if not isinstance(node, dict):
         raise ConfigError(f"section {path!r} must hold family fields")
+    try:
+        return _new_family(node, path)
+    except ValueError as exc:
+        raise _rejected(node, path, exc) from None
+
+
+def _new_family(node: dict, path: str):
     kind = _get(node, "kind", required=True)
     if kind == "brownian":
         return Brownian(
@@ -209,6 +227,13 @@ def build_family(node: dict, path: str):
 def build_spec(node: dict, path: str):
     if not isinstance(node, dict):
         raise ConfigError(f"section {path!r} must hold spec fields")
+    try:
+        return _new_spec(node, path)
+    except ValueError as exc:
+        raise _rejected(node, path, exc) from None
+
+
+def _new_spec(node: dict, path: str):
     kind = _get(node, "kind", required=True)
     if kind == "stable_line":
         return StableLine(alpha=_as_float(_get(node, "alpha", required=True), f"{path}.alpha"))
@@ -302,7 +327,7 @@ def _load_table(raw: str, config_dir: str):
     path = raw if os.path.isabs(raw) else os.path.join(config_dir, raw)
     try:
         return ThresholdTable.load(path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read threshold table {path}: {exc}") from exc
 
 
@@ -361,7 +386,14 @@ def _resolve_threshold(kind, node, name, spec, n_paths, quantile, grid_list, par
             spec, kind, n_reps, quantile, rng, n_paths, threads=threads, **cal_params
         )
     table = _load_table(source, config_dir)
-    return table.lookup(threshold_key_for(kind, spec, n_paths, quantile, grid_list, params.get("times"), params))
+    key = threshold_key_for(kind, spec, n_paths, quantile, grid_list, params.get("times"), params)
+    try:
+        return table.lookup(key)
+    except KeyError:
+        raise ConfigError(
+            f"test.{name}: threshold table {source!r} has no key {key}; "
+            f"set test.{name}.threshold or calibrate this configuration"
+        ) from None
 
 
 def _execute_test(kind, spec, grid, params, n_paths, rng, threshold):
@@ -602,15 +634,19 @@ def cmd_report(args) -> int:
         return 0
     n_pass = 0
     for number, fname in enumerate(names, start=1):
-        with open(os.path.join(directory, fname), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        rep = doc["report"]
-        status = "ok" if rep["pass"] else "not ok"
-        n_pass += bool(rep["pass"])
-        print(
-            f"{status} {number} - {rep['name']} statistic={rep['statistic']:.6g} "
-            f"threshold={rep['threshold']:.6g} n={rep['n_samples']}"
-        )
+        path = os.path.join(directory, fname)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                rep = json.load(fh)["report"]
+            passed = bool(rep["pass"])
+            line = (
+                f"{rep['name']} statistic={rep['statistic']:.6g} "
+                f"threshold={rep['threshold']:.6g} n={rep['n_samples']}"
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: not a report file ({exc!r})") from None
+        n_pass += passed
+        print(f"{'ok' if passed else 'not ok'} {number} - {line}")
     print(f"# {n_pass}/{len(names)} tests passed")
     return 0
 

@@ -7,6 +7,10 @@ round-trip form, so read-back is bit-exact.
 Binary: magic ``IDT1``, an 8-byte little-endian header length, a JSON
 metadata header, then the value matrix as row-major little-endian
 64-bit floats.
+
+Both readers reject a malformed file with a ``ValueError`` that names the
+CSV line or the binary header field at fault; a binary payload must be
+exactly ``n_paths * n_times * 8`` bytes long.
 """
 
 from __future__ import annotations
@@ -58,7 +62,20 @@ def read_csv(path) -> PathEnsemble:
     if any(not f.startswith("t=") for f in fields):
         raise ValueError(f"{path}: malformed header {lines[0]!r}")
     times = np.array([float(f[2:]) for f in fields])
-    values = np.array([[float(v) for v in line.split(",")] for line in lines[1:] if line])
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(fields):
+            raise ValueError(
+                f"{path}: line {lineno} has {len(cells)} values, expected {len(fields)}"
+            )
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    values = np.array(rows)
     grid = TimeGrid(times, allow_negative=bool(times[0] < 0))
     return PathEnsemble(grid, values, None, 0, 0, meta={"source": str(path)})
 
@@ -92,10 +109,29 @@ def read_binary(path) -> PathEnsemble:
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
     hlen = int.from_bytes(raw[4:12], "little")
-    header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
+    try:
+        header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    for field in ("n_paths", "n_times"):
+        value = header.get(field)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(
+                f"{path}: header field {field!r} must be a positive integer, got {value!r}"
+            )
     n, m = header["n_paths"], header["n_times"]
-    values = np.frombuffer(raw[12 + hlen :], dtype="<f8", count=n * m).reshape(n, m)
-    times = np.asarray(header["times"])
+    times = header.get("times")
+    if not isinstance(times, list) or len(times) != m:
+        raise ValueError(f"{path}: header field 'times' must list {m} times")
+    payload = raw[12 + hlen :]
+    if len(payload) != n * m * 8:
+        raise ValueError(
+            f"{path}: payload is {len(payload)} bytes, expected n_paths*n_times*8 = {n * m * 8}"
+        )
+    values = np.frombuffer(payload, dtype="<f8").reshape(n, m)
+    times = np.asarray(times, dtype=np.float64)
     grid = TimeGrid(times, allow_negative=bool(times[0] < 0))
     meta = dict(header.get("meta", {}))
     if header.get("spec"):

@@ -20,11 +20,20 @@ formed as one 4x8 matrix product.  For three times that is 3 ``cos``/
 ``sin`` pairs per path instead of 108, one per frequency vector.  Any
 other frequency array, including every custom ``thetas``, takes the
 direct kernel: ``cos``/``sin`` of ``values @ thetas.T``.
+
+The product kernel writes its phasors into a per-thread workspace
+(``threading.local``) of ``8 * 16 * N`` bytes per column, kept for the
+life of the thread and regrown only when a call needs more; every
+returned ECF array is fresh.  So replays reuse the same pages instead of
+faulting in new ones, and the distance tests reduce each ensemble to its
+ECFs before generating the next, which keeps one ensemble alive beside
+the workspace.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -81,34 +90,55 @@ def _direct_ecf(values_sub: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.cos(phases).mean(axis=0) + 1j * np.sin(phases).mean(axis=0)
 
 
-def _phasors(x: np.ndarray) -> np.ndarray:
-    """``exp(i*s*x)`` for each ``s`` in ``_SIGNED_COMPONENTS``, one row each."""
+def _phasors(x: np.ndarray, z: np.ndarray) -> None:
+    """Fill row ``j`` of ``z`` with ``exp(i*s*x)``, ``s = _SIGNED_COMPONENTS[j]``."""
     k = len(THETA_COMPONENTS)
-    z = np.empty((2 * k, x.shape[0]), dtype=np.complex128)
     arg = THETA_COMPONENTS[0] * x
     z[0].real = np.cos(arg)
     z[0].imag = np.sin(arg)
     for j in range(1, k):
         np.square(z[j - 1], out=z[j])
     np.conjugate(z[:k], out=z[k:])
-    return z
+
+
+_workspace = threading.local()
+
+
+def _phasor_slots(n_slots: int, n: int) -> np.ndarray:
+    """This thread's ``(n_slots, 8, n)`` phasor workspace.
+
+    The backing buffer lives as long as the thread and is replaced only
+    when a call needs more than it holds.
+    """
+    size = n_slots * len(_SIGNED_COMPONENTS) * n
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _workspace.buf = np.empty(size, dtype=np.complex128)
+    return buf[:size].reshape(n_slots, len(_SIGNED_COMPONENTS), n)
 
 
 def _group_ecfs(values: np.ndarray, col_of, groups):
     """ECF values of each ``(cols, thetas)`` group on ``values[:, col_of[c]]``.
 
     Default-grid groups take the product kernel, with phasors computed
-    once per column and shared by every group of the call; any other
-    frequency array takes the direct kernel.
+    once per column into this thread's workspace and shared by every
+    group of the call; any other frequency array takes the direct
+    kernel.  Every returned array is freshly allocated, never a view of
+    the workspace.
     """
     n = values.shape[0]
     k = len(THETA_COMPONENTS)
-    phasors = {}
+    slot_of = {}
+    slots = None
 
     def z(col):
-        if col not in phasors:
-            phasors[col] = _phasors(values[:, col])
-        return phasors[col]
+        nonlocal slots
+        if col not in slot_of:
+            if slots is None:
+                slots = _phasor_slots(len(col_of), n)
+            slot_of[col] = len(slot_of)
+            _phasors(values[:, col], slots[slot_of[col]])
+        return slots[slot_of[col]]
 
     out = []
     for cols, thetas in groups:
@@ -270,14 +300,18 @@ def idt_test(
         raise ValueError("at most three comparison times")
     groups, theta_id = _resolve_groups(len(idx), thetas)
 
+    # Each ensemble is reduced to its ECFs before the next one is generated,
+    # so at most one is alive at a time.  Each draws from its own split
+    # index, so the order does not change the result.
     dilated = generate(spec, grid.scale(n ** (1.0 / alpha)), n_paths, rng.split(1))
+    got = _group_ecfs(dilated.values, idx, groups)
+    del dilated
     if mode == "power":
         base = generate(spec, grid, n_paths, rng.split(0))
         ref = [e**n for e in _group_ecfs(base.values, idx, groups)]
     else:
         summed = sum_independent(spec, n, grid, n_paths, rng.split(0))
         ref = _group_ecfs(summed.values, idx, groups)
-    got = _group_ecfs(dilated.values, idx, groups)
     statistic = _max_modulus([g - r for g, r in zip(got, ref)])
     return TestReport.from_distance(
         name=f"idt[{spec_label(spec)}]",
@@ -314,9 +348,11 @@ def selfsimilarity_test(
         grid = TimeGrid(grid)
     idx = _time_indices(grid, times)
     groups, theta_id = _resolve_groups(len(idx), thetas)
+    # one ensemble alive at a time, as in idt_test
     dilated = generate(spec, grid.scale(a), n_paths, rng.split(0))
-    scaled = scale_paths(generate(spec, grid, n_paths, rng.split(1)), a**h)
     got = _group_ecfs(dilated.values, idx, groups)
+    del dilated
+    scaled = scale_paths(generate(spec, grid, n_paths, rng.split(1)), a**h)
     ref = _group_ecfs(scaled.values, idx, groups)
     statistic = _max_modulus([g - r for g, r in zip(got, ref)])
     return TestReport.from_distance(
@@ -354,11 +390,13 @@ def stability_test(
         grid = TimeGrid(grid)
     idx = _time_indices(grid, times)
     groups, theta_id = _resolve_groups(len(idx), thetas)
+    # one ensemble alive at a time, as in idt_test
     summed = sum_independent(spec, n, grid, n_paths, rng.split(0))
+    got = _group_ecfs(summed.values, idx, groups)
+    del summed
     scaled = scale_paths(
         generate(spec, grid, n_paths, rng.split(1)), n ** (1.0 / beta_index)
     )
-    got = _group_ecfs(summed.values, idx, groups)
     ref = _group_ecfs(scaled.values, idx, groups)
     statistic = _max_modulus([g - r for g, r in zip(got, ref)])
     return TestReport.from_distance(
@@ -440,11 +478,14 @@ def temporal_sd_test(
         grid = TimeGrid(grid)
     idx = _time_indices(grid, times)
     groups, theta_id = _resolve_groups(len(idx), thetas)
+    # one ensemble alive at a time, as in idt_test
     whole = generate(spec, grid, n_paths, rng.split(0))
-    part = generate(spec, grid.scale(b ** (1.0 / alpha)), n_paths, rng.split(1))
-    rest = generate(spec, grid.scale((1.0 - b) ** (1.0 / alpha)), n_paths, rng.split(2))
     f0 = _group_ecfs(whole.values, idx, groups)
+    del whole
+    part = generate(spec, grid.scale(b ** (1.0 / alpha)), n_paths, rng.split(1))
     f1 = _group_ecfs(part.values, idx, groups)
+    del part
+    rest = generate(spec, grid.scale((1.0 - b) ** (1.0 / alpha)), n_paths, rng.split(2))
     f2 = _group_ecfs(rest.values, idx, groups)
     statistic = _max_modulus([a - p * r for a, p, r in zip(f0, f1, f2)])
     return TestReport.from_distance(

@@ -106,6 +106,46 @@ def test_run_small_n_paths_exit_two(tmp_path):
     assert main(["run", _write(tmp_path, conf)]) == 2
 
 
+@pytest.mark.parametrize(
+    "spec_lines, field",
+    [
+        ("spec.kind = fbm\nspec.hurst = 1.5\n", "'spec.hurst'"),
+        ("spec.kind = stable_line\nspec.alpha = 2.5\n", "'spec.alpha'"),
+        (
+            "spec.kind = subordinated\nspec.family.kind = brownian\n"
+            "spec.chrono.kind = additive\nspec.chrono.alpha = 0.7\n"
+            "spec.chrono.family.kind = gamma\nspec.chrono.family.shape = -1\n",
+            "'spec.chrono.family.shape'",
+        ),
+    ],
+    ids=["fbm_hurst", "stable_alpha", "nested_gamma_shape"],
+)
+def test_run_out_of_range_spec_value_exit_two(tmp_path, capsys, spec_lines, field):
+    conf = "seed = 1\nn_paths = 500\ngrid = 1 2\n" + spec_lines
+    assert main(["run", _write(tmp_path, conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+
+
+def test_run_threshold_key_missing_from_table_exit_two(tmp_path, capsys):
+    # the shipped table has no entry at 500 paths
+    conf = RUN_OK.format(out=tmp_path / "out").replace("test.pathline.threshold = 0.5\n", "")
+    assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: test.pathline:")
+    assert "test=idt|spec=stable_line(alpha=1.5)|n_paths=500|" in err
+
+
+def test_run_malformed_threshold_table_exit_two(tmp_path, capsys):
+    (tmp_path / "table.json").write_text("{not json")
+    conf = RUN_OK.format(out=tmp_path / "out").replace(
+        "test.pathline.threshold = 0.5\n", "threshold_table = table.json\n"
+    )
+    assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 2
+    assert "table.json" in capsys.readouterr().err
+
+
 def test_run_seed_override_changes_reports(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -246,6 +286,15 @@ def test_report_command(tmp_path, capsys):
 
 def test_report_missing_dir_exit_two(tmp_path):
     assert main(["report", str(tmp_path / "nope")]) == 2
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"config": {}}', '{"report": {"name": "x"}}'])
+def test_report_malformed_file_exit_two(tmp_path, capsys, text):
+    (tmp_path / "report_bad.json").write_text(text)
+    assert main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "report_bad.json" in err
 
 
 def test_console_entry_point_subprocess(tmp_path):

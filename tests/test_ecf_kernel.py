@@ -1,5 +1,9 @@
 """The product-form ECF kernel against the direct formula, and ECF invariants."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,7 @@ from idtlab.randkit import RngState
 from idtlab.statlab import (
     THETA_COMPONENTS,
     _group_ecfs,
+    calibrate,
     default_theta_groups,
     ecf,
     stationarity_test,
@@ -103,6 +108,81 @@ def test_stationarity_windows_match_direct_evaluation(window, shift):
     expected = max(np.abs(a - b).max() for a, b in zip(first, refs))
     statistic = stationarity_test(lam, window, shift, threshold=1.0).statistic
     assert statistic == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the per-thread phasor workspace
+# ---------------------------------------------------------------------------
+
+
+def test_default_grid_call_allocates_no_phasor_blocks_after_warm_up(ensemble):
+    groups = default_theta_groups(3)
+    _group_ecfs(ensemble.values, [0, 1, 2], groups)
+    tracemalloc.start()
+    try:
+        _group_ecfs(ensemble.values, [0, 1, 2], groups)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one fresh (8, N) complex phasor block is 2.56 MB at 20k paths
+    assert peak < 1_000_000
+
+
+def test_results_do_not_alias_the_workspace(ensemble):
+    groups = default_theta_groups(3)
+    first = _group_ecfs(ensemble.values, [0, 1, 2], groups)
+    kept = [v.copy() for v in first]
+    _group_ecfs(ensemble.values[:, ::-1] * 0.5, [0, 1, 2], groups)
+    for value, copy in zip(first, kept):
+        assert np.array_equal(value, copy)
+
+
+def test_workspace_serves_smaller_and_larger_calls():
+    groups = default_theta_groups(3)
+    for n in (3000, 500, 4000):
+        values = generate(SPECS["fbm(0.3)"], GRID, n, RngState(n)).values
+        got = _group_ecfs(values, [0, 1, 2], groups)
+        for (cols, thetas), value in zip(groups, got):
+            assert np.abs(value - direct_ecf(values, cols, thetas)).max() <= 1e-12
+
+
+def test_concurrent_threads_get_their_own_workspace():
+    groups = default_theta_groups(3)
+    inputs = [
+        generate(SPECS[label], GRID, 2000, RngState(40 + i)).values
+        for i, label in enumerate(SPECS)
+    ]
+    expected = [_group_ecfs(v, [0, 1, 2], groups) for v in inputs]
+    mismatches = []
+
+    def work(i):
+        for _ in range(20):
+            got = _group_ecfs(inputs[i], [0, 1, 2], groups)
+            if not all(np.array_equal(g, e) for g, e in zip(got, expected[i])):
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def test_calibrate_is_the_same_at_one_and_two_threads():
+    def threshold(threads):
+        return calibrate(
+            SPECS["stable_line(1.5)"], "idt", 100, 0.99, RngState(34), 2000,
+            threads=threads, n=2, grid=[0.5, 1.0, 2.0], times=[0.5, 1.0, 2.0],
+        )
+
+    assert threshold(1) == threshold(2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,73 @@ def test_binary_magic_and_round_trip(tmp_path):
     assert np.array_equal(back.grid.times, e.grid.times)
     assert back.seed == e.seed
     assert back.meta["spec"] == "stable_line(alpha=1.5)"
+
+
+def test_csv_rejects_ragged_rows_naming_the_line(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("t=1,t=2\n1,2\n3,4\n5\n7,8\n")
+    with pytest.raises(ValueError, match="line 4 has 1 values, expected 2"):
+        read_csv(path)
+
+
+def test_csv_rejects_non_numeric_value_naming_the_line(tmp_path):
+    path = tmp_path / "text.csv"
+    path.write_text("t=1,t=2\n1,2\n3,four\n")
+    with pytest.raises(ValueError, match="line 3"):
+        read_csv(path)
+
+
+def _edited_binary(tmp_path, edit):
+    """Write a valid binary file, pass its header and payload through ``edit``, write them back."""
+    path = tmp_path / "paths.bin"
+    write_binary(_ensemble(), path)
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[4:12], "little")
+    header, payload = edit(json.loads(raw[12 : 12 + hlen]), raw[12 + hlen :])
+    blob = json.dumps(header).encode()
+    path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob + payload)
+    return path
+
+
+@pytest.mark.parametrize("delta", [1, 8, 160, -1, -8])
+def test_binary_rejects_payload_of_the_wrong_length(tmp_path, delta):
+    def edit(header, payload):
+        return header, payload + b"\0" * delta if delta > 0 else payload[:delta]
+
+    with pytest.raises(ValueError, match="payload is"):
+        read_binary(_edited_binary(tmp_path, edit))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_paths", None), ("n_times", None), ("n_paths", 2.5), ("n_times", "3"),
+     ("n_paths", True), ("n_paths", 0), ("n_times", -3)],
+)
+def test_binary_rejects_bad_size_fields(tmp_path, field, value):
+    def edit(header, payload):
+        if value is None:
+            del header[field]
+        else:
+            header[field] = value
+        return header, payload
+
+    with pytest.raises(ValueError, match=f"header field '{field}'"):
+        read_binary(_edited_binary(tmp_path, edit))
+
+
+def test_binary_rejects_times_of_the_wrong_length(tmp_path):
+    def edit(header, payload):
+        return {**header, "times": [0.5, 1.0]}, payload
+
+    with pytest.raises(ValueError, match="'times'"):
+        read_binary(_edited_binary(tmp_path, edit))
+
+
+def test_binary_rejects_unreadable_header(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(MAGIC + (5).to_bytes(8, "little") + b"{nope" + b"\0" * 8)
+    with pytest.raises(ValueError, match="header"):
+        read_binary(path)
 
 
 def test_binary_rejects_wrong_magic(tmp_path):

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from idtlab.kernels import FBmKernel, SpectralKernel, SpectralMeasure
@@ -405,3 +408,77 @@ def test_exponent_bookkeeping():
     assert Subordinated(Brownian(), chrono).idt_exponent == 0.7
     assert Mixture(GaussianKernel(FBmKernel(0.3)), ((1.0, 1.0),)).idt_exponent == pytest.approx(0.6)
     assert WeightedSubordinator(GammaSubordinator(1.0, 1.0), ((1.0, 1.0),), 0.7).idt_exponent == 0.7
+
+
+# ---------------------------------------------------------------------------
+# spec_label keys the threshold table, so distinct specs need distinct labels
+# ---------------------------------------------------------------------------
+
+# two values per field, so that specs differing in a single field are drawn often
+_POS = st.sampled_from([0.5, 1.0])
+_REAL = st.sampled_from([0.0, 0.5])
+_ATOMS = st.lists(st.tuples(_POS, _POS), min_size=1, max_size=2).map(tuple)
+
+_subordinators = st.one_of(
+    st.builds(GammaSubordinator, _POS, _POS),
+    st.builds(Brownian, st.just(0.0), _POS),
+    st.builds(StableMotion, st.sampled_from([0.5, 0.7]), st.just(1.0)),
+    st.builds(CompoundPoisson, _POS, _POS, st.just(0.0)),
+)
+_families = st.one_of(
+    _subordinators,
+    st.builds(Brownian, _POS, _REAL),
+    st.builds(StableMotion, st.sampled_from([1.0, 1.5]), st.just(0.0)),
+    st.builds(CompoundPoisson, _POS, _REAL, _POS),
+)
+_clocks = st.builds(AdditiveTimeChange, _subordinators, _POS)
+_chronos = st.one_of(_clocks, st.builds(Subordinated, _subordinators, _clocks))
+_leaf_specs = st.one_of(
+    st.builds(StableLine, _POS),
+    st.builds(PowerLine, _POS),
+    st.builds(GaussianKernel, st.builds(FBmKernel, _POS.map(lambda h: h / 2))),
+    st.builds(
+        GaussianKernel,
+        st.builds(SpectralKernel, _POS, _ATOMS.map(SpectralMeasure.symmetric)),
+    ),
+    st.builds(AdditiveTimeChange, _families, _POS),
+    st.builds(WeightedSubordinator, _subordinators, _ATOMS, _POS),
+    st.builds(Subordinated, _families, _chronos),
+)
+_specs = st.recursive(_leaf_specs, lambda inner: st.builds(Mixture, inner, _ATOMS), max_leaves=3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_specs, min_size=30, max_size=60))
+def test_spec_label_is_injective(specs):
+    seen = {}
+    for spec in specs:
+        assert seen.setdefault(spec_label(spec), spec) == spec
+
+
+def _one_value_changed(obj):
+    """Valid copies of a spec, family or kernel that differ from it in exactly one number."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            changed = list(_one_value_changed(value))
+        elif isinstance(value, tuple):  # atoms: ((dilation or location, weight), ...)
+            changed = []
+            for i, (u, w) in enumerate(value):
+                for atom in ((u + 0.25, w), (u, w + 0.25)):
+                    changed.append(value[:i] + (atom,) + value[i + 1 :])
+        else:
+            changed = [value + 0.25]
+        for new in changed:
+            try:
+                yield dataclasses.replace(obj, **{field.name: new})
+            except ValueError:
+                pass  # outside the constructor's domain
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs)
+def test_changing_any_one_value_changes_the_label(spec):
+    label = spec_label(spec)
+    for variant in _one_value_changed(spec):
+        assert spec_label(variant) != label

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from idtlab.randkit import RngState, StableParams, next_uniform, sample_gamma, sample_normal, sample_stable
@@ -24,6 +26,27 @@ def test_split_streams_are_distinct_and_deterministic():
     again = [RngState(99).split(i) for i in range(8)]
     for k, g in zip(kids, again):
         assert np.array_equal(next_uniform(k, 100), next_uniform(g, 100))
+
+
+_U64 = st.integers(0, 2**64 - 1)
+_INDEX = st.integers(0, 2**63)
+
+
+@given(_U64, _U64, _INDEX, st.integers(1, 2**62))
+def test_split_gives_distinct_streams_for_distinct_indices(seed, stream, i, delta):
+    parent = RngState(seed, stream)
+    a, b = parent.split(i), parent.split(i + delta)
+    assert a.stream != b.stream
+    assert not np.array_equal(next_uniform(a, 4), next_uniform(b, 4))
+
+
+@given(_U64, _U64, _U64, _U64, _INDEX)
+def test_split_gives_distinct_streams_for_distinct_parents(seed_a, stream_a, seed_b, stream_b, i):
+    assume((seed_a, stream_a) != (seed_b, stream_b))
+    a = RngState(seed_a, stream_a).split(i)
+    b = RngState(seed_b, stream_b).split(i)
+    assert (a.seed, a.stream) != (b.seed, b.stream)
+    assert not np.array_equal(next_uniform(a, 4), next_uniform(b, 4))
 
 
 def test_uniform_open_interval():
