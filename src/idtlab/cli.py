@@ -25,8 +25,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import io as ensio
 from .processes import (
     AdditiveTimeChange,
@@ -45,17 +43,8 @@ from .processes import (
 )
 from .kernels import FBmKernel, SpectralKernel, SpectralMeasure
 from .randkit import RngState
-from .statlab import (
-    association_test,
-    calibrate,
-    idt_test,
-    selfsimilarity_test,
-    stability_test,
-    stationarity_test,
-    temporal_sd_test,
-)
+from .statlab import TEST_KINDS, TestKind, _check_replays, calibrate
 from .thresholds import ThresholdTable, entry_key
-from .transforms import lamperti_apply
 
 _STREAM_TESTS = 1000
 _STREAM_EXPORT = 1
@@ -152,6 +141,12 @@ def _as_floats(raw, field: str) -> list:
     return out
 
 
+def _as_grid(raw, field: str) -> list:
+    times = _as_floats(raw, field)
+    _checked([field], TimeGrid, times)
+    return times
+
+
 def _as_bool(raw, field: str) -> bool:
     text = str(raw).strip().lower()
     if text in ("true", "yes", "1", "on"):
@@ -178,24 +173,33 @@ _SPEC_KINDS = (
 )
 
 
-def _rejected(node: dict, path: str, exc: ValueError) -> ConfigError:
-    """A value a spec or family constructor rejected, named by its config fields."""
+def _field_error(fields, exc: ValueError) -> ConfigError:
+    label = "field" if len(fields) == 1 else "fields"
+    return ConfigError(f"{label} {', '.join(repr(f) for f in fields)}: {exc}")
+
+
+def _checked(fields, rule, *args):
+    """``rule(*args)``, with a ``ValueError`` turned into a config error naming ``fields``."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise _field_error(fields, exc) from None
+
+
+def _value_fields(node: dict, path: str) -> list:
+    """The fields a spec or family constructor's rejection is named by."""
     fields = [
-        repr(f"{path}.{key}")
+        f"{path}.{key}"
         for key, value in sorted(node.items())
         if key != "kind" and not isinstance(value, dict)
-    ] or [repr(path)]
-    label = "field" if len(fields) == 1 else "fields"
-    return ConfigError(f"{label} {', '.join(fields)}: {exc}")
+    ]
+    return fields or [path]
 
 
 def build_family(node: dict, path: str):
     if not isinstance(node, dict):
         raise ConfigError(f"section {path!r} must hold family fields")
-    try:
-        return _new_family(node, path)
-    except ValueError as exc:
-        raise _rejected(node, path, exc) from None
+    return _checked(_value_fields(node, path), _new_family, node, path)
 
 
 def _new_family(node: dict, path: str):
@@ -227,10 +231,7 @@ def _new_family(node: dict, path: str):
 def build_spec(node: dict, path: str):
     if not isinstance(node, dict):
         raise ConfigError(f"section {path!r} must hold spec fields")
-    try:
-        return _new_spec(node, path)
-    except ValueError as exc:
-        raise _rejected(node, path, exc) from None
+    return _checked(_value_fields(node, path), _new_spec, node, path)
 
 
 def _new_spec(node: dict, path: str):
@@ -288,10 +289,39 @@ def _new_spec(node: dict, path: str):
 
 
 # ---------------------------------------------------------------------------
-# Threshold keys shared by `run` lookups and `calibrate` writes
+# Test fields and threshold keys, read from each kind's ``TestKind`` entry
 # ---------------------------------------------------------------------------
 
-_TEST_KINDS = ("idt", "selfsimilarity", "stability", "temporal_sd", "stationarity", "association")
+_PARSERS = {
+    "int": _as_int,
+    "float": _as_float,
+    "str": lambda raw, field: str(raw),
+    "floats": _as_floats,
+    "family": build_family,
+}
+
+
+def _test_kind(raw, field: str) -> TestKind:
+    kind = TEST_KINDS.get(str(raw))
+    if kind is None:
+        raise ConfigError(f"field {field}: unknown test kind {str(raw)!r}; expected one of {tuple(TEST_KINDS)}")
+    return kind
+
+
+def _test_params(kind: TestKind, node: dict, prefix: str, spec, grid_list) -> dict:
+    """The test's fields under ``prefix``, parsed, defaulted and checked."""
+    params: dict = {}
+    if kind.uses_times:
+        params["grid"] = grid_list
+        params["times"] = _as_floats(_get(node, "times", grid_list), f"{prefix}.times")
+    for name, parse, default in kind.fields:
+        raw = _get(node, name, required=default is None)
+        if raw is not None:
+            params[name] = _PARSERS[parse](raw, f"{prefix}.{name}")
+    params = kind.fill(params, spec)
+    for fields, rule in kind.checks:
+        _checked([f"{prefix}.{f}" for f in fields], rule, params)
+    return params
 
 
 def threshold_key_for(kind, spec, n_paths, quantile, grid, times, params) -> str:
@@ -302,23 +332,22 @@ def threshold_key_for(kind, spec, n_paths, quantile, grid, times, params) -> str
     not shape the statistic's distribution, and excluding them lets a
     negative control share the threshold of its positive twin.
     """
-    if kind == "idt":
-        extra = {"grid": grid, "times": times, "n": params["n"], "mode": params.get("mode", "power")}
-    elif kind == "selfsimilarity":
-        extra = {"grid": grid, "times": times, "a": params["a"]}
-    elif kind == "stability":
-        extra = {"grid": grid, "times": times, "n": params["n"]}
-    elif kind == "temporal_sd":
-        extra = {"grid": grid, "times": times, "b": params["b"]}
-    elif kind == "stationarity":
-        extra = {
-            "y_grid": params["y_grid"],
-            "window": params["window"],
-            "shift": params["shift"],
-        }
-    else:
+    test = TEST_KINDS.get(kind)
+    if test is None or not test.calibrated:
         raise ConfigError(f"test kind {kind!r} does not use calibrated thresholds")
+    params = test.fill(params, spec)
+    extra = {name: params[name] for name in test.key_fields}
+    if test.uses_times:
+        extra.update(grid=grid, times=times)
     return entry_key(kind, spec, n_paths, quantile, **extra)
+
+
+def _null_threshold(kind, spec, params, n_reps, quantile, fields, rng, n_paths, threads) -> float:
+    """``calibrate`` on the test's own fields; ``fields`` name ``n_reps`` and ``quantile``."""
+    _checked(fields, _check_replays, n_reps, quantile)
+    # replay under the true null: the spec's own exponent, never a probe value
+    replay = {k: v for k, v in params.items() if k != "alpha"}
+    return calibrate(spec, kind.name, n_reps, quantile, rng, n_paths, threads=threads, **replay)
 
 
 def _load_table(raw: str, config_dir: str):
@@ -336,95 +365,26 @@ def _load_table(raw: str, config_dir: str):
 # ---------------------------------------------------------------------------
 
 
-def _test_params(kind: str, node: dict, name: str, spec, grid_list) -> dict:
-    times = _as_floats(_get(node, "times", grid_list), f"test.{name}.times")
-    params: dict = {"times": times}
-    if kind == "idt":
-        params["n"] = _as_int(_get(node, "n", required=True), f"test.{name}.n")
-        params["alpha"] = _as_float(_get(node, "alpha", spec.idt_exponent), f"test.{name}.alpha")
-        params["mode"] = str(_get(node, "mode", "power"))
-    elif kind == "selfsimilarity":
-        params["h"] = _as_float(_get(node, "h", required=True), f"test.{name}.h")
-        params["a"] = _as_float(_get(node, "a", required=True), f"test.{name}.a")
-    elif kind == "stability":
-        params["beta"] = _as_float(_get(node, "beta", required=True), f"test.{name}.beta")
-        params["n"] = _as_int(_get(node, "n", required=True), f"test.{name}.n")
-    elif kind == "temporal_sd":
-        params["b"] = _as_float(_get(node, "b", required=True), f"test.{name}.b")
-        params["alpha"] = _as_float(_get(node, "alpha", spec.idt_exponent), f"test.{name}.alpha")
-    elif kind == "stationarity":
-        params["y_grid"] = _as_floats(_get(node, "y_grid", required=True), f"test.{name}.y_grid")
-        params["window"] = _as_int(_get(node, "window", 2), f"test.{name}.window")
-        params["shift"] = _as_int(_get(node, "shift", 1), f"test.{name}.shift")
-        params["alpha"] = _as_float(_get(node, "alpha", spec.idt_exponent), f"test.{name}.alpha")
-        params.pop("times")
-    elif kind == "association":
-        params["alpha"] = _as_float(_get(node, "alpha", required=True), f"test.{name}.alpha")
-        params["level"] = _as_float(_get(node, "level", 0.01), f"test.{name}.level")
-        params["family"] = build_family(_get(node, "family", required=True), f"test.{name}.family")
-    else:
-        raise ConfigError(
-            f"field test.{name}.kind: unknown test kind {kind!r}; expected one of {_TEST_KINDS}"
-        )
-    return params
-
-
-def _resolve_threshold(kind, node, name, spec, n_paths, quantile, grid_list, params, cfg, config_dir, rng, threads):
-    if kind == "association":
+def _resolve_threshold(kind, node, prefix, spec, n_paths, quantile, params, cfg, config_dir, rng, threads):
+    if not kind.calibrated:
         return None
     explicit = _get(node, "threshold")
     if explicit is not None:
-        return _as_float(explicit, f"test.{name}.threshold")
+        return _as_float(explicit, f"{prefix}.threshold")
     source = str(_get(cfg, "threshold_table", "default"))
     if source == "calibrate":
         n_reps = _as_int(_get(cfg, "calibration.n_reps", 200), "calibration.n_reps")
-        cal_params = {k: v for k, v in params.items() if k not in ("alpha", "times")}
-        if kind != "stationarity":
-            cal_params["grid"] = grid_list
-            cal_params["times"] = params["times"]
-        return calibrate(
-            spec, kind, n_reps, quantile, rng, n_paths, threads=threads, **cal_params
-        )
+        fields = ["calibration.n_reps", "quantile"]
+        return _null_threshold(kind, spec, params, n_reps, quantile, fields, rng, n_paths, threads)
     table = _load_table(source, config_dir)
-    key = threshold_key_for(kind, spec, n_paths, quantile, grid_list, params.get("times"), params)
+    key = threshold_key_for(kind.name, spec, n_paths, quantile, params.get("grid"), params.get("times"), params)
     try:
         return table.lookup(key)
     except KeyError:
         raise ConfigError(
-            f"test.{name}: threshold table {source!r} has no key {key}; "
-            f"set test.{name}.threshold or calibrate this configuration"
+            f"{prefix}: threshold table {source!r} has no key {key}; "
+            f"set {prefix}.threshold or calibrate this configuration"
         ) from None
-
-
-def _execute_test(kind, spec, grid, params, n_paths, rng, threshold):
-    if kind == "idt":
-        return idt_test(
-            spec, params["alpha"], params["n"], grid, params["times"],
-            n_paths, rng, threshold, mode=params["mode"],
-        )
-    if kind == "selfsimilarity":
-        return selfsimilarity_test(
-            spec, params["h"], params["a"], grid, params["times"], n_paths, rng, threshold
-        )
-    if kind == "stability":
-        return stability_test(
-            spec, params["beta"], params["n"], grid, params["times"], n_paths, rng, threshold
-        )
-    if kind == "temporal_sd":
-        return temporal_sd_test(
-            spec, params["alpha"], params["b"], grid, params["times"], n_paths, rng, threshold
-        )
-    if kind == "stationarity":
-        y = np.asarray(params["y_grid"], dtype=np.float64)
-        ens = generate(spec, TimeGrid(np.exp(y)), n_paths, rng)
-        lam = lamperti_apply(ens, params["alpha"], y)
-        return stationarity_test(lam, params["window"], params["shift"], threshold)
-    if kind == "association":
-        return association_test(
-            spec, params["family"], params["alpha"], params["times"], n_paths, rng,
-            level=params["level"],
-        )
-    raise ConfigError(f"unknown test kind {kind!r}")
 
 
 def _require_run_basics(cfg):
@@ -432,7 +392,7 @@ def _require_run_basics(cfg):
     n_paths = _as_int(_get(cfg, "n_paths", required=True), "n_paths")
     if n_paths < 100:
         raise ConfigError(f"field 'n_paths': must be at least 100, got {n_paths}")
-    grid_list = _as_floats(_get(cfg, "grid", required=True), "grid")
+    grid_list = _as_grid(_get(cfg, "grid", required=True), "grid")
     spec = build_spec(_get(cfg, "spec", required=True), "spec")
     return seed, n_paths, grid_list, spec
 
@@ -469,18 +429,19 @@ def cmd_run(args) -> int:
         node = tests_node[name]
         if not isinstance(node, dict):
             raise ConfigError(f"section test.{name} must hold test fields")
-        kind = str(_get(node, "kind", required=True))
-        params = _test_params(kind, node, name, spec, grid_list)
+        prefix = f"test.{name}"
+        kind = _test_kind(_get(node, "kind", required=True), f"{prefix}.kind")
+        params = _test_params(kind, node, prefix, spec, grid_list)
         rng = root.split(_STREAM_TESTS + index)
         threshold = _resolve_threshold(
-            kind, node, name, spec, n_paths, quantile, grid_list, params,
+            kind, node, prefix, spec, n_paths, quantile, params,
             cfg, config_dir, root.split(_STREAM_CALIBRATE + index), args.threads,
         )
         jobs.append((name, kind, params, rng, threshold))
 
     def run_one(job):
         name, kind, params, rng, threshold = job
-        return name, _execute_test(kind, spec, grid, params, n_paths, rng, threshold)
+        return name, kind.run(spec, params, n_paths, rng, threshold)
 
     if args.threads and args.threads > 1 and len(jobs) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -535,7 +496,7 @@ def cmd_calibrate(args) -> int:
 
     seed = _as_int(_get(cfg, "seed", required=True), "seed")
     n_paths_default = _as_int(_get(cfg, "n_paths", required=True), "n_paths")
-    grid_default = _as_floats(_get(cfg, "grid", required=True), "grid")
+    grid_default = _as_grid(_get(cfg, "grid", required=True), "grid")
     quantile_default = _as_float(_get(cfg, "quantile", 0.99), "quantile")
     n_reps_default = _as_int(_get(cfg, "n_reps", 200), "n_reps")
     out_name = str(_get(cfg, "output", "thresholds.json"))
@@ -559,25 +520,20 @@ def cmd_calibrate(args) -> int:
     )
     for index, name in enumerate(sorted(entries_node)):
         node = entries_node[name]
-        kind = str(_get(node, "test", required=True))
-        spec = build_spec(_get(node, "spec", required=True), f"entry.{name}.spec")
-        n_paths = _as_int(_get(node, "n_paths", n_paths_default), f"entry.{name}.n_paths")
-        quantile = _as_float(_get(node, "quantile", quantile_default), f"entry.{name}.quantile")
-        n_reps = _as_int(_get(node, "n_reps", n_reps_default), f"entry.{name}.n_reps")
-        grid_list = _as_floats(_get(node, "grid", grid_default), f"entry.{name}.grid")
-        params = _test_params(kind, node, name, spec, grid_list)
-        if kind == "association":
-            raise ConfigError(f"entry.{name}: association uses p-values, not calibrated thresholds")
-        # replay under the true null: the spec's own exponent, never a probe value
-        cal_params = {k: v for k, v in params.items() if k != "alpha"}
-        if kind != "stationarity":
-            cal_params["grid"] = grid_list
+        prefix = f"entry.{name}"
+        kind = _test_kind(_get(node, "test", required=True), f"{prefix}.test")
+        if not kind.calibrated:
+            raise ConfigError(f"{prefix}: {kind.name} uses p-values, not calibrated thresholds")
+        spec = build_spec(_get(node, "spec", required=True), f"{prefix}.spec")
+        n_paths = _as_int(_get(node, "n_paths", n_paths_default), f"{prefix}.n_paths")
+        quantile = _as_float(_get(node, "quantile", quantile_default), f"{prefix}.quantile")
+        n_reps = _as_int(_get(node, "n_reps", n_reps_default), f"{prefix}.n_reps")
+        grid_list = _as_grid(_get(node, "grid", grid_default), f"{prefix}.grid")
+        params = _test_params(kind, node, prefix, spec, grid_list)
+        fields = [f"{prefix}.n_reps", f"{prefix}.quantile"]
         rng = root.split(_STREAM_CALIBRATE + index)
-        threshold = calibrate(
-            spec, kind, n_reps, quantile, rng, n_paths,
-            threads=args.threads, **cal_params,
-        )
-        key = threshold_key_for(kind, spec, n_paths, quantile, grid_list, params.get("times"), params)
+        threshold = _null_threshold(kind, spec, params, n_reps, quantile, fields, rng, n_paths, args.threads)
+        key = threshold_key_for(kind.name, spec, n_paths, quantile, grid_list, params.get("times"), params)
         table.set(key, threshold)
         print(f"# calibrated {name}: {threshold:.6g}")
 

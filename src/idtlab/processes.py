@@ -509,19 +509,27 @@ def subordinated_paths(
     return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
 
 
+def _blend_on_merged_grid(atoms, grid: TimeGrid, sample, exponent: float = 1.0) -> np.ndarray:
+    """``sum_i w_i * X((u_i * t)**exponent)`` over the atoms ``(u_i, w_i)``.
+
+    ``sample(merged)`` draws the one underlying path ``X`` at the sorted
+    distinct points; every atom then gathers its columns from it.
+    """
+    points = np.multiply.outer(np.array([u for u, _ in atoms]), grid.times) ** exponent
+    merged = np.unique(points)
+    pos = np.searchsorted(merged, points)
+    weights = np.array([w for _, w in atoms])
+    return np.einsum("i,nij->nj", weights, sample(merged)[:, pos])
+
+
 def mixture_paths(
     base, atoms, grid: TimeGrid, n_paths: int, rng: RngState
 ) -> PathEnsemble:
     """Weighted combination of one underlying path on the merged dilated grid."""
     spec = Mixture(base, tuple(atoms))
-    products = np.multiply.outer(
-        np.array([u for u, _ in spec.atoms]), grid.times
-    )  # (n_atoms, n_times)
-    merged = np.unique(products)
-    base_ens = generate(base, TimeGrid(merged), n_paths, rng.split(0))
-    pos = np.searchsorted(merged, products)
-    weights = np.array([w for _, w in spec.atoms])
-    values = np.einsum("i,nij->nj", weights, base_ens.values[:, pos])
+    values = _blend_on_merged_grid(
+        spec.atoms, grid, lambda merged: generate(base, TimeGrid(merged), n_paths, rng.split(0)).values
+    )
     return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
 
 
@@ -530,16 +538,12 @@ def weighted_subordinator_paths(
 ) -> PathEnsemble:
     """Weighted sum of one subordinator path over the merged ``(u*t)**alpha`` epochs."""
     spec = WeightedSubordinator(family, tuple(atoms), alpha)
-    epochs = (
-        np.multiply.outer(np.array([u for u, _ in spec.atoms]), grid.times) ** alpha
-    )
-    merged = np.unique(epochs)
-    dts = np.diff(merged, prepend=0.0)
-    incs = levy_increments(family, dts, rng, size=(int(n_paths), merged.size))
-    path_values = np.cumsum(incs, axis=1)
-    pos = np.searchsorted(merged, epochs)
-    weights = np.array([w for _, w in spec.atoms])
-    values = np.einsum("i,nij->nj", weights, path_values[:, pos])
+
+    def subordinator(epochs):
+        dts = np.diff(epochs, prepend=0.0)
+        return np.cumsum(levy_increments(family, dts, rng, size=(int(n_paths), epochs.size)), axis=1)
+
+    values = _blend_on_merged_grid(spec.atoms, grid, subordinator, alpha)
     return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
 
 
@@ -568,14 +572,7 @@ def fbm_moving_average_paths(
     if np.any(grid.times <= 0):
         raise ValueError("evaluation times must be strictly positive")
 
-    kernel = FBmKernel(hurst)
-    upos = u[u > 0]
-    m = cov_matrix(kernel, upos)
-    chol = np.linalg.cholesky(m + 1e-12 * float(np.trace(m)) / m.shape[0] * np.eye(m.shape[0]))
-    z = sample_normal(rng, (int(n_paths), m.shape[0]))
-    fbm = np.zeros((int(n_paths), u.size))
-    fbm[:, u > 0] = z @ chol.T
-    dfbm = np.diff(fbm, axis=1)  # (N, M)
+    dfbm = np.diff(gaussian_paths(FBmKernel(hurst), TimeGrid(u), n_paths, rng).values, axis=1)  # (N, M)
 
     # phi evaluated at u_m / t for the left endpoints u_m
     left = u[:-1]

@@ -28,14 +28,24 @@ returned ECF array is fresh.  So replays reuse the same pages instead of
 faulting in new ones, and the distance tests reduce each ensemble to its
 ECFs before generating the next, which keeps one ensemble alive beside
 the workspace.
+
+Each test kind has one ``TestKind`` entry in ``TEST_KINDS``: its config
+fields and defaults, its threshold-key fields, its preconditions and how
+to run it.  The CLI and ``calibrate`` read everything from the entry, so
+adding a kind takes one entry plus its public ``*_test`` function, which
+for a distance test is a thin wrapper over ``_spec_report``: the ensembles
+to draw, each on its own ``rng.split`` index, and how to combine their
+ECFs.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -201,17 +211,6 @@ def _time_indices(grid: TimeGrid, times) -> list:
     return out
 
 
-def _max_modulus(discrepancies) -> float:
-    """Largest modulus over every group's discrepancy; NaN anywhere gives NaN."""
-    return float(np.abs(np.concatenate(discrepancies)).max())
-
-
-def _resolve_groups(n_times: int, thetas):
-    if thetas is None:
-        return default_theta_groups(n_times), DEFAULT_THETA_ID
-    return thetas, "custom"
-
-
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov machinery
 # ---------------------------------------------------------------------------
@@ -219,6 +218,7 @@ def _resolve_groups(n_times: int, thetas):
 
 def _kolmogorov_sf(x: float) -> float:
     """Survival function of the Kolmogorov distribution."""
+    # not scipy.special.kolmogorov: importing scipy would add about 0.3 s to every command
     if x <= 0:
         return 1.0
     if x < 0.4:
@@ -264,8 +264,102 @@ def ks_one_sample(x, cdf):
 
 
 # ---------------------------------------------------------------------------
+# Preconditions, shared by the public tests and the CLI's config checks
+# ---------------------------------------------------------------------------
+
+
+def _at_least_two(n) -> int:
+    n = int(n)
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    return n
+
+
+def _check_mode(mode) -> None:
+    if mode not in ("power", "sum"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def _at_most_three(times) -> None:
+    if len(times) > 3:
+        raise ValueError("at most three comparison times")
+
+
+def _check_dilation(a) -> None:
+    if not a > 0 or a == 1.0:
+        raise ValueError(f"dilation must be positive and != 1, got {a}")
+
+
+def _check_fraction(b) -> None:
+    if not 0.0 < b < 1.0:
+        raise ValueError(f"b must be inside (0, 1), got {b}")
+
+
+def _check_window(window, shift, n_times: int) -> tuple:
+    window = int(window)
+    shift = int(shift)
+    if not 1 <= window <= 3:
+        raise ValueError(f"window must have 1 to 3 points, got {window}")
+    if shift < 0:
+        raise ValueError("shift must be nonnegative")
+    if window + shift > n_times:
+        raise ValueError(f"window {window} + shift {shift} exceeds grid size {n_times}")
+    return window, shift
+
+
+def _check_replays(n_reps, quantile: float) -> int:
+    n_reps = int(n_reps)
+    if not 0.0 < quantile <= 1.0:
+        raise ValueError(f"quantile must be in (0, 1], got {quantile}")
+    if quantile < 1.0 and n_reps < 1.0 / (1.0 - quantile):
+        raise ValueError(f"{n_reps} repetitions cannot resolve the {quantile} quantile")
+    return n_reps
+
+
+# ---------------------------------------------------------------------------
 # Distance tests in characteristic-function space
 # ---------------------------------------------------------------------------
+
+
+def _distance_report(name, views, n_times, thetas, combine, threshold, n_samples, seed, details):
+    """Report of the largest ``|combine(ECF_0, ECF_1, ...)|`` over the frequency groups.
+
+    ``views`` are ``(draw, idx)`` pairs: ``draw()`` returns a value matrix
+    and ``idx`` the columns compared.  Each view is reduced to its ECFs
+    before the next is drawn, so at most one ensemble is alive at a time.
+    """
+    if thetas is None:
+        groups, theta_id = default_theta_groups(n_times), DEFAULT_THETA_ID
+    else:
+        groups, theta_id = thetas, "custom"
+    ecfs = [_group_ecfs(draw(), idx, groups) for draw, idx in views]
+    # the largest modulus over every group's discrepancy; NaN anywhere gives NaN
+    statistic = float(np.abs(np.concatenate([combine(*parts) for parts in zip(*ecfs)])).max())
+    return TestReport.from_distance(
+        name=name,
+        statistic=statistic,
+        threshold=threshold,
+        n_samples=n_samples,
+        seed=seed,
+        details={**details, "theta_grid": theta_id},
+    )
+
+
+def _spec_report(kind, spec, grid, times, n_paths, rng, threshold, thetas, draws, combine, details):
+    """``_distance_report`` over ensembles ``draw(grid)`` of ``spec`` at ``times``.
+
+    Each draw takes its own ``rng.split`` index, so the order in which
+    they run does not change the result.
+    """
+    if not isinstance(grid, TimeGrid):
+        grid = TimeGrid(grid)
+    idx = _time_indices(grid, times)
+    views = [(lambda draw=draw: draw(grid).values, idx) for draw in draws]
+    details = {**details, "times": [float(t) for t in times], "stream": rng.stream}
+    return _distance_report(
+        f"{kind}[{spec_label(spec)}]", views, len(idx), thetas, combine,
+        threshold, n_paths, rng.seed, details,
+    )
 
 
 def idt_test(
@@ -288,46 +382,18 @@ def idt_test(
     ``mode="sum"`` replaces the power by the ECF of an actual pointwise
     sum of ``n`` independent ensembles, as a cross-check.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if mode not in ("power", "sum"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(grid)
-    idx = _time_indices(grid, times)
-    if len(idx) > 3:
-        raise ValueError("at most three comparison times")
-    groups, theta_id = _resolve_groups(len(idx), thetas)
-
-    # Each ensemble is reduced to its ECFs before the next one is generated,
-    # so at most one is alive at a time.  Each draws from its own split
-    # index, so the order does not change the result.
-    dilated = generate(spec, grid.scale(n ** (1.0 / alpha)), n_paths, rng.split(1))
-    got = _group_ecfs(dilated.values, idx, groups)
-    del dilated
+    n = _at_least_two(n)
+    _check_mode(mode)
+    _at_most_three(times)
     if mode == "power":
-        base = generate(spec, grid, n_paths, rng.split(0))
-        ref = [e**n for e in _group_ecfs(base.values, idx, groups)]
+        reference = lambda g: generate(spec, g, n_paths, rng.split(0))
+        combine = lambda got, ref: got - ref**n
     else:
-        summed = sum_independent(spec, n, grid, n_paths, rng.split(0))
-        ref = _group_ecfs(summed.values, idx, groups)
-    statistic = _max_modulus([g - r for g, r in zip(got, ref)])
-    return TestReport.from_distance(
-        name=f"idt[{spec_label(spec)}]",
-        statistic=statistic,
-        threshold=threshold,
-        n_samples=n_paths,
-        seed=rng.seed,
-        details={
-            "alpha": float(alpha),
-            "n": n,
-            "mode": mode,
-            "times": [float(t) for t in times],
-            "theta_grid": theta_id,
-            "stream": rng.stream,
-        },
-    )
+        reference = lambda g: sum_independent(spec, n, g, n_paths, rng.split(0))
+        combine = sub
+    draws = [lambda g: generate(spec, g.scale(n ** (1.0 / alpha)), n_paths, rng.split(1)), reference]
+    details = {"alpha": float(alpha), "n": n, "mode": mode}
+    return _spec_report("idt", spec, grid, times, n_paths, rng, threshold, thetas, draws, combine, details)
 
 
 def selfsimilarity_test(
@@ -342,32 +408,14 @@ def selfsimilarity_test(
     thetas=None,
 ) -> TestReport:
     """Check ``X(a*t) = a**h * X(t)`` in law via ECF distance."""
-    if not a > 0 or a == 1.0:
-        raise ValueError(f"dilation must be positive and != 1, got {a}")
-    if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(grid)
-    idx = _time_indices(grid, times)
-    groups, theta_id = _resolve_groups(len(idx), thetas)
-    # one ensemble alive at a time, as in idt_test
-    dilated = generate(spec, grid.scale(a), n_paths, rng.split(0))
-    got = _group_ecfs(dilated.values, idx, groups)
-    del dilated
-    scaled = scale_paths(generate(spec, grid, n_paths, rng.split(1)), a**h)
-    ref = _group_ecfs(scaled.values, idx, groups)
-    statistic = _max_modulus([g - r for g, r in zip(got, ref)])
-    return TestReport.from_distance(
-        name=f"selfsimilarity[{spec_label(spec)}]",
-        statistic=statistic,
-        threshold=threshold,
-        n_samples=n_paths,
-        seed=rng.seed,
-        details={
-            "h": float(h),
-            "a": float(a),
-            "times": [float(t) for t in times],
-            "theta_grid": theta_id,
-            "stream": rng.stream,
-        },
+    _check_dilation(a)
+    draws = [
+        lambda g: generate(spec, g.scale(a), n_paths, rng.split(0)),
+        lambda g: scale_paths(generate(spec, g, n_paths, rng.split(1)), a**h),
+    ]
+    details = {"h": float(h), "a": float(a)}
+    return _spec_report(
+        "selfsimilarity", spec, grid, times, n_paths, rng, threshold, thetas, draws, sub, details
     )
 
 
@@ -383,35 +431,14 @@ def stability_test(
     thetas=None,
 ) -> TestReport:
     """Check strict stability: n-fold sum matches ``n**(1/beta) * X`` in law."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(grid)
-    idx = _time_indices(grid, times)
-    groups, theta_id = _resolve_groups(len(idx), thetas)
-    # one ensemble alive at a time, as in idt_test
-    summed = sum_independent(spec, n, grid, n_paths, rng.split(0))
-    got = _group_ecfs(summed.values, idx, groups)
-    del summed
-    scaled = scale_paths(
-        generate(spec, grid, n_paths, rng.split(1)), n ** (1.0 / beta_index)
-    )
-    ref = _group_ecfs(scaled.values, idx, groups)
-    statistic = _max_modulus([g - r for g, r in zip(got, ref)])
-    return TestReport.from_distance(
-        name=f"stability[{spec_label(spec)}]",
-        statistic=statistic,
-        threshold=threshold,
-        n_samples=n_paths,
-        seed=rng.seed,
-        details={
-            "beta": float(beta_index),
-            "n": n,
-            "times": [float(t) for t in times],
-            "theta_grid": theta_id,
-            "stream": rng.stream,
-        },
+    n = _at_least_two(n)
+    draws = [
+        lambda g: sum_independent(spec, n, g, n_paths, rng.split(0)),
+        lambda g: scale_paths(generate(spec, g, n_paths, rng.split(1)), n ** (1.0 / beta_index)),
+    ]
+    details = {"beta": float(beta_index), "n": n}
+    return _spec_report(
+        "stability", spec, grid, times, n_paths, rng, threshold, thetas, draws, sub, details
     )
 
 
@@ -423,33 +450,11 @@ def stationarity_test(
     thetas=None,
 ) -> TestReport:
     """Compare ECFs over two windows of a (log-time transformed) ensemble."""
-    window = int(window)
-    shift = int(shift)
-    if not 1 <= window <= 3:
-        raise ValueError(f"window must have 1 to 3 points, got {window}")
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
-    if window + shift > ensemble.n_times:
-        raise ValueError(
-            f"window {window} + shift {shift} exceeds grid size {ensemble.n_times}"
-        )
-    groups, theta_id = _resolve_groups(window, thetas)
-    idx_a = list(range(window))
-    idx_b = [i + shift for i in idx_a]
-    got = _group_ecfs(ensemble.values, idx_a, groups)
-    ref = _group_ecfs(ensemble.values, idx_b, groups)
-    statistic = _max_modulus([g - r for g, r in zip(got, ref)])
-    return TestReport.from_distance(
-        name="stationarity",
-        statistic=statistic,
-        threshold=threshold,
-        n_samples=ensemble.n_paths,
-        seed=ensemble.seed,
-        details={
-            "window": window,
-            "shift": shift,
-            "theta_grid": theta_id,
-        },
+    window, shift = _check_window(window, shift, ensemble.n_times)
+    views = [(lambda: ensemble.values, [i + s for i in range(window)]) for s in (0, shift)]
+    return _distance_report(
+        "stationarity", views, window, thetas, sub, threshold,
+        ensemble.n_paths, ensemble.seed, {"window": window, "shift": shift},
     )
 
 
@@ -472,35 +477,16 @@ def temporal_sd_test(
     three factors; passing exhibits the scaled-copy-plus-residual
     decomposition with ratio ``b**(1/alpha)``.
     """
-    if not 0.0 < b < 1.0:
-        raise ValueError(f"b must be inside (0, 1), got {b}")
-    if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(grid)
-    idx = _time_indices(grid, times)
-    groups, theta_id = _resolve_groups(len(idx), thetas)
-    # one ensemble alive at a time, as in idt_test
-    whole = generate(spec, grid, n_paths, rng.split(0))
-    f0 = _group_ecfs(whole.values, idx, groups)
-    del whole
-    part = generate(spec, grid.scale(b ** (1.0 / alpha)), n_paths, rng.split(1))
-    f1 = _group_ecfs(part.values, idx, groups)
-    del part
-    rest = generate(spec, grid.scale((1.0 - b) ** (1.0 / alpha)), n_paths, rng.split(2))
-    f2 = _group_ecfs(rest.values, idx, groups)
-    statistic = _max_modulus([a - p * r for a, p, r in zip(f0, f1, f2)])
-    return TestReport.from_distance(
-        name=f"temporal_sd[{spec_label(spec)}]",
-        statistic=statistic,
-        threshold=threshold,
-        n_samples=n_paths,
-        seed=rng.seed,
-        details={
-            "alpha": float(alpha),
-            "b": float(b),
-            "times": [float(t) for t in times],
-            "theta_grid": theta_id,
-            "stream": rng.stream,
-        },
+    _check_fraction(b)
+    draws = [
+        lambda g: generate(spec, g, n_paths, rng.split(0)),
+        lambda g: generate(spec, g.scale(b ** (1.0 / alpha)), n_paths, rng.split(1)),
+        lambda g: generate(spec, g.scale((1.0 - b) ** (1.0 / alpha)), n_paths, rng.split(2)),
+    ]
+    details = {"alpha": float(alpha), "b": float(b)}
+    return _spec_report(
+        "temporal_sd", spec, grid, times, n_paths, rng, threshold, thetas, draws,
+        lambda whole, part, rest: whole - part * rest, details,
     )
 
 
@@ -552,68 +538,132 @@ def cov_estimate(ensemble: PathEnsemble) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Threshold calibration
+# Test kinds: what the CLI and ``calibrate`` read about each test
 # ---------------------------------------------------------------------------
 
-_DISTANCE_TESTS = ("idt", "selfsimilarity", "stability", "temporal_sd", "stationarity")
+_SPEC_EXPONENT = object()  # field default: the spec's own ``idt_exponent``
 
 
-def _run_statistic(kind: str, null_spec, n_paths, rng, params) -> float:
-    inf = float("inf")
-    if kind == "idt":
-        report = idt_test(
-            null_spec,
-            alpha=params.get("alpha", null_spec.idt_exponent),
-            n=params["n"],
-            grid=params["grid"],
-            times=params["times"],
-            n_paths=n_paths,
-            rng=rng,
-            threshold=inf,
-            mode=params.get("mode", "power"),
-        )
-    elif kind == "selfsimilarity":
-        report = selfsimilarity_test(
-            null_spec,
-            h=params["h"],
-            a=params["a"],
-            grid=params["grid"],
-            times=params["times"],
-            n_paths=n_paths,
-            rng=rng,
-            threshold=inf,
-        )
-    elif kind == "stability":
-        report = stability_test(
-            null_spec,
-            beta_index=params["beta"],
-            n=params["n"],
-            grid=params["grid"],
-            times=params["times"],
-            n_paths=n_paths,
-            rng=rng,
-            threshold=inf,
-        )
-    elif kind == "temporal_sd":
-        report = temporal_sd_test(
-            null_spec,
-            alpha=params.get("alpha", null_spec.idt_exponent),
-            b=params["b"],
-            grid=params["grid"],
-            times=params["times"],
-            n_paths=n_paths,
-            rng=rng,
-            threshold=inf,
-        )
-    elif kind == "stationarity":
-        y = np.asarray(params["y_grid"], dtype=np.float64)
-        alpha = params.get("alpha", null_spec.idt_exponent)
-        ens = generate(null_spec, TimeGrid(np.exp(y)), n_paths, rng)
-        lam = lamperti_apply(ens, alpha, y)
-        report = stationarity_test(lam, params["window"], params["shift"], inf)
-    else:
-        raise ValueError(f"unknown test kind {kind!r}")
-    return report.statistic
+@dataclass(frozen=True)
+class TestKind:
+    """One test kind: its config fields, threshold key and how to run it.
+
+    ``fields`` are ``(name, type, default)`` triples.  ``type`` is one of
+    ``"int"``, ``"float"``, ``"str"``, ``"floats"`` and ``"family"``;
+    ``default`` is ``None`` for a required field, ``_SPEC_EXPONENT`` for
+    the spec's ``idt_exponent``, or a literal.  A kind that ``uses_times``
+    also reads ``grid`` and ``times`` (by default the whole grid), and both
+    go into its threshold key next to ``key_fields``.  Each check
+    ``(fields, rule)`` raises ``ValueError`` from ``rule(params)`` when those
+    fields break the test's precondition.  ``run(spec, params, n_paths, rng,
+    threshold)`` calls the public test function.  Only ``calibrated`` kinds
+    have null-replay thresholds.
+    """
+
+    __test__ = False  # not a pytest class, despite the name
+
+    name: str
+    fields: tuple
+    run: Callable
+    key_fields: tuple = ()
+    checks: tuple = ()
+    uses_times: bool = True
+    calibrated: bool = True
+
+    def fill(self, params: dict, spec) -> dict:
+        """``params`` with each missing optional field at its default."""
+        out = dict(params)
+        for name, _, default in self.fields:
+            if name not in out and default is not None:
+                out[name] = spec.idt_exponent if default is _SPEC_EXPONENT else default
+        return out
+
+
+def _run_stationarity(spec, p, n_paths, rng, threshold):
+    y = np.asarray(p["y_grid"], dtype=np.float64)
+    ensemble = generate(spec, TimeGrid(np.exp(y)), n_paths, rng)
+    return stationarity_test(lamperti_apply(ensemble, p["alpha"], y), p["window"], p["shift"], threshold)
+
+
+_ON_GRID = (("times",), lambda p: _time_indices(TimeGrid(p["grid"]), p["times"]))
+_N_AT_LEAST_TWO = (("n",), lambda p: _at_least_two(p["n"]))
+
+TEST_KINDS = {
+    kind.name: kind
+    for kind in (
+        TestKind(
+            "idt",
+            fields=(("n", "int", None), ("alpha", "float", _SPEC_EXPONENT), ("mode", "str", "power")),
+            key_fields=("n", "mode"),
+            checks=(
+                _N_AT_LEAST_TWO,
+                (("mode",), lambda p: _check_mode(p["mode"])),
+                _ON_GRID,
+                (("times",), lambda p: _at_most_three(p["times"])),
+            ),
+            run=lambda spec, p, n_paths, rng, threshold: idt_test(
+                spec, p["alpha"], p["n"], p["grid"], p["times"], n_paths, rng, threshold, mode=p["mode"]
+            ),
+        ),
+        TestKind(
+            "selfsimilarity",
+            fields=(("h", "float", None), ("a", "float", None)),
+            key_fields=("a",),
+            checks=((("a",), lambda p: _check_dilation(p["a"])), _ON_GRID),
+            run=lambda spec, p, n_paths, rng, threshold: selfsimilarity_test(
+                spec, p["h"], p["a"], p["grid"], p["times"], n_paths, rng, threshold
+            ),
+        ),
+        TestKind(
+            "stability",
+            fields=(("beta", "float", None), ("n", "int", None)),
+            key_fields=("n",),
+            checks=(_N_AT_LEAST_TWO, _ON_GRID),
+            run=lambda spec, p, n_paths, rng, threshold: stability_test(
+                spec, p["beta"], p["n"], p["grid"], p["times"], n_paths, rng, threshold
+            ),
+        ),
+        TestKind(
+            "temporal_sd",
+            fields=(("b", "float", None), ("alpha", "float", _SPEC_EXPONENT)),
+            key_fields=("b",),
+            checks=((("b",), lambda p: _check_fraction(p["b"])), _ON_GRID),
+            run=lambda spec, p, n_paths, rng, threshold: temporal_sd_test(
+                spec, p["alpha"], p["b"], p["grid"], p["times"], n_paths, rng, threshold
+            ),
+        ),
+        TestKind(
+            "stationarity",
+            fields=(
+                ("y_grid", "floats", None),
+                ("window", "int", 2),
+                ("shift", "int", 1),
+                ("alpha", "float", _SPEC_EXPONENT),
+            ),
+            key_fields=("y_grid", "window", "shift"),
+            checks=(
+                (("y_grid",), lambda p: TimeGrid(np.exp(p["y_grid"]))),
+                (("window", "shift"), lambda p: _check_window(p["window"], p["shift"], len(p["y_grid"]))),
+            ),
+            run=_run_stationarity,
+            uses_times=False,
+        ),
+        TestKind(
+            "association",
+            fields=(("alpha", "float", None), ("level", "float", 0.01), ("family", "family", None)),
+            checks=((("times",), lambda p: TimeGrid(p["times"])),),
+            run=lambda spec, p, n_paths, rng, threshold: association_test(
+                spec, p["family"], p["alpha"], p["times"], n_paths, rng, level=p["level"]
+            ),
+            calibrated=False,
+        ),
+    )
+}
+
+
+# ---------------------------------------------------------------------------
+# Threshold calibration
+# ---------------------------------------------------------------------------
 
 
 def calibrate(
@@ -633,18 +683,14 @@ def calibrate(
     empirical quantile (``method="higher"``: never below the nominal
     coverage, monotone in the quantile).
     """
-    n_reps = int(n_reps)
-    if not 0.0 < quantile <= 1.0:
-        raise ValueError(f"quantile must be in (0, 1], got {quantile}")
-    if quantile < 1.0 and n_reps < 1.0 / (1.0 - quantile):
-        raise ValueError(
-            f"{n_reps} repetitions cannot resolve the {quantile} quantile"
-        )
-    if kind not in _DISTANCE_TESTS:
+    n_reps = _check_replays(n_reps, quantile)
+    test = TEST_KINDS.get(kind)
+    if test is None or not test.calibrated:
         raise ValueError(f"unknown test kind {kind!r}")
+    params = test.fill(params, null_spec)
 
     def one(rep: int) -> float:
-        return _run_statistic(kind, null_spec, n_paths, rng.split(rep), params)
+        return test.run(null_spec, params, n_paths, rng.split(rep), float("inf")).statistic
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:

@@ -128,6 +128,55 @@ def test_run_out_of_range_spec_value_exit_two(tmp_path, capsys, spec_lines, fiel
     assert field in err
 
 
+@pytest.mark.parametrize(
+    "test_lines, field",
+    [
+        ("test.x.kind = idt\ntest.x.n = 1\n", "'test.x.n'"),
+        ("test.x.kind = stability\ntest.x.beta = 2\ntest.x.n = 1\n", "'test.x.n'"),
+        ("test.x.kind = idt\ntest.x.n = 2\ntest.x.times = 0.7\n", "'test.x.times'"),
+        ("test.x.kind = idt\ntest.x.n = 2\ntest.x.mode = twice\n", "'test.x.mode'"),
+        ("test.x.kind = selfsimilarity\ntest.x.h = 0.5\ntest.x.a = 1\n", "'test.x.a'"),
+        ("test.x.kind = temporal_sd\ntest.x.b = 1.5\n", "'test.x.b'"),
+        (
+            "test.x.kind = stationarity\ntest.x.y_grid = 0 0.5 1\ntest.x.window = 2\ntest.x.shift = 2\n",
+            "'test.x.window', 'test.x.shift'",
+        ),
+        ("test.x.kind = stationarity\ntest.x.y_grid = 0 0 1\n", "'test.x.y_grid'"),
+        (
+            "test.x.kind = association\ntest.x.alpha = 0.6\ntest.x.times = 2 1\ntest.x.family.kind = brownian\n",
+            "'test.x.times'",
+        ),
+    ],
+    ids=[
+        "idt_n", "stability_n", "times_off_grid", "idt_mode", "selfsim_a", "tsd_b",
+        "stationarity_shift", "stationarity_y_grid", "association_times",
+    ],
+)
+def test_run_test_precondition_exit_two(tmp_path, capsys, test_lines, field):
+    conf = "seed = 1\nn_paths = 500\ngrid = 0.5 1 2\nspec.kind = stable_line\nspec.alpha = 1.5\n"
+    conf += f"output_dir = {tmp_path / 'out'}\n" + test_lines + "test.x.threshold = 0.5\n"
+    assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+
+
+def test_run_unordered_grid_exit_two(tmp_path, capsys):
+    conf = "seed = 1\nn_paths = 500\ngrid = 2 1\nspec.kind = stable_line\nspec.alpha = 1\n"
+    assert main(["run", _write(tmp_path, conf)]) == 2
+    assert "'grid'" in capsys.readouterr().err
+
+
+def test_run_calibrate_too_few_reps_exit_two(tmp_path, capsys):
+    conf = RUN_OK.format(out=tmp_path / "out").replace(
+        "test.pathline.threshold = 0.5\n", "threshold_table = calibrate\ncalibration.n_reps = 10\n"
+    )
+    assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "'calibration.n_reps'" in err
+
+
 def test_run_threshold_key_missing_from_table_exit_two(tmp_path, capsys):
     # the shipped table has no entry at 500 paths
     conf = RUN_OK.format(out=tmp_path / "out").replace("test.pathline.threshold = 0.5\n", "")
@@ -213,6 +262,37 @@ def test_calibrate_writes_table_and_is_deterministic(tmp_path):
     assert lo <= hi
     assert main(["calibrate", conf, "--threads", "4"]) == 0
     assert table_path.read_text() == first  # bit-identical rerun
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [("n_reps = 10\n", "'entry.high.n_reps'"), ("entry.high.n = 1\n", "'entry.high.n'")],
+    ids=["too_few_reps", "entry_n"],
+)
+def test_calibrate_config_error_exit_two(tmp_path, capsys, extra, field):
+    conf = _write(tmp_path, CALIBRATE_CONF.replace("n_reps = 25\n", "") + extra)
+    assert main(["calibrate", conf, "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+    assert not (tmp_path / "thresholds.json").exists()
+
+
+def test_shipped_calibration_config_gives_the_shipped_keys(tmp_path, monkeypatch):
+    """The CLI's field parsing and threshold keys, replayed on the shipped config."""
+    import pathlib
+
+    import idtlab.cli
+    from idtlab.thresholds import ThresholdTable
+
+    conf = pathlib.Path(__file__).parent.parent / "calibration" / "calibration.conf"
+    text = conf.read_text().replace("output = ../src/idtlab/data/thresholds.json", "output = keys.json")
+    monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: 0.0)
+    assert main(["calibrate", _write(tmp_path, text), "--threads", "1"]) == 0
+    keys = json.loads((tmp_path / "keys.json").read_text())["entries"]
+    shipped = ThresholdTable.default().entries
+    assert len(shipped) == 22
+    assert sorted(keys) == sorted(shipped)
 
 
 def test_run_with_calibrated_table(tmp_path):

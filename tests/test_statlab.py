@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +170,19 @@ def test_ks_null_calibration_rate():
         _, p = ks_two_sample(a, b)
         hits += p >= 0.01
     assert hits >= 0.98 * n
+
+
+def test_ks_leaves_scipy_unimported():
+    """``_kolmogorov_sf`` stands in for scipy, whose import would slow every command."""
+    code = (
+        "import sys, idtlab\n"
+        "from idtlab import AdditiveTimeChange, Brownian, RngState, association_test\n"
+        "association_test(AdditiveTimeChange(Brownian(1.0, 0.0), 0.5), Brownian(1.0, 0.0), 0.5,"
+        " [0.5, 1.0], 200, RngState(1))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_ks_empty_input():
