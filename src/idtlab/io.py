@@ -31,13 +31,15 @@ def _format_float(x: float) -> str:
     return np.format_float_positional(x, trim="-")
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write via a temp file and rename, so readers never see partial files."""
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the chunks (bytes or buffers) in order via a temp file and rename,
+    so readers never see partial files."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".idtlab-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -94,13 +96,9 @@ def write_binary(ensemble: PathEnsemble, path) -> None:
         "dtype": "<f8",
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = (
-        MAGIC
-        + len(blob).to_bytes(8, "little")
-        + blob
-        + np.ascontiguousarray(ensemble.values, dtype="<f8").tobytes()
-    )
-    atomic_write_bytes(path, payload)
+    # the values go out from their own buffer (copied only on a big-endian host)
+    values = np.ascontiguousarray(ensemble.values, dtype="<f8")
+    atomic_write_bytes(path, MAGIC, len(blob).to_bytes(8, "little"), blob, values)
 
 
 def read_binary(path) -> PathEnsemble:

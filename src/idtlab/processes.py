@@ -5,6 +5,16 @@ parameters and the exponent at which it claims the time-divisibility
 property; ``generate`` dispatches on the spec type.  Path ensembles are
 immutable: an N-by-m value matrix over a shared time grid plus the
 metadata needed to reproduce it bit for bit.
+
+Memory: Levy-based generators (additive, subordinated, weighted
+subordinator) fill one ``8*N*m``-byte output in place, ``_BLOCK_BYTES``
+(1 MiB) of rows at a time, so a draw holds its output plus a few
+block-sized temporaries.  Only Brownian and gamma increments are drawn
+in blocks: they take one variate per element in C order, so blocks drawn
+from one continuing stream give the whole-array bytes.  Stable motion
+(all ``u``, then all ``w``), compound Poisson (all counts, then normals),
+Gaussian kernels (BLAS products), lines, mixtures and chronometers that
+split their own streams again are drawn as one block.
 """
 
 from __future__ import annotations
@@ -189,43 +199,46 @@ def is_nondecreasing_family(family: LevyFamily) -> bool:
     return False
 
 
-def levy_increments(family: LevyFamily, dt, rng: RngState, size=None):
+def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None):
     """Independent increments of the family over the given time lengths.
 
-    ``dt`` broadcasts to ``size`` when given; an entry of 0 yields an
+    ``dt`` broadcasts to ``size`` (or to ``out``, which receives the
+    increments and may be ``dt`` itself); an entry of 0 yields an
     increment of exactly 0.
     """
     dt = np.asarray(dt, dtype=np.float64)
     if np.any(dt < 0):
         raise ValueError("increment durations must be nonnegative")
-    if size is not None:
-        dt = np.broadcast_to(dt, size)
+    if out is None:
+        out = np.empty(dt.shape if size is None else size)
     if isinstance(family, Brownian):
-        out = family.drift * dt
+        drift = family.drift * dt
         if family.volatility > 0:
-            out = out + family.volatility * np.sqrt(dt) * sample_normal(rng, dt.shape)
+            scale = np.sqrt(dt)
+            scale *= family.volatility
+            sample_normal(rng, out=out)
+            out *= scale
+            out += drift  # even at drift 0, since 0.0 + -0.0 is +0.0
+        else:
+            out[...] = drift
         return out
     if isinstance(family, StableMotion):
-        draws = sample_stable(rng, StableParams(family.index, family.skew), dt.shape)
-        return dt ** (1.0 / family.index) * draws
+        draws = sample_stable(rng, StableParams(family.index, family.skew), out.shape)
+        return np.multiply(dt ** (1.0 / family.index), draws, out=out)
     if isinstance(family, GammaSubordinator):
-        out = np.zeros(dt.shape)
-        pos = dt > 0
-        if np.any(pos):
-            out[pos] = rng.generator.gamma(family.shape * dt[pos], 1.0 / family.rate)
+        # a zero shape gives exactly 0 and draws nothing
+        rng.generator.standard_gamma(family.shape * dt, out=out)
+        out *= 1.0 / family.rate
         return out
     if isinstance(family, CompoundPoisson):
-        counts = rng.generator.poisson(family.intensity * dt)
-        out = family.jump_mean * counts
+        counts = rng.generator.poisson(family.intensity * dt, size=out.shape)
+        np.multiply(family.jump_mean, counts, out=out)
         if family.jump_sd > 0:
-            jitter = np.zeros(dt.shape)
+            jitter = np.zeros(out.shape)
             jumped = counts > 0
-            if np.any(jumped):
-                jitter[jumped] = np.sqrt(counts[jumped]) * sample_normal(
-                    rng, int(jumped.sum())
-                )
-            out = out + family.jump_sd * jitter
-        return np.asarray(out, dtype=np.float64)
+            jitter[jumped] = np.sqrt(counts[jumped]) * sample_normal(rng, int(jumped.sum()))
+            out += family.jump_sd * jitter
+        return out
     raise TypeError(f"unknown Levy family {family!r}")
 
 
@@ -471,55 +484,89 @@ def gaussian_paths(kernel, grid: TimeGrid, n_paths: int, rng: RngState) -> PathE
     )
 
 
+_BLOCK_BYTES = 1 << 20  # bytes of values in one row block
+
+
+def _row_blocks(values: np.ndarray, blocked: bool):
+    """``(first, rows)`` for consecutive row blocks of ``values``, or one block of all rows."""
+    n, m = values.shape
+    step = max(1, _BLOCK_BYTES // (8 * m)) if blocked else n
+    for first in range(0, n, step):
+        yield first, values[first : first + step]
+
+
+def _drawn_per_element(family: LevyFamily) -> bool:
+    """True when the family draws one variate per increment, in C order (see the module docstring)."""
+    return isinstance(family, (Brownian, GammaSubordinator))
+
+
 def additive_paths(
     family: LevyFamily, alpha: float, grid: TimeGrid, n_paths: int, rng: RngState
 ) -> PathEnsemble:
     """Levy path on the deformed clock: cumulative increments over ``t**alpha``."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    clock = grid.times**alpha
-    dts = np.diff(clock, prepend=0.0)
-    incs = levy_increments(family, dts, rng, size=(int(n_paths), len(grid)))
-    values = np.cumsum(incs, axis=1)
+    dts = np.diff(grid.times**alpha, prepend=0.0)
+    values = np.empty((int(n_paths), len(grid)))
+    for _, rows in _row_blocks(values, _drawn_per_element(family)):
+        levy_increments(family, dts, rng, out=rows)
+        np.cumsum(rows, axis=1, out=rows)
     spec = AdditiveTimeChange(family, alpha)
     return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
 
 
-def _chronometer_increments(chrono_values: np.ndarray) -> np.ndarray:
-    """Per-path elapsed chronometer time, validating monotonicity."""
-    if np.any(chrono_values[:, 0] < 0):
-        path = int(np.argmax(chrono_values[:, 0] < 0))
+def _chronometer_increments(chrono_values: np.ndarray, out=None, first: int = 0) -> np.ndarray:
+    """Per-path elapsed chronometer time, validating monotonicity; row ``i`` is path ``first + i``."""
+    out = np.empty_like(chrono_values) if out is None else out
+    out[:, 0] = chrono_values[:, 0]
+    np.subtract(chrono_values[:, 1:], chrono_values[:, :-1], out=out[:, 1:])
+    if np.any(out[:, 0] < 0):
+        path = first + int(np.argmax(out[:, 0] < 0))
         raise ContractViolation(f"chronometer path {path} is negative at the first time")
-    diffs = np.diff(chrono_values, axis=1)
-    if np.any(diffs < 0):
-        path = int(np.argmax(np.any(diffs < 0, axis=1)))
+    if np.any(out[:, 1:] < 0):
+        path = first + int(np.argmax(np.any(out[:, 1:] < 0, axis=1)))
         raise ContractViolation(f"chronometer path {path} is decreasing")
-    return np.concatenate([chrono_values[:, :1], diffs], axis=1)
+    return out
 
 
 def subordinated_paths(
     family: LevyFamily, chrono, grid: TimeGrid, n_paths: int, rng: RngState
 ) -> PathEnsemble:
-    """Levy process evaluated along chronometer paths drawn independently."""
-    chrono_ens = generate(chrono, grid, n_paths, rng.split(0))
-    dxi = _chronometer_increments(chrono_ens.values)
-    incs = levy_increments(family, dxi, rng.split(1), size=dxi.shape)
-    values = np.cumsum(incs, axis=1)
+    """Levy process evaluated along chronometer paths drawn independently.
+
+    Both streams are split once and continue from block to block, so only
+    a clock that does not split its stream again can be drawn in blocks.
+    """
+    chrono_rng, family_rng = rng.split(0), rng.split(1)
+    blocked = _drawn_per_element(family) and (
+        isinstance(chrono, AdditiveTimeChange) and _drawn_per_element(chrono.family)
+    )
+    values = np.empty((int(n_paths), len(grid)))
+    for first, rows in _row_blocks(values, blocked):
+        _chronometer_increments(generate(chrono, grid, rows.shape[0], chrono_rng).values, rows, first)
+        levy_increments(family, rows, family_rng, out=rows)
+        np.cumsum(rows, axis=1, out=rows)
     spec = Subordinated(family, chrono)
     return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
 
 
-def _blend_on_merged_grid(atoms, grid: TimeGrid, sample, exponent: float = 1.0) -> np.ndarray:
+def _blend_on_merged_grid(
+    atoms, grid: TimeGrid, n_paths: int, sample, exponent: float = 1.0, blocked: bool = False
+) -> np.ndarray:
     """``sum_i w_i * X((u_i * t)**exponent)`` over the atoms ``(u_i, w_i)``.
 
-    ``sample(merged)`` draws the one underlying path ``X`` at the sorted
-    distinct points; every atom then gathers its columns from it.
+    ``sample(merged, rows)`` draws the next ``rows`` paths of the one
+    underlying ``X`` at the sorted distinct points; every atom then
+    gathers its columns from it.
     """
     points = np.multiply.outer(np.array([u for u, _ in atoms]), grid.times) ** exponent
     merged = np.unique(points)
     pos = np.searchsorted(merged, points)
     weights = np.array([w for _, w in atoms])
-    return np.einsum("i,nij->nj", weights, sample(merged)[:, pos])
+    values = np.empty((int(n_paths), len(grid)))
+    for _, rows in _row_blocks(values, blocked):
+        np.einsum("i,nij->nj", weights, sample(merged, rows.shape[0])[:, pos], out=rows)
+    return values
 
 
 def mixture_paths(
@@ -528,7 +575,7 @@ def mixture_paths(
     """Weighted combination of one underlying path on the merged dilated grid."""
     spec = Mixture(base, tuple(atoms))
     values = _blend_on_merged_grid(
-        spec.atoms, grid, lambda merged: generate(base, TimeGrid(merged), n_paths, rng.split(0)).values
+        spec.atoms, grid, n_paths, lambda merged, rows: generate(base, TimeGrid(merged), rows, rng.split(0)).values
     )
     return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
 
@@ -539,11 +586,11 @@ def weighted_subordinator_paths(
     """Weighted sum of one subordinator path over the merged ``(u*t)**alpha`` epochs."""
     spec = WeightedSubordinator(family, tuple(atoms), alpha)
 
-    def subordinator(epochs):
-        dts = np.diff(epochs, prepend=0.0)
-        return np.cumsum(levy_increments(family, dts, rng, size=(int(n_paths), epochs.size)), axis=1)
+    def subordinator(epochs, rows):
+        path = levy_increments(family, np.diff(epochs, prepend=0.0), rng, size=(rows, epochs.size))
+        return np.cumsum(path, axis=1, out=path)
 
-    values = _blend_on_merged_grid(spec.atoms, grid, subordinator, alpha)
+    values = _blend_on_merged_grid(spec.atoms, grid, n_paths, subordinator, alpha, _drawn_per_element(family))
     return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
 
 

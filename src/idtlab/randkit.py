@@ -97,9 +97,9 @@ def next_uniform(rng: RngState, size=None):
     return (bits + 0.5) * 2.0**-53
 
 
-def sample_normal(rng: RngState, size=None):
-    """Standard normal draw(s), mean 0 and variance 1."""
-    return rng.generator.standard_normal(size)
+def sample_normal(rng: RngState, size=None, out=None):
+    """Standard normal draw(s), mean 0 and variance 1, written into ``out`` when given."""
+    return rng.generator.standard_normal(size, out=out)
 
 
 def sample_stable(rng: RngState, params: StableParams, size=None):

@@ -275,6 +275,11 @@ def _at_least_two(n) -> int:
     return n
 
 
+def _check_exponent(alpha) -> None:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"exponent must be finite and > 0, got {alpha}")
+
+
 def _check_mode(mode) -> None:
     if mode not in ("power", "sum"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -383,6 +388,7 @@ def idt_test(
     sum of ``n`` independent ensembles, as a cross-check.
     """
     n = _at_least_two(n)
+    _check_exponent(alpha)
     _check_mode(mode)
     _at_most_three(times)
     if mode == "power":
@@ -478,6 +484,7 @@ def temporal_sd_test(
     decomposition with ratio ``b**(1/alpha)``.
     """
     _check_fraction(b)
+    _check_exponent(alpha)
     draws = [
         lambda g: generate(spec, g, n_paths, rng.split(0)),
         lambda g: generate(spec, g.scale(b ** (1.0 / alpha)), n_paths, rng.split(1)),
@@ -587,6 +594,7 @@ def _run_stationarity(spec, p, n_paths, rng, threshold):
 
 _ON_GRID = (("times",), lambda p: _time_indices(TimeGrid(p["grid"]), p["times"]))
 _N_AT_LEAST_TWO = (("n",), lambda p: _at_least_two(p["n"]))
+_EXPONENT = (("alpha",), lambda p: _check_exponent(p["alpha"]))
 
 TEST_KINDS = {
     kind.name: kind
@@ -597,6 +605,7 @@ TEST_KINDS = {
             key_fields=("n", "mode"),
             checks=(
                 _N_AT_LEAST_TWO,
+                _EXPONENT,
                 (("mode",), lambda p: _check_mode(p["mode"])),
                 _ON_GRID,
                 (("times",), lambda p: _at_most_three(p["times"])),
@@ -627,7 +636,7 @@ TEST_KINDS = {
             "temporal_sd",
             fields=(("b", "float", None), ("alpha", "float", _SPEC_EXPONENT)),
             key_fields=("b",),
-            checks=((("b",), lambda p: _check_fraction(p["b"])), _ON_GRID),
+            checks=((("b",), lambda p: _check_fraction(p["b"])), _EXPONENT, _ON_GRID),
             run=lambda spec, p, n_paths, rng, threshold: temporal_sd_test(
                 spec, p["alpha"], p["b"], p["grid"], p["times"], n_paths, rng, threshold
             ),
@@ -644,6 +653,7 @@ TEST_KINDS = {
             checks=(
                 (("y_grid",), lambda p: TimeGrid(np.exp(p["y_grid"]))),
                 (("window", "shift"), lambda p: _check_window(p["window"], p["shift"], len(p["y_grid"]))),
+                _EXPONENT,
             ),
             run=_run_stationarity,
             uses_times=False,
@@ -651,7 +661,7 @@ TEST_KINDS = {
         TestKind(
             "association",
             fields=(("alpha", "float", None), ("level", "float", 0.01), ("family", "family", None)),
-            checks=((("times",), lambda p: TimeGrid(p["times"])),),
+            checks=((("times",), lambda p: TimeGrid(p["times"])), _EXPONENT),
             run=lambda spec, p, n_paths, rng, threshold: association_test(
                 spec, p["family"], p["alpha"], p["times"], n_paths, rng, level=p["level"]
             ),

@@ -161,6 +161,26 @@ def test_run_test_precondition_exit_two(tmp_path, capsys, test_lines, field):
     assert field in err
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "test_lines",
+    [
+        "test.x.kind = idt\ntest.x.n = 2\n",
+        "test.x.kind = temporal_sd\ntest.x.b = 0.5\n",
+        "test.x.kind = stationarity\ntest.x.y_grid = 0 0.5 1\n",
+        "test.x.kind = association\ntest.x.family.kind = brownian\n",
+    ],
+    ids=["idt", "temporal_sd", "stationarity", "association"],
+)
+def test_run_bad_exponent_exit_two(tmp_path, capsys, test_lines, alpha):
+    conf = "seed = 1\nn_paths = 500\ngrid = 0.5 1 2\nspec.kind = stable_line\nspec.alpha = 1.5\n"
+    conf += f"output_dir = {tmp_path / 'out'}\n" + test_lines + f"test.x.alpha = {alpha}\ntest.x.threshold = 0.5\n"
+    assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field 'test.x.alpha': ")
+    assert err.count("\n") == 1
+
+
 def test_run_unordered_grid_exit_two(tmp_path, capsys):
     conf = "seed = 1\nn_paths = 500\ngrid = 2 1\nspec.kind = stable_line\nspec.alpha = 1\n"
     assert main(["run", _write(tmp_path, conf)]) == 2

@@ -234,6 +234,27 @@ def test_subordinated_runtime_recheck_catches_bad_samples(monkeypatch):
         proc.subordinated_paths(Brownian(1.0, 0.0), chrono, GRID, 1, RngState(1))
 
 
+def test_blocked_chronometer_check_names_the_global_path(monkeypatch):
+    # with 7-row blocks, local row 3 of the second block is path 10
+    import idtlab.processes as proc
+
+    chrono = AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7)
+    calls = []
+
+    def clock(spec, grid, n_paths, rng):
+        values = np.tile([0.0, 1.0, 2.0], (n_paths, 1))
+        if calls:
+            values[3] = [0.0, 1.0, 0.5]
+        calls.append(n_paths)
+        return PathEnsemble(grid, values, spec, 0)
+
+    monkeypatch.setattr(proc, "_BLOCK_BYTES", 8 * len(GRID) * 7)
+    monkeypatch.setattr(proc, "generate", clock)
+    with pytest.raises(ContractViolation, match="path 10 is decreasing"):
+        proc.subordinated_paths(Brownian(1.0, 0.0), chrono, GRID, 20, RngState(1))
+    assert calls == [7, 7]
+
+
 def test_nondecreasing_spec_classifier():
     gamma_clock = AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7)
     assert is_nondecreasing_spec(gamma_clock)
