@@ -12,9 +12,13 @@ Subcommands::
 
 Configs are flat ``key = value`` text with dotted sections; see the
 ``demos`` directory for worked examples.  ``--threads`` (or the
-IDTLAB_THREADS environment variable) only sets the worker count: results
-are bit-identical for any thread count because every unit of work draws
-from its own substream.
+IDTLAB_THREADS environment variable) sets the worker count for tests and
+replays; above 1, an exported subordinated ensemble (``export``, and
+``run`` with ``export_csv``) also draws the clock of its next row block on
+one helper thread, holding one more 1 MiB block.  Results are
+bit-identical for any thread count because every unit of work, and each
+of the clock and family streams, draws from its own substream in a fixed
+order.
 """
 
 from __future__ import annotations
@@ -397,9 +401,17 @@ def _require_run_basics(cfg):
     return seed, n_paths, grid_list, spec
 
 
+def _make_dir(path) -> None:
+    """Create an output directory and its parents before any work is done."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+
+
 def _write_json(path, doc) -> None:
     payload = json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
-    ensio.atomic_write_bytes(path, payload.encode("utf-8"))
+    ensio.atomic_write_bytes(path, [payload.encode("utf-8")])
 
 
 def cmd_run(args) -> int:
@@ -420,7 +432,7 @@ def cmd_run(args) -> int:
     if not isinstance(tests_node, dict):
         raise ConfigError("section 'test' must hold named test subsections")
 
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     root = RngState(seed)
     resolved = _flatten(cfg)
     reports = {}
@@ -464,7 +476,7 @@ def cmd_run(args) -> int:
         )
 
     if _as_bool(_get(cfg, "export_csv", "false"), "export_csv"):
-        ensemble = generate(spec, grid, n_paths, root.split(_STREAM_EXPORT))
+        ensemble = generate(spec, grid, n_paths, root.split(_STREAM_EXPORT), threads=args.threads)
         ensio.write_csv(ensemble, os.path.join(out_dir, "paths.csv"))
 
     all_pass = all(r.passed for r in reports.values())
@@ -507,6 +519,7 @@ def cmd_calibrate(args) -> int:
     entries_node = _get(cfg, "entry", required=True)
     if not isinstance(entries_node, dict):
         raise ConfigError("section 'entry' must hold named calibration subsections")
+    _make_dir(os.path.dirname(out_path))
 
     root = RngState(seed)
     table = ThresholdTable(
@@ -562,8 +575,10 @@ def cmd_export(args) -> int:
     for fmt in formats:
         if fmt not in ("csv", "bin"):
             raise ConfigError(f"field 'export.formats': unknown format {fmt!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    ensemble = generate(spec, TimeGrid(grid_list), n_paths, RngState(seed).split(_STREAM_EXPORT))
+    _make_dir(out_dir)
+    ensemble = generate(
+        spec, TimeGrid(grid_list), n_paths, RngState(seed).split(_STREAM_EXPORT), threads=args.threads
+    )
     written = []
     if "csv" in formats:
         path = os.path.join(out_dir, "paths.csv")
@@ -635,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=_default_threads(),
-            help="worker threads (never affects results)",
+            help="worker threads; export also draws a subordinated clock on a helper thread (never affects results)",
         )
 
     p_run = sub.add_parser("run", help="run the experiment config")

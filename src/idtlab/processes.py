@@ -15,10 +15,22 @@ from one continuing stream give the whole-array bytes.  Stable motion
 (all ``u``, then all ``w``), compound Poisson (all counts, then normals),
 Gaussian kernels (BLAS products), lines, mixtures and chronometers that
 split their own streams again are drawn as one block.
+
+Threads: ``generate(..., threads=n)`` with ``n > 1`` lets a subordinated
+ensemble of more than one block draw the clock of the next block on one
+helper thread while the caller turns the current clock into increments,
+draws the family increments and sums them.  The clock and the family
+keep their own streams, each consumed in block order by one thread, so
+the values are the same at every thread count; one more clock block is
+held in flight.  Every other spec, and every nested generator call,
+runs on the calling thread.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Union
 
@@ -529,23 +541,53 @@ def _chronometer_increments(chrono_values: np.ndarray, out=None, first: int = 0)
     return out
 
 
+def _prefetched(draw, sizes, threads: int):
+    """``draw(size)`` for each of ``sizes``, in order.
+
+    With ``threads > 1`` and more than one size, one helper thread makes
+    the next draw while the caller works on the current one, so one extra
+    result is in flight; otherwise each draw runs inline when it is asked
+    for.  Every draw runs on one thread, in order, so a stream that only
+    ``draw`` consumes gives the same values either way.
+    """
+    if threads < 2 or len(sizes) < 2:
+        yield from map(draw, sizes)
+        return
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        # popped before it is yielded, so the caller holds the only reference
+        pending = deque([helper.submit(draw, sizes[0])])
+        for size in sizes[1:]:
+            pending.append(helper.submit(draw, size))
+            yield pending.popleft().result()
+        yield pending.popleft().result()
+
+
 def subordinated_paths(
-    family: LevyFamily, chrono, grid: TimeGrid, n_paths: int, rng: RngState
+    family: LevyFamily, chrono, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1
 ) -> PathEnsemble:
     """Levy process evaluated along chronometer paths drawn independently.
 
     Both streams are split once and continue from block to block, so only
     a clock that does not split its stream again can be drawn in blocks.
+    With ``threads > 1`` the clock of the next block is drawn on a helper
+    thread (see ``_prefetched``); the values do not change.
     """
     chrono_rng, family_rng = rng.split(0), rng.split(1)
     blocked = _drawn_per_element(family) and (
         isinstance(chrono, AdditiveTimeChange) and _drawn_per_element(chrono.family)
     )
     values = np.empty((int(n_paths), len(grid)))
-    for first, rows in _row_blocks(values, blocked):
-        _chronometer_increments(generate(chrono, grid, rows.shape[0], chrono_rng).values, rows, first)
-        levy_increments(family, rows, family_rng, out=rows)
-        np.cumsum(rows, axis=1, out=rows)
+    blocks = list(_row_blocks(values, blocked))
+    clocks = _prefetched(
+        lambda size: generate(chrono, grid, size, chrono_rng).values,
+        [rows.shape[0] for _, rows in blocks],
+        threads,
+    )
+    with closing(clocks):
+        for first, rows in blocks:
+            _chronometer_increments(next(clocks), rows, first)
+            levy_increments(family, rows, family_rng, out=rows)
+            np.cumsum(rows, axis=1, out=rows)
     spec = Subordinated(family, chrono)
     return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
 
@@ -638,8 +680,12 @@ def fbm_moving_average_paths(
     )
 
 
-def generate(spec, grid: TimeGrid, n_paths: int, rng: RngState) -> PathEnsemble:
-    """Dispatch to the family generator; paths are mutually independent."""
+def generate(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1) -> PathEnsemble:
+    """Dispatch to the family generator; paths are mutually independent.
+
+    ``threads > 1`` lets a subordinated spec draw its clock on a helper
+    thread; the values are the same at every thread count.
+    """
     if not isinstance(grid, TimeGrid):
         grid = TimeGrid(grid)
     if grid.times[0] < 0:
@@ -660,7 +706,7 @@ def generate(spec, grid: TimeGrid, n_paths: int, rng: RngState) -> PathEnsemble:
     if isinstance(spec, AdditiveTimeChange):
         return additive_paths(spec.family, spec.alpha, grid, n_paths, rng)
     if isinstance(spec, Subordinated):
-        return subordinated_paths(spec.family, spec.chrono, grid, n_paths, rng)
+        return subordinated_paths(spec.family, spec.chrono, grid, n_paths, rng, threads)
     if isinstance(spec, Mixture):
         return mixture_paths(spec.base, spec.atoms, grid, n_paths, rng)
     if isinstance(spec, WeightedSubordinator):

@@ -79,7 +79,7 @@ class ThresholdTable:
         return json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": "))
 
     def save(self, path) -> None:
-        atomic_write_bytes(path, (self.to_json() + "\n").encode("utf-8"))
+        atomic_write_bytes(path, [(self.to_json() + "\n").encode("utf-8")])
 
     @classmethod
     def load(cls, path) -> "ThresholdTable":

@@ -298,6 +298,29 @@ def test_calibrate_config_error_exit_two(tmp_path, capsys, extra, field):
     assert not (tmp_path / "thresholds.json").exists()
 
 
+def test_calibrate_creates_a_missing_nested_out_dir(tmp_path):
+    out = tmp_path / "a" / "b"
+    assert main(["calibrate", _write(tmp_path, CALIBRATE_CONF), "--out", str(out), "--threads", "1"]) == 0
+    assert len(json.loads((out / "thresholds.json").read_text())["entries"]) == 2
+
+
+@pytest.mark.parametrize("command", ["calibrate", "export"])
+def test_out_dir_blocked_by_a_file_exit_two_before_any_work(tmp_path, capsys, monkeypatch, command):
+    import idtlab.cli
+
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    work = []
+    monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: work.append(args))
+    monkeypatch.setattr(idtlab.cli, "generate", lambda *args, **kwargs: work.append(args))
+    text = CALIBRATE_CONF if command == "calibrate" else EXPORT_CONF.format(out=tmp_path / "o")
+    assert main([command, _write(tmp_path, text), "--out", str(blocker / "sub"), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory")
+    assert len(err.strip().splitlines()) == 1
+    assert work == []
+
+
 def test_shipped_calibration_config_gives_the_shipped_keys(tmp_path, monkeypatch):
     """The CLI's field parsing and threshold keys, replayed on the shipped config."""
     import pathlib
@@ -351,6 +374,15 @@ spec.alpha = 1.5
 """
 
 
+SUBORDINATED_SPEC = """
+spec.kind = subordinated
+spec.family.kind = brownian
+spec.chrono.kind = additive
+spec.chrono.alpha = 0.7
+spec.chrono.family.kind = gamma
+"""
+
+
 def test_export_round_trip(tmp_path):
     out = tmp_path / "out"
     conf = _write(tmp_path, EXPORT_CONF.format(out=out))
@@ -367,6 +399,21 @@ def test_export_round_trip(tmp_path):
     assert (out / "paths.bin").read_bytes()[:4] == b"IDT1"
     header = (out / "paths.csv").read_text().splitlines()[0]
     assert header == "t=0.5,t=1,t=2"
+
+
+def test_export_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
+    import idtlab.processes
+
+    monkeypatch.setattr(idtlab.processes, "_BLOCK_BYTES", 8 * 3 * 7)  # 18 blocks of clock
+    text = EXPORT_CONF.format(out=tmp_path / "o").replace("spec.kind = stable_line\nspec.alpha = 1.5\n", SUBORDINATED_SPEC)
+    conf = _write(tmp_path, text)
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["export", conf, "--out", str(out), "--threads", threads]) == 0
+        written.append([(out / name).read_bytes() for name in ("paths.bin", "paths.csv")])
+    assert written[0] == written[1]
+    assert b"subordinated(" in written[0][0]
 
 
 def test_export_unknown_format_exit_two(tmp_path):

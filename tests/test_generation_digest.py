@@ -4,7 +4,9 @@ The digests were recorded from the whole-array generators, before they
 drew Levy paths in row blocks, so any change to a random stream or to the
 order of the floating-point operations shows up here.  The sizes on the
 64-point grid straddle one block (2048 rows at 1 MiB): below, exactly one
-and not a multiple of the block rows.
+and not a multiple of the block rows.  Every case is drawn at one and at
+two threads, where a subordinated ensemble draws its next clock block on
+a helper thread.
 """
 
 import hashlib
@@ -141,9 +143,9 @@ BLOCKED = [
 ]
 
 
-def _values(case_id):
+def _values(case_id, threads=1):
     spec, grid, n_paths = CASES[case_id]
-    return generate(spec, grid, n_paths, RngState(20261018, 7)).values
+    return generate(spec, grid, n_paths, RngState(20261018, 7), threads=threads).values
 
 
 def _digest(values) -> str:
@@ -154,7 +156,8 @@ def _digest(values) -> str:
 
 @pytest.mark.parametrize("case_id", sorted(CASES))
 def test_generate_matches_pinned_digest(case_id):
-    assert _digest(_values(case_id)) == DIGESTS[case_id]
+    for threads in (1, 2):
+        assert _digest(_values(case_id, threads)) == DIGESTS[case_id]
 
 
 def test_block_sizes_straddle_the_pinned_cases():
@@ -169,5 +172,6 @@ def test_tiny_blocks_give_the_same_bytes(case_id, monkeypatch):
     whole = _values(case_id)
     _, grid, _ = CASES[case_id]
     monkeypatch.setattr(proc, "_BLOCK_BYTES", 8 * len(grid) * 7)  # 7 rows a block
-    assert np.array_equal(_values(case_id), whole, equal_nan=True)
-    assert _digest(_values(case_id)) == DIGESTS[case_id]
+    for threads in (1, 2):
+        assert np.array_equal(_values(case_id, threads), whole, equal_nan=True)
+        assert _digest(_values(case_id, threads)) == DIGESTS[case_id]

@@ -2,7 +2,10 @@
 
 Levy-based generators fill the output array a row block at a time, so a
 subordinated ensemble costs its own bytes plus a few block-sized
-temporaries; the binary writer sends the value buffer to the file as is.
+temporaries, also when a helper thread draws the next clock block; the
+binary writer sends the value buffer to the file as is, the binary
+reader reads the payload straight into the value array, and the CSV
+writer formats and writes a few thousand values at a time.
 """
 
 import tracemalloc
@@ -48,6 +51,9 @@ def ensemble():
 def test_subordinated_generation_peaks_at_output_plus_blocks(ensemble):
     e, peak = ensemble
     assert peak <= e.values.nbytes + 4 * MB
+    threaded, peak = _peak_beyond_start(lambda: generate(SPEC, GRID64, 50_000, RngState(3), threads=2))
+    assert peak <= e.values.nbytes + 4 * MB
+    assert np.array_equal(threaded.values, e.values)
 
 
 def test_write_binary_adds_no_copy_of_the_values(ensemble, tmp_path):
@@ -56,6 +62,22 @@ def test_write_binary_adds_no_copy_of_the_values(ensemble, tmp_path):
     _, peak = _peak_beyond_start(lambda: write_binary(e, path))
     assert peak < MB
     assert path.stat().st_size > e.values.nbytes
+
+
+def test_read_binary_holds_one_copy_of_the_values(ensemble, tmp_path):
+    e, _ = ensemble
+    write_binary(e, tmp_path / "paths.bin")
+    back, peak = _peak_beyond_start(lambda: read_binary(tmp_path / "paths.bin"))
+    assert peak < e.values.nbytes + MB
+    assert np.array_equal(back.values, e.values)
+
+
+def test_write_csv_peaks_below_a_block_of_text(ensemble, tmp_path):
+    e, _ = ensemble
+    head = e.with_values(e.values[:4000])  # 2 MB of values, about 5 MB of text
+    _, peak = _peak_beyond_start(lambda: write_csv(head, tmp_path / "paths.csv"))
+    assert peak < MB
+    assert (tmp_path / "paths.csv").stat().st_size > 2 * head.values.nbytes
 
 
 def test_blocked_ensemble_round_trips_bit_exact(ensemble, tmp_path):

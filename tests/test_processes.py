@@ -235,11 +235,11 @@ def test_subordinated_runtime_recheck_catches_bad_samples(monkeypatch):
 
 
 def test_blocked_chronometer_check_names_the_global_path(monkeypatch):
-    # with 7-row blocks, local row 3 of the second block is path 10
+    # with 7-row blocks, local row 3 of the second block is path 10; at two
+    # threads the helper has drawn the third block's clock by then
     import idtlab.processes as proc
 
     chrono = AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7)
-    calls = []
 
     def clock(spec, grid, n_paths, rng):
         values = np.tile([0.0, 1.0, 2.0], (n_paths, 1))
@@ -250,9 +250,54 @@ def test_blocked_chronometer_check_names_the_global_path(monkeypatch):
 
     monkeypatch.setattr(proc, "_BLOCK_BYTES", 8 * len(GRID) * 7)
     monkeypatch.setattr(proc, "generate", clock)
-    with pytest.raises(ContractViolation, match="path 10 is decreasing"):
-        proc.subordinated_paths(Brownian(1.0, 0.0), chrono, GRID, 20, RngState(1))
-    assert calls == [7, 7]
+    for threads, drawn in ((1, [7, 7]), (2, [7, 7, 6])):
+        calls = []
+        with pytest.raises(ContractViolation, match="path 10 is decreasing"):
+            proc.subordinated_paths(Brownian(1.0, 0.0), chrono, GRID, 20, RngState(1), threads)
+        assert calls == drawn
+
+
+def test_clock_helper_thread_starts_only_for_threads_and_blocks(monkeypatch):
+    import idtlab.processes as proc
+
+    started = []
+
+    class Recording(proc.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    spec = Subordinated(Brownian(1.0, 0.0), AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7))
+    monkeypatch.setattr(proc, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(proc, "_BLOCK_BYTES", 8 * len(GRID) * 7)
+    whole = generate(spec, GRID, 20, RngState(1), threads=1).values
+    assert np.array_equal(generate(spec, GRID, 7, RngState(1), threads=2).values, whole[:7])
+    assert started == []
+    assert np.array_equal(generate(spec, GRID, 20, RngState(1), threads=2).values, whole)
+    assert started == [{"max_workers": 1}]
+
+
+def test_concurrent_clock_prefetch_under_fast_switching(monkeypatch):
+    # four generators at two threads each, so eight threads on fewer cores,
+    # switching every microsecond: each must still give its one-thread values
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    import idtlab.processes as proc
+
+    spec = Subordinated(Brownian(1.0, 0.3), AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7))
+    monkeypatch.setattr(proc, "_BLOCK_BYTES", 8 * len(GRID) * 7)
+    expected = [generate(spec, GRID, 300, RngState(seed)).values for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(generate, spec, GRID, 300, RngState(seed), 2) for seed in range(4)]
+            got = [f.result(timeout=60).values for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e)
 
 
 def test_nondecreasing_spec_classifier():
