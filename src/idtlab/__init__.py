@@ -35,17 +35,13 @@ from .processes import (
     Subordinated,
     TimeGrid,
     WeightedSubordinator,
-    additive_paths,
-    fbm_moving_average_paths,
     gaussian_paths,
     generate,
     is_nondecreasing_family,
     is_nondecreasing_spec,
     levy_increments,
-    mixture_paths,
+    sample_blocks,
     spec_label,
-    subordinated_paths,
-    weighted_subordinator_paths,
 )
 from .randkit import RngState, StableParams, next_uniform, sample_gamma, sample_normal, sample_stable
 from .report import TestReport

@@ -11,11 +11,14 @@ Subcommands::
     idtlab report <dir>        pretty-print report files written by `run`
 
 Configs are flat ``key = value`` text with dotted sections; see the
-``demos`` directory for worked examples.  ``--threads`` (or the
-IDTLAB_THREADS environment variable) sets the worker count for tests and
-replays; above 1, an exported subordinated ensemble (``export``, and
-``run`` with ``export_csv``) also draws the clock of its next row block on
-one helper thread, holding one more 1 MiB block.  Results are
+``demos`` directory for worked examples.  ``export`` streams the
+ensemble: each row block is written to every requested file and its
+buffer reused for the next, so the whole ensemble is never held.
+``--threads`` (or the IDTLAB_THREADS environment variable) sets the
+worker count for tests and replays; above 1, an exported subordinated
+ensemble (``export``, and ``run`` with ``export_csv``) also draws the
+clock of its next row block on one helper thread, holding one more
+1 MiB block.  Results are
 bit-identical for any thread count because every unit of work, and each
 of the clock and family streams, draws from its own substream in a fixed
 order.
@@ -44,6 +47,7 @@ from .processes import (
     TimeGrid,
     WeightedSubordinator,
     generate,
+    sample_blocks,
 )
 from .kernels import FBmKernel, SpectralKernel, SpectralMeasure
 from .randkit import RngState
@@ -576,19 +580,12 @@ def cmd_export(args) -> int:
         if fmt not in ("csv", "bin"):
             raise ConfigError(f"field 'export.formats': unknown format {fmt!r}")
     _make_dir(out_dir)
-    ensemble = generate(
-        spec, TimeGrid(grid_list), n_paths, RngState(seed).split(_STREAM_EXPORT), threads=args.threads
-    )
-    written = []
-    if "csv" in formats:
-        path = os.path.join(out_dir, "paths.csv")
-        ensio.write_csv(ensemble, path)
-        written.append(path)
-    if "bin" in formats:
-        path = os.path.join(out_dir, "paths.bin")
-        ensio.write_binary(ensemble, path)
-        written.append(path)
-    for path in written:
+    grid, rng = TimeGrid(grid_list), RngState(seed).split(_STREAM_EXPORT)
+    targets = [(fmt, os.path.join(out_dir, f"paths.{fmt}")) for fmt in ("csv", "bin") if fmt in formats]
+    # one pass: each row block goes to every file, then its buffer is reused
+    meta, blocks = sample_blocks(spec, grid, n_paths, rng, args.threads)
+    ensio.write_blocks(targets, blocks, grid, n_paths, spec, rng.seed, rng.stream, meta)
+    for _, path in targets:
         print(f"# wrote {path}")
     return 0
 

@@ -12,10 +12,13 @@ Both readers reject a malformed file with a ``ValueError`` that names the
 CSV line or the binary header field at fault; a binary payload must be
 exactly ``n_paths * n_times * 8`` bytes long.
 
-Memory: the CSV writer formats and writes ``_CSV_BLOCK_VALUES`` values at
-a time, the binary writer sends the value buffer itself, and the binary
-reader reads the payload straight into the value array, so none of them
-holds a second copy of the values.
+Memory: ``write_blocks`` takes an ensemble as consecutive row blocks and
+writes each block to every requested file before it takes the next, so
+an export streamed from ``processes.sample_blocks`` holds one block of
+values, never the ensemble; a failure mid-stream leaves no file.  The
+CSV writer formats ``_CSV_BLOCK_VALUES`` values at a time, the binary
+writer sends each block's own buffer, and the binary reader reads the
+payload straight into the value array.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
@@ -37,16 +41,14 @@ def _format_float(x: float) -> str:
     return np.format_float_positional(x, trim="-")
 
 
-def atomic_write_bytes(path, chunks) -> None:
-    """Write an iterable of chunks (bytes or buffers) in order via a temp file
-    and rename, so readers never see partial files.  Each chunk is written
-    before the next is taken, so a generator's chunks are never all held."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".idtlab-")
+@contextmanager
+def _atomic_file(path):
+    """A binary file at a temp name beside ``path``, renamed onto ``path``
+    when the block ends and removed if it raises."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".idtlab-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -54,19 +56,70 @@ def atomic_write_bytes(path, chunks) -> None:
         raise
 
 
-def _csv_chunks(ensemble: PathEnsemble):
-    """The header line, then the rows ``_CSV_BLOCK_VALUES`` values at a time."""
-    header = ",".join(f"t={_format_float(t)}" for t in ensemble.grid.times)
-    yield (header + "\n").encode("ascii")
-    values = ensemble.values
-    step = max(1, _CSV_BLOCK_VALUES // values.shape[1])
-    for first in range(0, values.shape[0], step):
-        rows = values[first : first + step].tolist()
+def atomic_write_bytes(path, chunks) -> None:
+    """Write an iterable of chunks (bytes or buffers) in order via a temp file
+    and rename, so readers never see partial files.  Each chunk is written
+    before the next is taken, so a generator's chunks are never all held."""
+    with _atomic_file(path) as fh:
+        fh.writelines(chunks)
+
+
+def _csv_header(grid, n_paths, spec, seed, stream, meta) -> bytes:
+    return (",".join(f"t={_format_float(t)}" for t in grid.times) + "\n").encode("ascii")
+
+
+def _csv_chunks(block):
+    """A block's rows, ``_CSV_BLOCK_VALUES`` values at a time."""
+    step = max(1, _CSV_BLOCK_VALUES // block.shape[1])
+    for first in range(0, block.shape[0], step):
+        rows = block[first : first + step].tolist()
         yield "".join([",".join(map(repr, row)) + "\n" for row in rows]).encode("ascii")
 
 
+def _binary_header(grid, n_paths, spec, seed, stream, meta) -> bytes:
+    header = {
+        "format": "idtlab-ensemble",
+        "version": 1,
+        "n_paths": n_paths,
+        "n_times": len(grid),
+        "times": [float(t) for t in grid.times],
+        "seed": seed,
+        "stream": stream,
+        "spec": spec_label(spec) if spec is not None else None,
+        "meta": dict(meta or {}),
+        "dtype": "<f8",
+    }
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return MAGIC + len(blob).to_bytes(8, "little") + blob
+
+
+# a binary block goes out from its own buffer (copied only on a big-endian host)
+_FORMATS = {
+    "csv": (_csv_header, _csv_chunks),
+    "bin": (_binary_header, lambda block: [np.ascontiguousarray(block, dtype="<f8")]),
+}
+
+
+def write_blocks(targets, blocks, grid, n_paths, spec=None, seed=0, stream=0, meta=None) -> None:
+    """Write ``n_paths`` rows, given as consecutive row blocks, to every
+    ``(format, path)`` target (``"csv"`` or ``"bin"``) in one pass: each
+    block goes to every file before the next is taken, so its buffer may be
+    reused.  The files are renamed into place after the last block, or
+    removed if a block or a write raises."""
+    with ExitStack() as stack:
+        files = []
+        for fmt, path in targets:
+            header, chunks = _FORMATS[fmt]
+            fh = stack.enter_context(_atomic_file(path))
+            fh.write(header(grid, n_paths, spec, seed, stream, meta))
+            files.append((fh, chunks))
+        for block in blocks:
+            for fh, chunks in files:
+                fh.writelines(chunks(block))
+
+
 def write_csv(ensemble: PathEnsemble, path) -> None:
-    atomic_write_bytes(path, _csv_chunks(ensemble))
+    write_blocks([("csv", path)], [ensemble.values], ensemble.grid, ensemble.n_paths)
 
 
 def read_csv(path) -> PathEnsemble:
@@ -97,22 +150,8 @@ def read_csv(path) -> PathEnsemble:
 
 
 def write_binary(ensemble: PathEnsemble, path) -> None:
-    header = {
-        "format": "idtlab-ensemble",
-        "version": 1,
-        "n_paths": ensemble.n_paths,
-        "n_times": ensemble.n_times,
-        "times": [float(t) for t in ensemble.grid.times],
-        "seed": ensemble.seed,
-        "stream": ensemble.stream,
-        "spec": spec_label(ensemble.spec) if ensemble.spec is not None else None,
-        "meta": ensemble.meta,
-        "dtype": "<f8",
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    # the values go out from their own buffer (copied only on a big-endian host)
-    values = np.ascontiguousarray(ensemble.values, dtype="<f8")
-    atomic_write_bytes(path, (MAGIC, len(blob).to_bytes(8, "little"), blob, values))
+    e = ensemble
+    write_blocks([("bin", path)], [e.values], e.grid, e.n_paths, e.spec, e.seed, e.stream, e.meta)
 
 
 def read_binary(path) -> PathEnsemble:

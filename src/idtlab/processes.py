@@ -7,11 +7,14 @@ immutable: an N-by-m value matrix over a shared time grid plus the
 metadata needed to reproduce it bit for bit.
 
 Memory: Levy-based generators (additive, subordinated, weighted
-subordinator) fill one ``8*N*m``-byte output in place, ``_BLOCK_BYTES``
-(1 MiB) of rows at a time, so a draw holds its output plus a few
-block-sized temporaries.  Only Brownian and gamma increments are drawn
-in blocks: they take one variate per element in C order, so blocks drawn
-from one continuing stream give the whole-array bytes.  Stable motion
+subordinator) run one loop over row blocks of ``_BLOCK_BYTES`` (1 MiB).
+``generate`` fills the rows of one ``8*N*m``-byte output with it;
+``sample_blocks`` fills one block buffer that each block reuses, so an
+export streamed block by block holds a few blocks, never the ensemble.
+A subordinated loop also writes ``drift*dt`` or the gamma shape into one
+reused block.  Only Brownian and gamma increments are drawn in blocks:
+they take one variate per element in C order, so blocks drawn from one
+continuing stream give the whole-array bytes.  Stable motion
 (all ``u``, then all ``w``), compound Poisson (all counts, then normals),
 Gaussian kernels (BLAS products), lines, mixtures and chronometers that
 split their own streams again are drawn as one block.
@@ -211,12 +214,14 @@ def is_nondecreasing_family(family: LevyFamily) -> bool:
     return False
 
 
-def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None):
+def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None, scratch=None):
     """Independent increments of the family over the given time lengths.
 
     ``dt`` broadcasts to ``size`` (or to ``out``, which receives the
     increments and may be ``dt`` itself); an entry of 0 yields an
-    increment of exactly 0.
+    increment of exactly 0.  ``scratch``, an array of ``dt``'s shape,
+    receives the Brownian ``drift*dt`` or the gamma shape instead of a
+    new array.
     """
     dt = np.asarray(dt, dtype=np.float64)
     if np.any(dt < 0):
@@ -224,7 +229,7 @@ def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None):
     if out is None:
         out = np.empty(dt.shape if size is None else size)
     if isinstance(family, Brownian):
-        drift = family.drift * dt
+        drift = np.multiply(family.drift, dt, out=scratch)
         if family.volatility > 0:
             scale = np.sqrt(dt)
             scale *= family.volatility
@@ -239,7 +244,7 @@ def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None):
         return np.multiply(dt ** (1.0 / family.index), draws, out=out)
     if isinstance(family, GammaSubordinator):
         # a zero shape gives exactly 0 and draws nothing
-        rng.generator.standard_gamma(family.shape * dt, out=out)
+        rng.generator.standard_gamma(np.multiply(family.shape, dt, out=scratch), out=out)
         out *= 1.0 / family.rate
         return out
     if isinstance(family, CompoundPoisson):
@@ -499,12 +504,14 @@ def gaussian_paths(kernel, grid: TimeGrid, n_paths: int, rng: RngState) -> PathE
 _BLOCK_BYTES = 1 << 20  # bytes of values in one row block
 
 
-def _row_blocks(values: np.ndarray, blocked: bool):
-    """``(first, rows)`` for consecutive row blocks of ``values``, or one block of all rows."""
-    n, m = values.shape
-    step = max(1, _BLOCK_BYTES // (8 * m)) if blocked else n
-    for first in range(0, n, step):
-        yield first, values[first : first + step]
+def _row_blocks(n_paths: int, n_times: int, blocked: bool, out=None):
+    """``(first, rows)`` for consecutive row blocks, or one block of all rows;
+    ``rows`` views ``out``, or one buffer that every block reuses."""
+    step = max(1, _BLOCK_BYTES // (8 * n_times)) if blocked else n_paths
+    buffer = np.empty((min(step, n_paths), n_times)) if out is None else None
+    for first in range(0, n_paths, step):
+        rows = min(step, n_paths - first)
+        yield first, out[first : first + rows] if buffer is None else buffer[:rows]
 
 
 def _drawn_per_element(family: LevyFamily) -> bool:
@@ -512,19 +519,12 @@ def _drawn_per_element(family: LevyFamily) -> bool:
     return isinstance(family, (Brownian, GammaSubordinator))
 
 
-def additive_paths(
-    family: LevyFamily, alpha: float, grid: TimeGrid, n_paths: int, rng: RngState
-) -> PathEnsemble:
-    """Levy path on the deformed clock: cumulative increments over ``t**alpha``."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    dts = np.diff(grid.times**alpha, prepend=0.0)
-    values = np.empty((int(n_paths), len(grid)))
-    for _, rows in _row_blocks(values, _drawn_per_element(family)):
-        levy_increments(family, dts, rng, out=rows)
+def _additive_blocks(spec: AdditiveTimeChange, grid: TimeGrid, n_paths: int, rng: RngState, out=None):
+    dts = np.diff(grid.times**spec.alpha, prepend=0.0)
+    for _, rows in _row_blocks(n_paths, len(grid), _drawn_per_element(spec.family), out):
+        levy_increments(spec.family, dts, rng, out=rows)
         np.cumsum(rows, axis=1, out=rows)
-    spec = AdditiveTimeChange(family, alpha)
-    return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
+        yield rows
 
 
 def _chronometer_increments(chrono_values: np.ndarray, out=None, first: int = 0) -> np.ndarray:
@@ -562,39 +562,35 @@ def _prefetched(draw, sizes, threads: int):
         yield pending.popleft().result()
 
 
-def subordinated_paths(
-    family: LevyFamily, chrono, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1
-) -> PathEnsemble:
-    """Levy process evaluated along chronometer paths drawn independently.
-
-    Both streams are split once and continue from block to block, so only
-    a clock that does not split its stream again can be drawn in blocks.
-    With ``threads > 1`` the clock of the next block is drawn on a helper
-    thread (see ``_prefetched``); the values do not change.
-    """
+def _subordinated_blocks(spec: Subordinated, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1, out=None):
+    """A Levy process along independently drawn chronometer paths.  Both
+    streams are split once and continue from block to block, so only a
+    clock that does not split its stream again can be drawn in blocks."""
+    family, chrono = spec.family, spec.chrono
     chrono_rng, family_rng = rng.split(0), rng.split(1)
     blocked = _drawn_per_element(family) and (
         isinstance(chrono, AdditiveTimeChange) and _drawn_per_element(chrono.family)
     )
-    values = np.empty((int(n_paths), len(grid)))
-    blocks = list(_row_blocks(values, blocked))
+    blocks = list(_row_blocks(n_paths, len(grid), blocked, out))
     clocks = _prefetched(
         lambda size: generate(chrono, grid, size, chrono_rng).values,
         [rows.shape[0] for _, rows in blocks],
         threads,
     )
+    # drift*dt or the gamma shape goes into one block reused by every block
+    # (one block needs none); the Brownian scale stays a new array, made
+    # after the clock block it replaces is freed
+    scratch = np.empty(blocks[0][1].shape) if _drawn_per_element(family) and len(blocks) > 1 else None
     with closing(clocks):
         for first, rows in blocks:
             _chronometer_increments(next(clocks), rows, first)
-            levy_increments(family, rows, family_rng, out=rows)
+            block_scratch = None if scratch is None else scratch[: rows.shape[0]]
+            levy_increments(family, rows, family_rng, out=rows, scratch=block_scratch)
             np.cumsum(rows, axis=1, out=rows)
-    spec = Subordinated(family, chrono)
-    return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
+            yield rows
 
 
-def _blend_on_merged_grid(
-    atoms, grid: TimeGrid, n_paths: int, sample, exponent: float = 1.0, blocked: bool = False
-) -> np.ndarray:
+def _blend_blocks(atoms, grid: TimeGrid, n_paths: int, sample, exponent: float = 1.0, blocked: bool = False, out=None):
     """``sum_i w_i * X((u_i * t)**exponent)`` over the atoms ``(u_i, w_i)``.
 
     ``sample(merged, rows)`` draws the next ``rows`` paths of the one
@@ -605,79 +601,49 @@ def _blend_on_merged_grid(
     merged = np.unique(points)
     pos = np.searchsorted(merged, points)
     weights = np.array([w for _, w in atoms])
-    values = np.empty((int(n_paths), len(grid)))
-    for _, rows in _row_blocks(values, blocked):
+    for _, rows in _row_blocks(n_paths, len(grid), blocked, out):
         np.einsum("i,nij->nj", weights, sample(merged, rows.shape[0])[:, pos], out=rows)
-    return values
+        yield rows
 
 
-def mixture_paths(
-    base, atoms, grid: TimeGrid, n_paths: int, rng: RngState
-) -> PathEnsemble:
-    """Weighted combination of one underlying path on the merged dilated grid."""
-    spec = Mixture(base, tuple(atoms))
-    values = _blend_on_merged_grid(
-        spec.atoms, grid, n_paths, lambda merged, rows: generate(base, TimeGrid(merged), rows, rng.split(0)).values
-    )
+def _block_loop(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1, out=None):
+    """The spec's row-block loop, filling ``out`` or one reused buffer."""
+    if isinstance(spec, AdditiveTimeChange):
+        return _additive_blocks(spec, grid, n_paths, rng, out)
+    if isinstance(spec, Subordinated):
+        return _subordinated_blocks(spec, grid, n_paths, rng, threads, out)
+    if isinstance(spec, WeightedSubordinator):
+        def subordinator(epochs, rows):
+            path = levy_increments(spec.family, np.diff(epochs, prepend=0.0), rng, size=(rows, epochs.size))
+            return np.cumsum(path, axis=1, out=path)
+
+        blocked = _drawn_per_element(spec.family)
+        return _blend_blocks(spec.atoms, grid, n_paths, subordinator, spec.alpha, blocked, out)
+    if isinstance(spec, Mixture):  # drawn as one block
+        return _blend_blocks(
+            spec.atoms, grid, n_paths, lambda merged, rows: generate(spec.base, TimeGrid(merged), rows, rng.split(0)).values, out=out
+        )
+    raise TypeError(f"unknown process spec {spec!r}")
+
+
+def _collected(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1) -> PathEnsemble:
+    """The spec's ensemble, its block loop collected into one output array."""
+    values = np.empty((n_paths, len(grid)))
+    for _ in _block_loop(spec, grid, n_paths, rng, threads, values):
+        pass
     return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
 
 
-def weighted_subordinator_paths(
-    family: LevyFamily, atoms, alpha: float, grid: TimeGrid, n_paths: int, rng: RngState
-) -> PathEnsemble:
-    """Weighted sum of one subordinator path over the merged ``(u*t)**alpha`` epochs."""
-    spec = WeightedSubordinator(family, tuple(atoms), alpha)
-
-    def subordinator(epochs, rows):
-        path = levy_increments(family, np.diff(epochs, prepend=0.0), rng, size=(rows, epochs.size))
-        return np.cumsum(path, axis=1, out=path)
-
-    values = _blend_on_merged_grid(spec.atoms, grid, n_paths, subordinator, alpha, _drawn_per_element(family))
-    return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
-
-
-def fbm_moving_average_paths(
-    hurst: float,
-    weights,
-    u_grid,
-    grid: TimeGrid,
-    n_paths: int,
-    rng: RngState,
-) -> PathEnsemble:
-    """Discretized moving-average integral of fractional Brownian motion.
-
-    The weight function is a step function on the truncated fine grid
-    ``u_grid``: value ``weights[m]`` on ``[u_grid[m], u_grid[m+1])``, zero
-    outside.  Each sample combines one underlying fBm path:
-    ``sum_m phi(u_m / t) * (B(u_{m+1}) - B(u_m))``, which carries an
-    O(mesh) discretization bias.
-    """
-    u = np.asarray(u_grid, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if u.ndim != 1 or u.size < 2 or np.any(np.diff(u) <= 0) or u[0] < 0:
-        raise ValueError("u_grid must be increasing, nonnegative, with >= 2 edges")
-    if w.shape != (u.size - 1,):
-        raise ValueError("need one weight per u_grid cell")
-    if np.any(grid.times <= 0):
-        raise ValueError("evaluation times must be strictly positive")
-
-    dfbm = np.diff(gaussian_paths(FBmKernel(hurst), TimeGrid(u), n_paths, rng).values, axis=1)  # (N, M)
-
-    # phi evaluated at u_m / t for the left endpoints u_m
-    left = u[:-1]
-    ratios = left[None, :] / grid.times[:, None]  # (n_times, M)
-    cell = np.searchsorted(u, ratios, side="right") - 1
-    inside = (cell >= 0) & (cell < w.size) & (ratios < u[-1])
-    phi = np.where(inside, w[np.clip(cell, 0, w.size - 1)], 0.0)  # (n_times, M)
-    values = dfbm @ phi.T
-    return PathEnsemble(
-        grid,
-        values,
-        None,
-        rng.seed,
-        rng.stream,
-        meta={"kind": "fbm_moving_average", "hurst": hurst, "mesh": float(np.max(np.diff(u)))},
-    )
+def _checked_request(grid, n_paths):
+    """``(grid, n_paths)`` as a TimeGrid of nonnegative times and a positive int."""
+    if not isinstance(grid, TimeGrid):
+        grid = TimeGrid(grid)
+    if grid.times[0] < 0:
+        raise ValueError("process generation needs nonnegative times")
+    n_paths = int(n_paths)
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    return grid, n_paths
 
 
 def generate(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1) -> PathEnsemble:
@@ -686,13 +652,7 @@ def generate(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1
     ``threads > 1`` lets a subordinated spec draw its clock on a helper
     thread; the values are the same at every thread count.
     """
-    if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(grid)
-    if grid.times[0] < 0:
-        raise ValueError("process generation needs nonnegative times")
-    n_paths = int(n_paths)
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    grid, n_paths = _checked_request(grid, n_paths)
     if isinstance(spec, StableLine):
         draws = sample_stable(rng, StableParams(spec.alpha, 0.0), n_paths)
         values = draws[:, None] * grid.times[None, :]
@@ -703,14 +663,16 @@ def generate(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1
         return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
     if isinstance(spec, GaussianKernel):
         return gaussian_paths(spec.kernel, grid, n_paths, rng)
-    if isinstance(spec, AdditiveTimeChange):
-        return additive_paths(spec.family, spec.alpha, grid, n_paths, rng)
-    if isinstance(spec, Subordinated):
-        return subordinated_paths(spec.family, spec.chrono, grid, n_paths, rng, threads)
-    if isinstance(spec, Mixture):
-        return mixture_paths(spec.base, spec.atoms, grid, n_paths, rng)
-    if isinstance(spec, WeightedSubordinator):
-        return weighted_subordinator_paths(
-            spec.family, spec.atoms, spec.alpha, grid, n_paths, rng
-        )
-    raise TypeError(f"unknown process spec {spec!r}")
+    return _collected(spec, grid, n_paths, rng, threads)
+
+
+def sample_blocks(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1):
+    """``(meta, blocks)``: the rows of ``generate(spec, grid, n_paths, rng, threads)``
+    as consecutive row blocks in one buffer that each block overwrites, and
+    the ensemble's metadata.  Lines and Gaussian kernels yield one block.
+    """
+    grid, n_paths = _checked_request(grid, n_paths)
+    if isinstance(spec, (StableLine, PowerLine, GaussianKernel)):
+        whole = generate(spec, grid, n_paths, rng, threads)
+        return whole.meta, iter([whole.values])
+    return {}, _block_loop(spec, grid, n_paths, rng, threads)

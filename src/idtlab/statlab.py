@@ -50,9 +50,9 @@ from operator import sub
 import numpy as np
 
 from .processes import (
+    AdditiveTimeChange,
     PathEnsemble,
     TimeGrid,
-    additive_paths,
     generate,
     spec_label,
 )
@@ -513,7 +513,7 @@ def association_test(
     """
     grid = TimeGrid(t_list)
     left = generate(spec, grid, n_paths, rng.split(0))
-    right = additive_paths(family, alpha, grid, n_paths, rng.split(1))
+    right = generate(AdditiveTimeChange(family, alpha), grid, n_paths, rng.split(1))
     p_values = []
     for j in range(len(grid)):
         _, p = ks_two_sample(left.values[:, j], right.values[:, j])

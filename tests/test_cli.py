@@ -312,7 +312,7 @@ def test_out_dir_blocked_by_a_file_exit_two_before_any_work(tmp_path, capsys, mo
     blocker.write_text("not a directory")
     work = []
     monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: work.append(args))
-    monkeypatch.setattr(idtlab.cli, "generate", lambda *args, **kwargs: work.append(args))
+    monkeypatch.setattr(idtlab.cli, "sample_blocks", lambda *args, **kwargs: work.append(args))
     text = CALIBRATE_CONF if command == "calibrate" else EXPORT_CONF.format(out=tmp_path / "o")
     assert main([command, _write(tmp_path, text), "--out", str(blocker / "sub"), "--threads", "1"]) == 2
     err = capsys.readouterr().err
@@ -414,6 +414,75 @@ def test_export_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
         written.append([(out / name).read_bytes() for name in ("paths.bin", "paths.csv")])
     assert written[0] == written[1]
     assert b"subordinated(" in written[0][0]
+
+
+STREAMED_SPECS = {
+    "subordinated": SUBORDINATED_SPEC,
+    "additive_gamma": (
+        "spec.kind = additive\nspec.alpha = 0.7\n"
+        "spec.family.kind = gamma\nspec.family.shape = 0.8\nspec.family.rate = 2\n"
+    ),
+    "weighted_subordinator": (
+        "spec.kind = weighted_subordinator\nspec.alpha = 0.7\nspec.dilations = 1 2\n"
+        "spec.weights = 0.5 0.5\nspec.family.kind = gamma\n"
+    ),
+    "fbm": "spec.kind = fbm\nspec.hurst = 0.3\n",  # drawn whole: one block
+}
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 7])
+@pytest.mark.parametrize("kind", sorted(STREAMED_SPECS))
+def test_streamed_export_matches_the_whole_ensemble_writers(tmp_path, monkeypatch, kind, rows_per_block):
+    # 5,000 paths on 64 times are three 1 MiB blocks; 120 on 3 times are 18 blocks of 7
+    import idtlab.processes
+    from idtlab.cli import _STREAM_EXPORT
+    from idtlab.io import write_binary, write_csv
+
+    times = np.geomspace(0.0625, 4.0, 64) if rows_per_block is None else np.array([0.5, 1.0, 2.0])
+    n_paths = 5000 if rows_per_block is None else 120
+    if rows_per_block is not None:
+        monkeypatch.setattr(idtlab.processes, "_BLOCK_BYTES", 8 * times.size * rows_per_block)
+    text = (
+        f"seed = 21\nn_paths = {n_paths}\ngrid = {' '.join(map(repr, times.tolist()))}\n"
+        "export.formats = csv bin\n" + STREAMED_SPECS[kind]
+    )
+    spec = build_spec(parse_config_text(text)["spec"], "spec")
+    whole = generate(spec, TimeGrid(times), n_paths, RngState(21).split(_STREAM_EXPORT))
+    write_csv(whole, tmp_path / "paths.csv")
+    write_binary(whole, tmp_path / "paths.bin")
+    names = ("paths.csv", "paths.bin")
+    expected = [(tmp_path / name).read_bytes() for name in names]
+    conf = _write(tmp_path, text)
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["export", conf, "--out", str(out), "--threads", threads]) == 0
+        assert [(out / name).read_bytes() for name in names] == expected
+
+
+def test_export_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch):
+    # with 7-row blocks the clock decreases at local row 3 of the second
+    # block, path 10, after the first block has gone to both files
+    import idtlab.processes as proc
+    from idtlab.processes import ContractViolation, PathEnsemble
+
+    def clock(spec, grid, n_paths, rng):
+        values = np.tile([0.0, 1.0, 2.0], (n_paths, 1))
+        if calls:
+            values[3] = [0.0, 1.0, 0.5]
+        calls.append(n_paths)
+        return PathEnsemble(grid, values, spec, 0)
+
+    monkeypatch.setattr(proc, "_BLOCK_BYTES", 8 * 3 * 7)
+    monkeypatch.setattr(proc, "generate", clock)
+    text = EXPORT_CONF.format(out=tmp_path / "o")
+    conf = _write(tmp_path, text.replace("spec.kind = stable_line\nspec.alpha = 1.5\n", SUBORDINATED_SPEC))
+    for threads in ("1", "2"):
+        calls = []
+        out = tmp_path / f"t{threads}"
+        with pytest.raises(ContractViolation, match="path 10 is decreasing"):
+            main(["export", conf, "--out", str(out), "--threads", threads])
+        assert calls[:2] == [7, 7]
+        assert list(out.iterdir()) == []
 
 
 def test_export_unknown_format_exit_two(tmp_path):

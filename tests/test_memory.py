@@ -2,10 +2,12 @@
 
 Levy-based generators fill the output array a row block at a time, so a
 subordinated ensemble costs its own bytes plus a few block-sized
-temporaries, also when a helper thread draws the next clock block; the
-binary writer sends the value buffer to the file as is, the binary
-reader reads the payload straight into the value array, and the CSV
-writer formats and writes a few thousand values at a time.
+temporaries, also when a helper thread draws the next clock block;
+``idtlab export`` streams the same blocks through one reused buffer, so
+it holds a few blocks and never the ensemble.  The binary writer sends
+the value buffer to the file as is, the binary reader reads the payload
+straight into the value array, and the CSV writer formats and writes a
+few thousand values at a time.
 """
 
 import tracemalloc
@@ -13,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from idtlab.cli import main
 from idtlab.io import read_binary, read_csv, write_binary, write_csv
 from idtlab.processes import (
     AdditiveTimeChange,
@@ -78,6 +81,33 @@ def test_write_csv_peaks_below_a_block_of_text(ensemble, tmp_path):
     _, peak = _peak_beyond_start(lambda: write_csv(head, tmp_path / "paths.csv"))
     assert peak < MB
     assert (tmp_path / "paths.csv").stat().st_size > 2 * head.values.nbytes
+
+
+EXPORT_CONF = """
+seed = 3
+n_paths = 50000
+grid = {grid}
+export.formats = {formats}
+spec.kind = subordinated
+spec.family.kind = brownian
+spec.chrono.kind = additive
+spec.chrono.alpha = 0.7
+spec.chrono.family.kind = gamma
+"""
+
+
+@pytest.mark.parametrize("formats, threads, bound", [("csv bin", 1, 4 * MB), ("bin", 2, 5 * MB)])
+def test_streamed_export_holds_blocks_not_the_ensemble(tmp_path, formats, threads, bound):
+    # 25.6 MB of values; at two threads the helper holds one more clock block
+    conf = tmp_path / "export.conf"
+    conf.write_text(EXPORT_CONF.format(grid=" ".join(map(repr, GRID64.times.tolist())), formats=formats))
+    args = ["export", str(conf), "--out", str(tmp_path / "out"), "--threads", str(threads)]
+    assert main(args + ["--paths", "100"]) == 0  # first-call set-up stays out of the bound
+    code, peak = _peak_beyond_start(lambda: main(args))
+    assert code == 0
+    assert peak < bound
+    back = read_binary(tmp_path / "out" / "paths.bin")
+    assert back.values.shape == (50_000, 64)
 
 
 def test_blocked_ensemble_round_trips_bit_exact(ensemble, tmp_path):

@@ -24,14 +24,11 @@ from idtlab.processes import (
     TimeGrid,
     WeightedSubordinator,
     _chronometer_increments,
-    additive_paths,
-    fbm_moving_average_paths,
     gaussian_paths,
     generate,
     is_nondecreasing_spec,
     levy_increments,
     spec_label,
-    weighted_subordinator_paths,
 )
 from idtlab.randkit import RngState, StableParams, sample_stable
 from idtlab.statlab import ks_one_sample, ks_two_sample
@@ -134,7 +131,7 @@ def test_increments_reject_negative_duration():
 
 def test_additive_alpha_one_is_plain_levy():
     # marginal of a Brownian additive path at t is N(0, t)
-    e = additive_paths(Brownian(1.0, 0.0), 1.0, GRID, 10**4, RngState(11))
+    e = generate(AdditiveTimeChange(Brownian(1.0, 0.0), 1.0), GRID, 10**4, RngState(11))
     for j, t in enumerate(GRID.times):
         _, p = ks_one_sample(e.values[:, j], lambda v, t=t: ndtr(v / math.sqrt(t)))
         assert p > 0.01
@@ -143,7 +140,7 @@ def test_additive_alpha_one_is_plain_levy():
 def test_additive_stable_marginal_scaling():
     # marginal at t of the clock-deformed stable motion is t**(alpha/index) * S
     alpha, index = 1.5, 1.5
-    e = additive_paths(StableMotion(index), alpha, GRID, 10**4, RngState(12).split(0))
+    e = generate(AdditiveTimeChange(StableMotion(index), alpha), GRID, 10**4, RngState(12).split(0))
     fresh = sample_stable(RngState(12).split(1), StableParams(index), 10**4)
     for j, t in enumerate(GRID.times):
         _, p = ks_two_sample(e.values[:, j], t ** (alpha / index) * fresh)
@@ -151,21 +148,21 @@ def test_additive_stable_marginal_scaling():
 
 
 def test_additive_brownian_alpha_two_variance():
-    e = additive_paths(Brownian(1.0, 0.0), 2.0, GRID, 2 * 10**4, RngState(13))
+    e = generate(AdditiveTimeChange(Brownian(1.0, 0.0), 2.0), GRID, 2 * 10**4, RngState(13))
     for j, t in enumerate(GRID.times):
         assert abs(e.values[:, j].var() - t**2) < 6.0 * t**2 / math.sqrt(e.n_paths)
 
 
 def test_additive_monotone_families_yield_monotone_paths():
     for family in (GammaSubordinator(1.0, 1.0), StableMotion(0.7, 1.0)):
-        e = additive_paths(family, 0.7, GRID, 2000, RngState(14))
+        e = generate(AdditiveTimeChange(family, 0.7), GRID, 2000, RngState(14))
         assert np.all(np.diff(e.values, axis=1) >= 0)
         assert np.all(e.values >= 0)
 
 
 def test_additive_gamma_marginal_is_gamma_at_clock_time():
     shape, rate, alpha = 1.0, 1.0, 0.7
-    e = additive_paths(GammaSubordinator(shape, rate), alpha, GRID, 10**4, RngState(59).split(0))
+    e = generate(AdditiveTimeChange(GammaSubordinator(shape, rate), alpha), GRID, 10**4, RngState(59).split(0))
     oracle_rng = RngState(59).split(1)
     for j, t in enumerate(GRID.times):
         direct = oracle_rng.generator.gamma(shape * t**alpha, 1.0 / rate, 10**4)
@@ -176,7 +173,7 @@ def test_additive_gamma_marginal_is_gamma_at_clock_time():
 def test_additive_compound_poisson_marginal_matches_direct_simulation():
     lam, mean, sd, alpha = 2.0, 0.5, 0.3, 0.7
     family = CompoundPoisson(lam, mean, sd)
-    e = additive_paths(family, alpha, GRID, 10**4, RngState(60).split(0))
+    e = generate(AdditiveTimeChange(family, alpha), GRID, 10**4, RngState(60).split(0))
     oracle_rng = RngState(60).split(1)
     for j, t in enumerate(GRID.times):
         counts = oracle_rng.generator.poisson(lam * t**alpha, 10**4)
@@ -231,7 +228,7 @@ def test_subordinated_runtime_recheck_catches_bad_samples(monkeypatch):
     broken = PathEnsemble(GRID, np.array([[0.0, 1.0, 0.5]]), chrono, 0)
     monkeypatch.setattr(proc, "generate", lambda *a, **k: broken)
     with pytest.raises(ContractViolation, match="path 0"):
-        proc.subordinated_paths(Brownian(1.0, 0.0), chrono, GRID, 1, RngState(1))
+        proc._collected(Subordinated(Brownian(1.0, 0.0), chrono), GRID, 1, RngState(1))
 
 
 def test_blocked_chronometer_check_names_the_global_path(monkeypatch):
@@ -253,7 +250,7 @@ def test_blocked_chronometer_check_names_the_global_path(monkeypatch):
     for threads, drawn in ((1, [7, 7]), (2, [7, 7, 6])):
         calls = []
         with pytest.raises(ContractViolation, match="path 10 is decreasing"):
-            proc.subordinated_paths(Brownian(1.0, 0.0), chrono, GRID, 20, RngState(1), threads)
+            proc._collected(Subordinated(Brownian(1.0, 0.0), chrono), GRID, 20, RngState(1), threads)
         assert calls == drawn
 
 
@@ -336,14 +333,14 @@ def test_mixture_merged_grid_uses_one_trajectory():
 def test_weighted_subordinator_single_atom_equals_additive():
     rng_a = RngState(19)
     rng_b = RngState(19)
-    a = weighted_subordinator_paths(GammaSubordinator(1.0, 1.0), ((1.0, 1.0),), 0.7, GRID, 200, rng_a)
-    b = additive_paths(GammaSubordinator(1.0, 1.0), 0.7, GRID, 200, rng_b)
+    a = generate(WeightedSubordinator(GammaSubordinator(1.0, 1.0), ((1.0, 1.0),), 0.7), GRID, 200, rng_a)
+    b = generate(AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7), GRID, 200, rng_b)
     assert np.array_equal(a.values, b.values)
 
 
 def test_weighted_subordinator_alpha_one_identity_atom():
-    a = weighted_subordinator_paths(GammaSubordinator(1.0, 1.0), ((1.0, 1.0),), 1.0, GRID, 200, RngState(20))
-    b = additive_paths(GammaSubordinator(1.0, 1.0), 1.0, GRID, 200, RngState(20))
+    a = generate(WeightedSubordinator(GammaSubordinator(1.0, 1.0), ((1.0, 1.0),), 1.0), GRID, 200, RngState(20))
+    b = generate(AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 1.0), GRID, 200, RngState(20))
     assert np.array_equal(a.values, b.values)
 
 
@@ -397,48 +394,6 @@ def test_gaussian_spectral_rejects_nonpositive_times():
 def test_gaussian_paths_records_jitter():
     e = gaussian_paths(FBmKernel(0.5), GRID, 10, RngState(26))
     assert "jitter" in e.meta
-
-
-# ---------------------------------------------------------------------------
-# moving-average of fractional Brownian motion
-# ---------------------------------------------------------------------------
-
-
-def test_fbm_moving_average_indicator_recovers_fbm():
-    hurst = 0.3
-    u = np.linspace(0.0, 4.0, 401)
-    weights = (u[:-1] < 1.0).astype(float)  # indicator of [0, 1)
-    grid = TimeGrid([0.5, 1.0, 2.0])
-    n = 10**4
-    e = fbm_moving_average_paths(hurst, weights, u, grid, n, RngState(27))
-    emp = e.values.T @ e.values / n
-    expected = np.array([[fbm_cov_(hurst, s, t) for t in grid.times] for s in grid.times])
-    assert np.abs(emp - expected).max() < 0.08  # statistical + O(mesh) bias
-
-
-def fbm_cov_(h, s, t):
-    return 0.5 * (t ** (2 * h) + s ** (2 * h) - abs(t - s) ** (2 * h))
-
-
-def test_fbm_moving_average_variance_scaling():
-    hurst = 0.4
-    u = np.linspace(0.0, 8.0, 801)
-    weights = np.exp(-u[:-1])  # smooth decaying window
-    grid = TimeGrid([1.0, 2.0])
-    e = fbm_moving_average_paths(hurst, weights, u, grid, 2 * 10**4, RngState(28))
-    ratio = e.values[:, 1].var() / e.values[:, 0].var()
-    assert ratio == pytest.approx(2.0 ** (2 * hurst), rel=0.1)
-
-
-def test_fbm_moving_average_zero_weights_gives_zero_process():
-    u = np.linspace(0.0, 2.0, 21)
-    e = fbm_moving_average_paths(0.3, np.zeros(20), u, TimeGrid([1.0]), 10, RngState(29))
-    assert np.all(e.values == 0.0)
-
-
-def test_fbm_moving_average_empty_support_is_domain_error():
-    with pytest.raises(ValueError):
-        fbm_moving_average_paths(0.3, np.array([]), np.array([0.0]), TimeGrid([1.0]), 10, RngState(30))
 
 
 # ---------------------------------------------------------------------------
