@@ -37,8 +37,6 @@ from .processes import (
     WeightedSubordinator,
     gaussian_paths,
     generate,
-    is_nondecreasing_family,
-    is_nondecreasing_spec,
     levy_increments,
     sample_blocks,
     spec_label,

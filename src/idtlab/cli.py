@@ -28,28 +28,13 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
 
 from . import io as ensio
-from .processes import (
-    AdditiveTimeChange,
-    Brownian,
-    CompoundPoisson,
-    GammaSubordinator,
-    GaussianKernel,
-    Mixture,
-    PowerLine,
-    StableLine,
-    StableMotion,
-    Subordinated,
-    TimeGrid,
-    WeightedSubordinator,
-    generate,
-    sample_blocks,
-)
-from .kernels import FBmKernel, SpectralKernel, SpectralMeasure
+from .processes import FAMILY_KINDS, SPEC_KINDS, TimeGrid, generate, sample_blocks
 from .randkit import RngState
 from .statlab import TEST_KINDS, TestKind, _check_replays, calibrate
 from .thresholds import ThresholdTable, entry_key
@@ -112,12 +97,13 @@ def _flatten(tree: dict, prefix: str = "") -> dict:
     return out
 
 
-def _get(tree: dict, dotted: str, default=None, required: bool = False):
+def _get(tree: dict, dotted: str, default=None, required: bool = False, prefix: str = ""):
+    """The value at ``dotted``; a missing required one is named ``prefix + dotted``."""
     node = tree
     for part in dotted.split("."):
         if not isinstance(node, dict) or part not in node:
             if required:
-                raise ConfigError(f"missing required config field {dotted!r}")
+                raise ConfigError(f"missing required config field {prefix + dotted!r}")
             return default
         node = node[part]
     return node
@@ -165,140 +151,61 @@ def _as_bool(raw, field: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Spec construction
+# Fields of specs, families and tests, read from their kind tables
 # ---------------------------------------------------------------------------
 
-_FAMILY_KINDS = ("brownian", "stable_motion", "gamma", "compound_poisson")
-_SPEC_KINDS = (
-    "stable_line",
-    "power_line",
-    "fbm",
-    "spectral",
-    "additive",
-    "subordinated",
-    "mixture",
-    "weighted_subordinator",
-)
 
-
-def _field_error(fields, exc: ValueError) -> ConfigError:
-    label = "field" if len(fields) == 1 else "fields"
-    return ConfigError(f"{label} {', '.join(repr(f) for f in fields)}: {exc}")
-
-
-def _checked(fields, rule, *args):
-    """``rule(*args)``, with a ``ValueError`` turned into a config error naming ``fields``."""
+def _checked(fields, rule, *args, **kwargs):
+    """``rule(*args, **kwargs)``, with a ``ValueError`` turned into a config error naming ``fields``."""
     try:
-        return rule(*args)
+        return rule(*args, **kwargs)
     except ValueError as exc:
-        raise _field_error(fields, exc) from None
+        label = "field" if len(fields) == 1 else "fields"
+        raise ConfigError(f"{label} {', '.join(repr(f) for f in fields)}: {exc}") from None
 
 
 def _value_fields(node: dict, path: str) -> list:
     """The fields a spec or family constructor's rejection is named by."""
-    fields = [
-        f"{path}.{key}"
-        for key, value in sorted(node.items())
-        if key != "kind" and not isinstance(value, dict)
-    ]
+    fields = [f"{path}.{key}" for key, value in sorted(node.items()) if key != "kind" and not isinstance(value, dict)]
     return fields or [path]
 
 
-def build_family(node: dict, path: str):
+def _parse_fields(fields, node: dict, prefix: str, keys=("kind",)) -> dict:
+    """The declared ``(name, type, default)`` fields of the section ``node``
+    at ``prefix``, parsed; a missing optional field is left out.  A key that
+    neither ``fields`` nor ``keys`` declares is a config error."""
+    accepted = tuple(keys) + tuple(name for name, _, _ in fields)
+    for key in node:
+        if key not in accepted:
+            raise ConfigError(f"unknown config field {f'{prefix}.{key}'!r}; {prefix} takes {', '.join(accepted)}")
+    params = {}
+    for name, parse, default in fields:
+        raw = _get(node, name, required=default is None, prefix=f"{prefix}.")
+        if raw is not None:
+            params[name] = _PARSERS[parse](raw, f"{prefix}.{name}")
+    return params
+
+
+def _build(kinds: dict, what: str, node, path: str):
+    """The spec or family that the section ``node`` at ``path`` declares, by its ``kind`` in ``kinds``."""
     if not isinstance(node, dict):
-        raise ConfigError(f"section {path!r} must hold family fields")
-    return _checked(_value_fields(node, path), _new_family, node, path)
+        raise ConfigError(f"section {path!r} must hold {what} fields")
+    kind = _get(node, "kind", required=True, prefix=f"{path}.")
+    if str(kind) not in kinds:
+        raise ConfigError(f"field {path}.kind: unknown {what} kind {kind!r}; expected one of {tuple(kinds)}")
+    make, fields = kinds[str(kind)]
+    values = {name: default for name, _, default in fields}
+    values.update(_parse_fields(fields, node, path))
+    return _checked(_value_fields(node, path), make, **values)
 
 
-def _new_family(node: dict, path: str):
-    kind = _get(node, "kind", required=True)
-    if kind == "brownian":
-        return Brownian(
-            volatility=_as_float(_get(node, "volatility", 1.0), f"{path}.volatility"),
-            drift=_as_float(_get(node, "drift", 0.0), f"{path}.drift"),
-        )
-    if kind == "stable_motion":
-        return StableMotion(
-            index=_as_float(_get(node, "index", required=True), f"{path}.index"),
-            skew=_as_float(_get(node, "skew", 0.0), f"{path}.skew"),
-        )
-    if kind == "gamma":
-        return GammaSubordinator(
-            shape=_as_float(_get(node, "shape", 1.0), f"{path}.shape"),
-            rate=_as_float(_get(node, "rate", 1.0), f"{path}.rate"),
-        )
-    if kind == "compound_poisson":
-        return CompoundPoisson(
-            intensity=_as_float(_get(node, "intensity", required=True), f"{path}.intensity"),
-            jump_mean=_as_float(_get(node, "jump_mean", 0.0), f"{path}.jump_mean"),
-            jump_sd=_as_float(_get(node, "jump_sd", 1.0), f"{path}.jump_sd"),
-        )
-    raise ConfigError(f"field {path}.kind: unknown family kind {kind!r}; expected one of {_FAMILY_KINDS}")
+def build_family(node: dict, path: str):
+    return _build(FAMILY_KINDS, "family", node, path)
 
 
 def build_spec(node: dict, path: str):
-    if not isinstance(node, dict):
-        raise ConfigError(f"section {path!r} must hold spec fields")
-    return _checked(_value_fields(node, path), _new_spec, node, path)
+    return _build(SPEC_KINDS, "spec", node, path)
 
-
-def _new_spec(node: dict, path: str):
-    kind = _get(node, "kind", required=True)
-    if kind == "stable_line":
-        return StableLine(alpha=_as_float(_get(node, "alpha", required=True), f"{path}.alpha"))
-    if kind == "power_line":
-        return PowerLine(alpha=_as_float(_get(node, "alpha", required=True), f"{path}.alpha"))
-    if kind == "fbm":
-        return GaussianKernel(
-            FBmKernel(hurst=_as_float(_get(node, "hurst", required=True), f"{path}.hurst"))
-        )
-    if kind == "spectral":
-        locations = _as_floats(_get(node, "locations", required=True), f"{path}.locations")
-        weights = _as_floats(_get(node, "weights", required=True), f"{path}.weights")
-        if len(locations) != len(weights):
-            raise ConfigError(f"{path}: locations and weights must have equal length")
-        measure = SpectralMeasure.symmetric(tuple(zip(locations, weights)))
-        return GaussianKernel(
-            SpectralKernel(
-                alpha=_as_float(_get(node, "alpha", required=True), f"{path}.alpha"),
-                measure=measure,
-            )
-        )
-    if kind == "additive":
-        return AdditiveTimeChange(
-            family=build_family(_get(node, "family", required=True), f"{path}.family"),
-            alpha=_as_float(_get(node, "alpha", required=True), f"{path}.alpha"),
-        )
-    if kind == "subordinated":
-        return Subordinated(
-            family=build_family(_get(node, "family", required=True), f"{path}.family"),
-            chrono=build_spec(_get(node, "chrono", required=True), f"{path}.chrono"),
-        )
-    if kind == "mixture":
-        dilations = _as_floats(_get(node, "dilations", required=True), f"{path}.dilations")
-        weights = _as_floats(_get(node, "weights", required=True), f"{path}.weights")
-        if len(dilations) != len(weights):
-            raise ConfigError(f"{path}: dilations and weights must have equal length")
-        return Mixture(
-            base=build_spec(_get(node, "base", required=True), f"{path}.base"),
-            atoms=tuple(zip(dilations, weights)),
-        )
-    if kind == "weighted_subordinator":
-        dilations = _as_floats(_get(node, "dilations", required=True), f"{path}.dilations")
-        weights = _as_floats(_get(node, "weights", required=True), f"{path}.weights")
-        if len(dilations) != len(weights):
-            raise ConfigError(f"{path}: dilations and weights must have equal length")
-        return WeightedSubordinator(
-            family=build_family(_get(node, "family", required=True), f"{path}.family"),
-            atoms=tuple(zip(dilations, weights)),
-            alpha=_as_float(_get(node, "alpha", required=True), f"{path}.alpha"),
-        )
-    raise ConfigError(f"field {path}.kind: unknown spec kind {kind!r}; expected one of {_SPEC_KINDS}")
-
-
-# ---------------------------------------------------------------------------
-# Test fields and threshold keys, read from each kind's ``TestKind`` entry
-# ---------------------------------------------------------------------------
 
 _PARSERS = {
     "int": _as_int,
@@ -306,7 +213,13 @@ _PARSERS = {
     "str": lambda raw, field: str(raw),
     "floats": _as_floats,
     "family": build_family,
+    "spec": build_spec,
 }
+
+
+# ---------------------------------------------------------------------------
+# Test fields and threshold keys, read from each kind's ``TestKind`` entry
+# ---------------------------------------------------------------------------
 
 
 def _test_kind(raw, field: str) -> TestKind:
@@ -316,16 +229,13 @@ def _test_kind(raw, field: str) -> TestKind:
     return kind
 
 
-def _test_params(kind: TestKind, node: dict, prefix: str, spec, grid_list) -> dict:
-    """The test's fields under ``prefix``, parsed, defaulted and checked."""
-    params: dict = {}
+def _test_params(kind: TestKind, node: dict, prefix: str, spec, grid_list, keys) -> dict:
+    """The test's fields under ``prefix``, parsed, defaulted and checked;
+    ``keys`` are the section's other keys."""
+    params = _parse_fields(kind.fields, node, prefix, keys + ("times",) * kind.uses_times)
     if kind.uses_times:
         params["grid"] = grid_list
         params["times"] = _as_floats(_get(node, "times", grid_list), f"{prefix}.times")
-    for name, parse, default in kind.fields:
-        raw = _get(node, name, required=default is None)
-        if raw is not None:
-            params[name] = _PARSERS[parse](raw, f"{prefix}.{name}")
     params = kind.fill(params, spec)
     for fields, rule in kind.checks:
         _checked([f"{prefix}.{f}" for f in fields], rule, params)
@@ -350,9 +260,7 @@ def threshold_key_for(kind, spec, n_paths, quantile, grid, times, params) -> str
     return entry_key(kind, spec, n_paths, quantile, **extra)
 
 
-def _null_threshold(kind, spec, params, n_reps, quantile, fields, rng, n_paths, threads) -> float:
-    """``calibrate`` on the test's own fields; ``fields`` name ``n_reps`` and ``quantile``."""
-    _checked(fields, _check_replays, n_reps, quantile)
+def _null_threshold(kind, spec, params, n_reps, quantile, rng, n_paths, threads) -> float:
     # replay under the true null: the spec's own exponent, never a probe value
     replay = {k: v for k, v in params.items() if k != "alpha"}
     return calibrate(spec, kind.name, n_reps, quantile, rng, n_paths, threads=threads, **replay)
@@ -373,7 +281,10 @@ def _load_table(raw: str, config_dir: str):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_threshold(kind, node, prefix, spec, n_paths, quantile, params, cfg, config_dir, rng, threads):
+def _resolve_threshold(kind, node, prefix, spec, n_paths, quantile, params, cfg, config_dir):
+    """The test's threshold: ``None`` for a p-value test, a number from its
+    section or the table, or with ``threshold_table = calibrate`` a checked
+    null replay still to run as ``replay(rng, n_paths, threads)``."""
     if not kind.calibrated:
         return None
     explicit = _get(node, "threshold")
@@ -382,8 +293,8 @@ def _resolve_threshold(kind, node, prefix, spec, n_paths, quantile, params, cfg,
     source = str(_get(cfg, "threshold_table", "default"))
     if source == "calibrate":
         n_reps = _as_int(_get(cfg, "calibration.n_reps", 200), "calibration.n_reps")
-        fields = ["calibration.n_reps", "quantile"]
-        return _null_threshold(kind, spec, params, n_reps, quantile, fields, rng, n_paths, threads)
+        _checked(["calibration.n_reps", "quantile"], _check_replays, n_reps, quantile)
+        return functools.partial(_null_threshold, kind, spec, params, n_reps, quantile)
     table = _load_table(source, config_dir)
     key = threshold_key_for(kind.name, spec, n_paths, quantile, params.get("grid"), params.get("times"), params)
     try:
@@ -440,20 +351,21 @@ def cmd_run(args) -> int:
     root = RngState(seed)
     resolved = _flatten(cfg)
     reports = {}
+    # every test section is parsed and checked before any null replay runs
     jobs = []
     for index, name in enumerate(sorted(tests_node)):
         node = tests_node[name]
         if not isinstance(node, dict):
             raise ConfigError(f"section test.{name} must hold test fields")
         prefix = f"test.{name}"
-        kind = _test_kind(_get(node, "kind", required=True), f"{prefix}.kind")
-        params = _test_params(kind, node, prefix, spec, grid_list)
-        rng = root.split(_STREAM_TESTS + index)
-        threshold = _resolve_threshold(
-            kind, node, prefix, spec, n_paths, quantile, params,
-            cfg, config_dir, root.split(_STREAM_CALIBRATE + index), args.threads,
-        )
-        jobs.append((name, kind, params, rng, threshold))
+        kind = _test_kind(_get(node, "kind", required=True, prefix=f"{prefix}."), f"{prefix}.kind")
+        params = _test_params(kind, node, prefix, spec, grid_list, ("kind", "threshold"))
+        threshold = _resolve_threshold(kind, node, prefix, spec, n_paths, quantile, params, cfg, config_dir)
+        jobs.append((name, kind, params, root.split(_STREAM_TESTS + index), threshold))
+    for index, (name, kind, params, rng, threshold) in enumerate(jobs):
+        if callable(threshold):
+            threshold = threshold(root.split(_STREAM_CALIBRATE + index), n_paths, args.threads)
+            jobs[index] = (name, kind, params, rng, threshold)
 
     def run_one(job):
         name, kind, params, rng, threshold = job
@@ -502,6 +414,9 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_ENTRY_KEYS = ("test", "spec", "n_paths", "quantile", "n_reps", "grid")
+
+
 def cmd_calibrate(args) -> int:
     cfg = load_config(args.config)
     config_dir = os.path.dirname(os.path.abspath(args.config))
@@ -535,22 +450,25 @@ def cmd_calibrate(args) -> int:
             "tool": "idtlab calibrate",
         },
     )
+    # every entry is parsed and checked before the first replay runs
+    entries = []
     for index, name in enumerate(sorted(entries_node)):
         node = entries_node[name]
         prefix = f"entry.{name}"
-        kind = _test_kind(_get(node, "test", required=True), f"{prefix}.test")
+        kind = _test_kind(_get(node, "test", required=True, prefix=f"{prefix}."), f"{prefix}.test")
         if not kind.calibrated:
             raise ConfigError(f"{prefix}: {kind.name} uses p-values, not calibrated thresholds")
-        spec = build_spec(_get(node, "spec", required=True), f"{prefix}.spec")
+        spec = build_spec(_get(node, "spec", required=True, prefix=f"{prefix}."), f"{prefix}.spec")
         n_paths = _as_int(_get(node, "n_paths", n_paths_default), f"{prefix}.n_paths")
         quantile = _as_float(_get(node, "quantile", quantile_default), f"{prefix}.quantile")
         n_reps = _as_int(_get(node, "n_reps", n_reps_default), f"{prefix}.n_reps")
         grid_list = _as_grid(_get(node, "grid", grid_default), f"{prefix}.grid")
-        params = _test_params(kind, node, prefix, spec, grid_list)
-        fields = [f"{prefix}.n_reps", f"{prefix}.quantile"]
-        rng = root.split(_STREAM_CALIBRATE + index)
-        threshold = _null_threshold(kind, spec, params, n_reps, quantile, fields, rng, n_paths, args.threads)
+        params = _test_params(kind, node, prefix, spec, grid_list, _ENTRY_KEYS)
+        _checked([f"{prefix}.n_reps", f"{prefix}.quantile"], _check_replays, n_reps, quantile)
         key = threshold_key_for(kind.name, spec, n_paths, quantile, grid_list, params.get("times"), params)
+        entries.append((name, key, functools.partial(_null_threshold, kind, spec, params, n_reps, quantile, n_paths=n_paths)))
+    for index, (name, key, replay) in enumerate(entries):
+        threshold = replay(root.split(_STREAM_CALIBRATE + index), threads=args.threads)
         table.set(key, threshold)
         print(f"# calibrated {name}: {threshold:.6g}")
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from contextlib import ExitStack, contextmanager
 
 import numpy as np
@@ -43,9 +42,11 @@ def _format_float(x: float) -> str:
 
 @contextmanager
 def _atomic_file(path):
-    """A binary file at a temp name beside ``path``, renamed onto ``path``
-    when the block ends and removed if it raises."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".idtlab-")
+    """A binary file at a unique temp name beside ``path``, renamed onto
+    ``path`` when the block ends and removed if it raises.  It is created
+    with mode 0o666, so the process umask sets its permissions."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".idtlab-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

@@ -126,6 +126,8 @@ def spectral_cov(alpha: float, mu: SpectralMeasure, s, t):
 class FBmKernel:
     """Fractional Brownian motion kernel; scales with exponent ``2 * hurst``."""
 
+    label_name = "fbm"
+
     hurst: float
 
     def __post_init__(self):
@@ -143,6 +145,8 @@ class FBmKernel:
 @dataclass(frozen=True)
 class SpectralKernel:
     """Kernel from a finite symmetric spectral measure; scales with ``alpha``."""
+
+    label_name = "spectral"
 
     alpha: float
     measure: SpectralMeasure

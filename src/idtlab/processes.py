@@ -1,23 +1,27 @@
 """Sample-path ensembles for every process family in the toolkit.
 
-Each family is declared by a small frozen spec object carrying its
-parameters and the exponent at which it claims the time-divisibility
-property; ``generate`` dispatches on the spec type.  Path ensembles are
-immutable: an N-by-m value matrix over a shared time grid plus the
+Each spec kind and each Levy family is one frozen dataclass that carries
+its own behaviour: the ``label_name`` that ``spec_label`` opens with,
+whether its paths are ``nondecreasing``, its ``idt_exponent`` (specs) and
+its sampler (a family's ``increments``).  ``SPEC_KINDS`` and
+``FAMILY_KINDS`` map each config kind to its constructor and typed
+fields.  So adding a kind takes one class and one table row, as adding a
+test kind takes one ``TestKind`` entry in ``statlab``.  Path ensembles
+are immutable: an N-by-m value matrix over a shared time grid plus the
 metadata needed to reproduce it bit for bit.
 
-Memory: Levy-based generators (additive, subordinated, weighted
-subordinator) run one loop over row blocks of ``_BLOCK_BYTES`` (1 MiB).
-``generate`` fills the rows of one ``8*N*m``-byte output with it;
-``sample_blocks`` fills one block buffer that each block reuses, so an
-export streamed block by block holds a few blocks, never the ensemble.
-A subordinated loop also writes ``drift*dt`` or the gamma shape into one
-reused block.  Only Brownian and gamma increments are drawn in blocks:
-they take one variate per element in C order, so blocks drawn from one
-continuing stream give the whole-array bytes.  Stable motion
-(all ``u``, then all ``w``), compound Poisson (all counts, then normals),
-Gaussian kernels (BLAS products), lines, mixtures and chronometers that
-split their own streams again are drawn as one block.
+Memory: lines and Gaussian kernels ``sample`` the whole ensemble.  The
+other specs run one ``blocks`` loop over row blocks of ``_BLOCK_BYTES``
+(1 MiB): ``generate`` fills the rows of one ``8*N*m``-byte output with
+it; ``sample_blocks`` fills one block buffer that each block reuses, so
+an export streamed block by block holds a few blocks, never the
+ensemble.  A subordinated loop also writes ``drift*dt`` or the gamma
+shape into one reused block.  Only ``per_element`` families (Brownian,
+gamma) are drawn in blocks: they take one variate per element in C
+order, so blocks drawn from one continuing stream give the whole-array
+bytes.  Stable motion (all ``u``, then all ``w``), compound Poisson (all
+counts, then normals), mixtures and chronometers that split their own
+streams again are drawn as one block.
 
 Threads: ``generate(..., threads=n)`` with ``n > 1`` lets a subordinated
 ensemble of more than one block draw the clock of the next block on one
@@ -34,12 +38,12 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Union
 
 import numpy as np
 
-from .kernels import FBmKernel, SpectralKernel, cov_matrix
+from .kernels import FBmKernel, SpectralKernel, SpectralMeasure, cov_matrix
 from .randkit import RngState, StableParams, sample_normal, sample_stable
 
 
@@ -138,7 +142,8 @@ class PathEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# Levy families: building blocks with independent stationary increments
+# Levy families: building blocks with independent stationary increments.
+# ``increments(dt, rng, out, scratch)`` fills ``out`` (see ``levy_increments``).
 # ---------------------------------------------------------------------------
 
 
@@ -150,6 +155,8 @@ class Brownian:
     which serves as the identity chronometer.
     """
 
+    label_name = "brownian"
+    per_element = True
     volatility: float = 1.0
     drift: float = 0.0
 
@@ -157,22 +164,51 @@ class Brownian:
         if self.volatility < 0:
             raise ValueError(f"volatility must be nonnegative, got {self.volatility}")
 
+    @property
+    def nondecreasing(self) -> bool:
+        return self.volatility == 0.0 and self.drift >= 0.0
+
+    def increments(self, dt, rng, out, scratch=None):
+        drift = np.multiply(self.drift, dt, out=scratch)
+        if self.volatility > 0:
+            scale = np.sqrt(dt)
+            scale *= self.volatility
+            sample_normal(rng, out=out)
+            out *= scale
+            out += drift  # even at drift 0, since 0.0 + -0.0 is +0.0
+        else:
+            out[...] = drift
+        return out
+
 
 @dataclass(frozen=True)
 class StableMotion:
     """Strictly stable motion; increment over dt is ``dt**(1/index)`` stable."""
 
+    label_name = "stable_motion"
+    per_element = False
     index: float
     skew: float = 0.0
 
     def __post_init__(self):
         StableParams(self.index, self.skew)  # validates the domain
 
+    @property
+    def nondecreasing(self) -> bool:
+        return self.index < 1.0 and self.skew == 1.0
+
+    def increments(self, dt, rng, out, scratch=None):
+        draws = sample_stable(rng, StableParams(self.index, self.skew), out.shape)
+        return np.multiply(dt ** (1.0 / self.index), draws, out=out)
+
 
 @dataclass(frozen=True)
 class GammaSubordinator:
     """Gamma process: increment over dt is Gamma(shape*dt, rate), nondecreasing."""
 
+    label_name = "gamma"
+    per_element = True
+    nondecreasing = True
     shape: float
     rate: float
 
@@ -182,11 +218,19 @@ class GammaSubordinator:
         if not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
 
+    def increments(self, dt, rng, out, scratch=None):
+        # a zero shape gives exactly 0 and draws nothing
+        rng.generator.standard_gamma(np.multiply(self.shape, dt, out=scratch), out=out)
+        out *= 1.0 / self.rate
+        return out
+
 
 @dataclass(frozen=True)
 class CompoundPoisson:
     """Compound Poisson with normal jumps."""
 
+    label_name = "compound_poisson"
+    per_element = False
     intensity: float
     jump_mean: float = 0.0
     jump_sd: float = 1.0
@@ -197,21 +241,22 @@ class CompoundPoisson:
         if self.jump_sd < 0:
             raise ValueError(f"jump sd must be nonnegative, got {self.jump_sd}")
 
+    @property
+    def nondecreasing(self) -> bool:
+        return self.jump_sd == 0.0 and self.jump_mean >= 0.0
+
+    def increments(self, dt, rng, out, scratch=None):
+        counts = rng.generator.poisson(self.intensity * dt, size=out.shape)
+        np.multiply(self.jump_mean, counts, out=out)
+        if self.jump_sd > 0:
+            jitter = np.zeros(out.shape)
+            jumped = counts > 0
+            jitter[jumped] = np.sqrt(counts[jumped]) * sample_normal(rng, int(jumped.sum()))
+            out += self.jump_sd * jitter
+        return out
+
 
 LevyFamily = Union[Brownian, StableMotion, GammaSubordinator, CompoundPoisson]
-
-
-def is_nondecreasing_family(family: LevyFamily) -> bool:
-    """True when every path of the family is almost surely nondecreasing."""
-    if isinstance(family, GammaSubordinator):
-        return True
-    if isinstance(family, StableMotion):
-        return family.index < 1.0 and family.skew == 1.0
-    if isinstance(family, Brownian):
-        return family.volatility == 0.0 and family.drift >= 0.0
-    if isinstance(family, CompoundPoisson):
-        return family.jump_sd == 0.0 and family.jump_mean >= 0.0
-    return False
 
 
 def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None, scratch=None):
@@ -228,35 +273,102 @@ def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None, 
         raise ValueError("increment durations must be nonnegative")
     if out is None:
         out = np.empty(dt.shape if size is None else size)
-    if isinstance(family, Brownian):
-        drift = np.multiply(family.drift, dt, out=scratch)
-        if family.volatility > 0:
-            scale = np.sqrt(dt)
-            scale *= family.volatility
-            sample_normal(rng, out=out)
-            out *= scale
-            out += drift  # even at drift 0, since 0.0 + -0.0 is +0.0
-        else:
-            out[...] = drift
-        return out
-    if isinstance(family, StableMotion):
-        draws = sample_stable(rng, StableParams(family.index, family.skew), out.shape)
-        return np.multiply(dt ** (1.0 / family.index), draws, out=out)
-    if isinstance(family, GammaSubordinator):
-        # a zero shape gives exactly 0 and draws nothing
-        rng.generator.standard_gamma(np.multiply(family.shape, dt, out=scratch), out=out)
-        out *= 1.0 / family.rate
-        return out
-    if isinstance(family, CompoundPoisson):
-        counts = rng.generator.poisson(family.intensity * dt, size=out.shape)
-        np.multiply(family.jump_mean, counts, out=out)
-        if family.jump_sd > 0:
-            jitter = np.zeros(out.shape)
-            jumped = counts > 0
-            jitter[jumped] = np.sqrt(counts[jumped]) * sample_normal(rng, int(jumped.sum()))
-            out += family.jump_sd * jitter
-        return out
-    raise TypeError(f"unknown Levy family {family!r}")
+    return family.increments(dt, rng, out, scratch)
+
+
+# ---------------------------------------------------------------------------
+# Row blocks
+# ---------------------------------------------------------------------------
+
+_BLOCK_BYTES = 1 << 20  # bytes of values in one row block
+
+
+def _row_blocks(n_paths: int, n_times: int, blocked: bool, out=None):
+    """``(first, rows)`` for consecutive row blocks, or one block of all rows;
+    ``rows`` views ``out``, or one buffer that every block reuses."""
+    step = max(1, _BLOCK_BYTES // (8 * n_times)) if blocked else n_paths
+    buffer = np.empty((min(step, n_paths), n_times)) if out is None else None
+    for first in range(0, n_paths, step):
+        rows = min(step, n_paths - first)
+        yield first, out[first : first + rows] if buffer is None else buffer[:rows]
+
+
+def _chronometer_increments(chrono_values: np.ndarray, out=None, first: int = 0) -> np.ndarray:
+    """Per-path elapsed chronometer time, validating monotonicity; row ``i`` is path ``first + i``."""
+    out = np.empty_like(chrono_values) if out is None else out
+    out[:, 0] = chrono_values[:, 0]
+    np.subtract(chrono_values[:, 1:], chrono_values[:, :-1], out=out[:, 1:])
+    if np.any(out[:, 0] < 0):
+        path = first + int(np.argmax(out[:, 0] < 0))
+        raise ContractViolation(f"chronometer path {path} is negative at the first time")
+    if np.any(out[:, 1:] < 0):
+        path = first + int(np.argmax(np.any(out[:, 1:] < 0, axis=1)))
+        raise ContractViolation(f"chronometer path {path} is decreasing")
+    return out
+
+
+def _prefetched(draw, sizes, threads: int):
+    """``draw(size)`` for each of ``sizes``, in order.
+
+    With ``threads > 1`` and more than one size, one helper thread makes
+    the next draw while the caller works on the current one, so one extra
+    result is in flight; otherwise each draw runs inline when it is asked
+    for.  Every draw runs on one thread, in order, so a stream that only
+    ``draw`` consumes gives the same values either way.
+    """
+    if threads < 2 or len(sizes) < 2:
+        yield from map(draw, sizes)
+        return
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        # popped before it is yielded, so the caller holds the only reference
+        pending = deque([helper.submit(draw, sizes[0])])
+        for size in sizes[1:]:
+            pending.append(helper.submit(draw, size))
+            yield pending.popleft().result()
+        yield pending.popleft().result()
+
+
+def _blend_blocks(atoms, grid: TimeGrid, n_paths: int, sample, exponent: float = 1.0, blocked: bool = False, out=None):
+    """``sum_i w_i * X((u_i * t)**exponent)`` over the atoms ``(u_i, w_i)``.
+
+    ``sample(merged, rows)`` draws the next ``rows`` paths of the one
+    underlying ``X`` at the sorted distinct points; every atom then
+    gathers its columns from it.
+    """
+    points = np.multiply.outer(np.array([u for u, _ in atoms]), grid.times) ** exponent
+    merged = np.unique(points)
+    pos = np.searchsorted(merged, points)
+    weights = np.array([w for _, w in atoms])
+    for _, rows in _row_blocks(n_paths, len(grid), blocked, out):
+        np.einsum("i,nij->nj", weights, sample(merged, rows.shape[0])[:, pos], out=rows)
+        yield rows
+
+
+class _WholeDraw:
+    """A spec whose ``sample(grid, n_paths, rng, threads)`` draws the whole
+    ensemble at once; it streams as one block."""
+
+    def sample_blocks(self, grid, n_paths, rng, threads=1):
+        whole = self.sample(grid, n_paths, rng, threads)
+        return whole.meta, iter([whole.values])
+
+
+class _RowBlocked:
+    """A spec whose ``blocks(grid, n_paths, rng, threads, out)`` loop yields
+    its rows block by block, in ``out`` or in one buffer that every block
+    reuses.  ``per_element``: the loop draws one variate per element in C
+    order from the one stream it is given, so it can be drawn in blocks."""
+
+    per_element = False
+
+    def sample(self, grid, n_paths, rng, threads=1):
+        values = np.empty((n_paths, len(grid)))
+        for _ in self.blocks(grid, n_paths, rng, threads, values):
+            pass
+        return PathEnsemble(grid, values, self, rng.seed, rng.stream)
+
+    def sample_blocks(self, grid, n_paths, rng, threads=1):
+        return {}, self.blocks(grid, n_paths, rng, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +377,11 @@ def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None, 
 
 
 @dataclass(frozen=True)
-class StableLine:
+class StableLine(_WholeDraw):
     """Random line ``X_t = t * S`` with S strictly stable of the given index."""
 
+    label_name = "stable_line"
+    nondecreasing = False
     alpha: float
 
     def __post_init__(self):
@@ -277,11 +391,17 @@ class StableLine:
     def idt_exponent(self) -> float:
         return self.alpha
 
+    def sample(self, grid, n_paths, rng, threads=1):
+        draws = sample_stable(rng, StableParams(self.alpha, 0.0), n_paths)
+        return PathEnsemble(grid, draws[:, None] * grid.times[None, :], self, rng.seed, rng.stream)
+
 
 @dataclass(frozen=True)
-class PowerLine:
+class PowerLine(_WholeDraw):
     """Power curve ``X_t = t**alpha * S`` with S standard Cauchy."""
 
+    label_name = "power_line"
+    nondecreasing = False
     alpha: float
 
     def __post_init__(self):
@@ -292,22 +412,32 @@ class PowerLine:
     def idt_exponent(self) -> float:
         return self.alpha
 
+    def sample(self, grid, n_paths, rng, threads=1):
+        draws = sample_stable(rng, StableParams(1.0, 0.0), n_paths)
+        return PathEnsemble(grid, draws[:, None] * (grid.times**self.alpha)[None, :], self, rng.seed, rng.stream)
+
 
 @dataclass(frozen=True)
-class GaussianKernel:
+class GaussianKernel(_WholeDraw):
     """Centered Gaussian process with the given scaling covariance kernel."""
 
+    label_name = "gaussian"
+    nondecreasing = False
     kernel: Union[FBmKernel, SpectralKernel]
 
     @property
     def idt_exponent(self) -> float:
         return self.kernel.idt_exponent
 
+    def sample(self, grid, n_paths, rng, threads=1):
+        return gaussian_paths(self.kernel, grid, n_paths, rng)
+
 
 @dataclass(frozen=True)
-class AdditiveTimeChange:
+class AdditiveTimeChange(_RowBlocked):
     """Levy process run through the deterministic clock ``t -> t**alpha``."""
 
+    label_name = "additive"
     family: LevyFamily
     alpha: float
 
@@ -319,29 +449,72 @@ class AdditiveTimeChange:
     def idt_exponent(self) -> float:
         return self.alpha
 
+    @property
+    def nondecreasing(self) -> bool:
+        return self.family.nondecreasing
+
+    @property
+    def per_element(self) -> bool:
+        return self.family.per_element
+
+    def blocks(self, grid, n_paths, rng, threads=1, out=None):
+        dts = np.diff(grid.times**self.alpha, prepend=0.0)
+        for _, rows in _row_blocks(n_paths, len(grid), self.per_element, out):
+            levy_increments(self.family, dts, rng, out=rows)
+            np.cumsum(rows, axis=1, out=rows)
+            yield rows
+
 
 @dataclass(frozen=True)
-class Subordinated:
+class Subordinated(_RowBlocked):
     """Levy process evaluated along an independent nondecreasing chronometer."""
 
+    label_name = "subordinated"
     family: LevyFamily
     chrono: "ProcessSpec"
 
     def __post_init__(self):
-        if not is_nondecreasing_spec(self.chrono):
-            raise ValueError(
-                "chronometer spec must be provably nondecreasing by construction"
-            )
+        if not self.chrono.nondecreasing:
+            raise ValueError("chronometer spec must be provably nondecreasing by construction")
 
     @property
     def idt_exponent(self) -> float:
         return self.chrono.idt_exponent
 
+    @property
+    def nondecreasing(self) -> bool:
+        return self.family.nondecreasing and self.chrono.nondecreasing
+
+    def blocks(self, grid, n_paths, rng, threads=1, out=None):
+        """Both streams are split once and continue from block to block, so
+        only a clock that does not split its stream again can be drawn in
+        blocks."""
+        family, chrono = self.family, self.chrono
+        chrono_rng, family_rng = rng.split(0), rng.split(1)
+        row_blocks = list(_row_blocks(n_paths, len(grid), family.per_element and chrono.per_element, out))
+        clocks = _prefetched(
+            lambda size: generate(chrono, grid, size, chrono_rng).values,
+            [rows.shape[0] for _, rows in row_blocks],
+            threads,
+        )
+        # drift*dt or the gamma shape goes into one block reused by every block
+        # (one block needs none); the Brownian scale stays a new array, made
+        # after the clock block it replaces is freed
+        scratch = np.empty(row_blocks[0][1].shape) if family.per_element and len(row_blocks) > 1 else None
+        with closing(clocks):
+            for first, rows in row_blocks:
+                _chronometer_increments(next(clocks), rows, first)
+                block_scratch = None if scratch is None else scratch[: rows.shape[0]]
+                levy_increments(family, rows, family_rng, out=rows, scratch=block_scratch)
+                np.cumsum(rows, axis=1, out=rows)
+                yield rows
+
 
 @dataclass(frozen=True)
-class Mixture:
+class Mixture(_RowBlocked):
     """Weighted combination ``sum_i w_i X(u_i * t)`` of one underlying path."""
 
+    label_name = "mixture"
     base: "ProcessSpec"
     atoms: tuple
 
@@ -358,11 +531,23 @@ class Mixture:
     def idt_exponent(self) -> float:
         return self.base.idt_exponent
 
+    @property
+    def nondecreasing(self) -> bool:
+        return self.base.nondecreasing and all(w >= 0 for _, w in self.atoms)
+
+    def blocks(self, grid, n_paths, rng, threads=1, out=None):  # drawn as one block
+        def base(merged, rows):
+            return generate(self.base, TimeGrid(merged), rows, rng.split(0)).values
+
+        return _blend_blocks(self.atoms, grid, n_paths, base, out=out)
+
 
 @dataclass(frozen=True)
-class WeightedSubordinator:
+class WeightedSubordinator(_RowBlocked):
     """Weighted sum ``sum_j w_j X((u_j * t)**alpha)`` of one subordinator path."""
 
+    label_name = "weighted_subordinator"
+    nondecreasing = True
     family: LevyFamily
     atoms: tuple
     alpha: float
@@ -379,76 +564,94 @@ class WeightedSubordinator:
                 raise ValueError(f"weight must be nonnegative, got {w}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not is_nondecreasing_family(self.family):
+        if not self.family.nondecreasing:
             raise ValueError("family must be a nondecreasing (subordinator) family")
 
     @property
     def idt_exponent(self) -> float:
         return self.alpha
 
+    def blocks(self, grid, n_paths, rng, threads=1, out=None):
+        def subordinator(epochs, rows):
+            path = levy_increments(self.family, np.diff(epochs, prepend=0.0), rng, size=(rows, epochs.size))
+            return np.cumsum(path, axis=1, out=path)
+
+        return _blend_blocks(self.atoms, grid, n_paths, subordinator, self.alpha, self.family.per_element, out)
+
 
 ProcessSpec = Union[
-    StableLine,
-    PowerLine,
-    GaussianKernel,
-    AdditiveTimeChange,
-    Subordinated,
-    Mixture,
-    WeightedSubordinator,
+    StableLine, PowerLine, GaussianKernel, AdditiveTimeChange, Subordinated, Mixture, WeightedSubordinator
 ]
 
 
-def is_nondecreasing_spec(spec) -> bool:
-    """True when every path of the spec is nondecreasing by construction."""
-    if isinstance(spec, AdditiveTimeChange):
-        return is_nondecreasing_family(spec.family)
-    if isinstance(spec, Subordinated):
-        return is_nondecreasing_family(spec.family) and is_nondecreasing_spec(spec.chrono)
-    if isinstance(spec, WeightedSubordinator):
-        return True
-    if isinstance(spec, Mixture):
-        return is_nondecreasing_spec(spec.base) and all(w >= 0 for _, w in spec.atoms)
-    return False
-
-
 def spec_label(spec) -> str:
-    """Canonical readable label; stable across runs, used in keys and metadata."""
-    if isinstance(spec, StableLine):
-        return f"stable_line(alpha={spec.alpha!r})"
-    if isinstance(spec, PowerLine):
-        return f"power_line(alpha={spec.alpha!r})"
-    if isinstance(spec, GaussianKernel):
-        k = spec.kernel
-        if isinstance(k, FBmKernel):
-            return f"gaussian(fbm(hurst={k.hurst!r}))"
-        atoms = ",".join(f"({a!r},{w!r})" for a, w in k.measure.atoms)
-        return f"gaussian(spectral(alpha={k.alpha!r},atoms=[{atoms}]))"
-    if isinstance(spec, AdditiveTimeChange):
-        return f"additive({family_label(spec.family)},alpha={spec.alpha!r})"
-    if isinstance(spec, Subordinated):
-        return f"subordinated({family_label(spec.family)},chrono={spec_label(spec.chrono)})"
-    if isinstance(spec, Mixture):
-        atoms = ",".join(f"({u!r},{w!r})" for u, w in spec.atoms)
-        return f"mixture({spec_label(spec.base)},atoms=[{atoms}])"
-    if isinstance(spec, WeightedSubordinator):
-        atoms = ",".join(f"({u!r},{w!r})" for u, w in spec.atoms)
-        return f"weighted_subordinator({family_label(spec.family)},atoms=[{atoms}],alpha={spec.alpha!r})"
-    raise TypeError(f"unknown spec {spec!r}")
+    """Canonical readable label; stable across runs, used in keys and metadata.
+
+    ``label_name(name=value,...)`` over a spec's, family's or kernel's
+    fields in order: a leading nested spec, family or kernel goes in bare,
+    atoms as ``[(u,w),...]``, and a spectral measure's atoms in place.
+    """
+    return f"{spec.label_name}({','.join(_label_parts(spec))})"
 
 
-def family_label(family: LevyFamily) -> str:
-    if isinstance(family, Brownian):
-        return f"brownian(volatility={family.volatility!r},drift={family.drift!r})"
-    if isinstance(family, StableMotion):
-        return f"stable_motion(index={family.index!r},skew={family.skew!r})"
-    if isinstance(family, GammaSubordinator):
-        return f"gamma(shape={family.shape!r},rate={family.rate!r})"
-    if isinstance(family, CompoundPoisson):
-        return (
-            f"compound_poisson(intensity={family.intensity!r},"
-            f"jump_mean={family.jump_mean!r},jump_sd={family.jump_sd!r})"
-        )
-    raise TypeError(f"unknown family {family!r}")
+def _label_parts(obj):
+    for i, field in enumerate(fields(obj)):
+        value = getattr(obj, field.name)
+        if hasattr(value, "label_name"):
+            yield spec_label(value) if i == 0 else f"{field.name}={spec_label(value)}"
+        elif is_dataclass(value):  # a spectral measure
+            yield from _label_parts(value)
+        elif isinstance(value, tuple):
+            yield f"{field.name}=[{','.join(f'({u!r},{w!r})' for u, w in value)}]"
+        else:
+            yield f"{field.name}={value!r}"
+
+
+# ---------------------------------------------------------------------------
+# Config kinds: each maps to ``(constructor, fields)``.  Fields are
+# ``(name, type, default)`` as in ``statlab.TestKind.fields``, where the
+# type may also be ``"spec"``; a default of ``None`` marks a required field.
+# ---------------------------------------------------------------------------
+
+
+def _atoms(points, weights) -> tuple:
+    """``(point, weight)`` atoms from the config's dilations or locations and weights."""
+    if len(points) != len(weights):
+        raise ValueError(f"got {len(points)} dilations or locations but {len(weights)} weights")
+    return tuple(zip(points, weights))
+
+
+FAMILY_KINDS = {
+    "brownian": (Brownian, (("volatility", "float", 1.0), ("drift", "float", 0.0))),
+    "stable_motion": (StableMotion, (("index", "float", None), ("skew", "float", 0.0))),
+    "gamma": (GammaSubordinator, (("shape", "float", 1.0), ("rate", "float", 1.0))),
+    "compound_poisson": (
+        CompoundPoisson,
+        (("intensity", "float", None), ("jump_mean", "float", 0.0), ("jump_sd", "float", 1.0)),
+    ),
+}
+_ATOM_FIELDS = (("dilations", "floats", None), ("weights", "floats", None))
+SPEC_KINDS = {
+    "stable_line": (StableLine, (("alpha", "float", None),)),
+    "power_line": (PowerLine, (("alpha", "float", None),)),
+    "fbm": (lambda hurst: GaussianKernel(FBmKernel(hurst)), (("hurst", "float", None),)),
+    "spectral": (
+        lambda locations, weights, alpha: GaussianKernel(
+            SpectralKernel(alpha, SpectralMeasure.symmetric(_atoms(locations, weights)))
+        ),
+        (("locations", "floats", None), ("weights", "floats", None), ("alpha", "float", None)),
+    ),
+    "additive": (AdditiveTimeChange, (("family", "family", None), ("alpha", "float", None))),
+    "subordinated": (Subordinated, (("family", "family", None), ("chrono", "spec", None))),
+    "mixture": (
+        lambda dilations, weights, base: Mixture(base, _atoms(dilations, weights)),
+        _ATOM_FIELDS + (("base", "spec", None),),
+    ),
+    "weighted_subordinator": (
+        lambda dilations, weights, family, alpha: WeightedSubordinator(family, _atoms(dilations, weights), alpha),
+        _ATOM_FIELDS + (("family", "family", None), ("alpha", "float", None)),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -501,139 +704,6 @@ def gaussian_paths(kernel, grid: TimeGrid, n_paths: int, rng: RngState) -> PathE
     )
 
 
-_BLOCK_BYTES = 1 << 20  # bytes of values in one row block
-
-
-def _row_blocks(n_paths: int, n_times: int, blocked: bool, out=None):
-    """``(first, rows)`` for consecutive row blocks, or one block of all rows;
-    ``rows`` views ``out``, or one buffer that every block reuses."""
-    step = max(1, _BLOCK_BYTES // (8 * n_times)) if blocked else n_paths
-    buffer = np.empty((min(step, n_paths), n_times)) if out is None else None
-    for first in range(0, n_paths, step):
-        rows = min(step, n_paths - first)
-        yield first, out[first : first + rows] if buffer is None else buffer[:rows]
-
-
-def _drawn_per_element(family: LevyFamily) -> bool:
-    """True when the family draws one variate per increment, in C order (see the module docstring)."""
-    return isinstance(family, (Brownian, GammaSubordinator))
-
-
-def _additive_blocks(spec: AdditiveTimeChange, grid: TimeGrid, n_paths: int, rng: RngState, out=None):
-    dts = np.diff(grid.times**spec.alpha, prepend=0.0)
-    for _, rows in _row_blocks(n_paths, len(grid), _drawn_per_element(spec.family), out):
-        levy_increments(spec.family, dts, rng, out=rows)
-        np.cumsum(rows, axis=1, out=rows)
-        yield rows
-
-
-def _chronometer_increments(chrono_values: np.ndarray, out=None, first: int = 0) -> np.ndarray:
-    """Per-path elapsed chronometer time, validating monotonicity; row ``i`` is path ``first + i``."""
-    out = np.empty_like(chrono_values) if out is None else out
-    out[:, 0] = chrono_values[:, 0]
-    np.subtract(chrono_values[:, 1:], chrono_values[:, :-1], out=out[:, 1:])
-    if np.any(out[:, 0] < 0):
-        path = first + int(np.argmax(out[:, 0] < 0))
-        raise ContractViolation(f"chronometer path {path} is negative at the first time")
-    if np.any(out[:, 1:] < 0):
-        path = first + int(np.argmax(np.any(out[:, 1:] < 0, axis=1)))
-        raise ContractViolation(f"chronometer path {path} is decreasing")
-    return out
-
-
-def _prefetched(draw, sizes, threads: int):
-    """``draw(size)`` for each of ``sizes``, in order.
-
-    With ``threads > 1`` and more than one size, one helper thread makes
-    the next draw while the caller works on the current one, so one extra
-    result is in flight; otherwise each draw runs inline when it is asked
-    for.  Every draw runs on one thread, in order, so a stream that only
-    ``draw`` consumes gives the same values either way.
-    """
-    if threads < 2 or len(sizes) < 2:
-        yield from map(draw, sizes)
-        return
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        # popped before it is yielded, so the caller holds the only reference
-        pending = deque([helper.submit(draw, sizes[0])])
-        for size in sizes[1:]:
-            pending.append(helper.submit(draw, size))
-            yield pending.popleft().result()
-        yield pending.popleft().result()
-
-
-def _subordinated_blocks(spec: Subordinated, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1, out=None):
-    """A Levy process along independently drawn chronometer paths.  Both
-    streams are split once and continue from block to block, so only a
-    clock that does not split its stream again can be drawn in blocks."""
-    family, chrono = spec.family, spec.chrono
-    chrono_rng, family_rng = rng.split(0), rng.split(1)
-    blocked = _drawn_per_element(family) and (
-        isinstance(chrono, AdditiveTimeChange) and _drawn_per_element(chrono.family)
-    )
-    blocks = list(_row_blocks(n_paths, len(grid), blocked, out))
-    clocks = _prefetched(
-        lambda size: generate(chrono, grid, size, chrono_rng).values,
-        [rows.shape[0] for _, rows in blocks],
-        threads,
-    )
-    # drift*dt or the gamma shape goes into one block reused by every block
-    # (one block needs none); the Brownian scale stays a new array, made
-    # after the clock block it replaces is freed
-    scratch = np.empty(blocks[0][1].shape) if _drawn_per_element(family) and len(blocks) > 1 else None
-    with closing(clocks):
-        for first, rows in blocks:
-            _chronometer_increments(next(clocks), rows, first)
-            block_scratch = None if scratch is None else scratch[: rows.shape[0]]
-            levy_increments(family, rows, family_rng, out=rows, scratch=block_scratch)
-            np.cumsum(rows, axis=1, out=rows)
-            yield rows
-
-
-def _blend_blocks(atoms, grid: TimeGrid, n_paths: int, sample, exponent: float = 1.0, blocked: bool = False, out=None):
-    """``sum_i w_i * X((u_i * t)**exponent)`` over the atoms ``(u_i, w_i)``.
-
-    ``sample(merged, rows)`` draws the next ``rows`` paths of the one
-    underlying ``X`` at the sorted distinct points; every atom then
-    gathers its columns from it.
-    """
-    points = np.multiply.outer(np.array([u for u, _ in atoms]), grid.times) ** exponent
-    merged = np.unique(points)
-    pos = np.searchsorted(merged, points)
-    weights = np.array([w for _, w in atoms])
-    for _, rows in _row_blocks(n_paths, len(grid), blocked, out):
-        np.einsum("i,nij->nj", weights, sample(merged, rows.shape[0])[:, pos], out=rows)
-        yield rows
-
-
-def _block_loop(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1, out=None):
-    """The spec's row-block loop, filling ``out`` or one reused buffer."""
-    if isinstance(spec, AdditiveTimeChange):
-        return _additive_blocks(spec, grid, n_paths, rng, out)
-    if isinstance(spec, Subordinated):
-        return _subordinated_blocks(spec, grid, n_paths, rng, threads, out)
-    if isinstance(spec, WeightedSubordinator):
-        def subordinator(epochs, rows):
-            path = levy_increments(spec.family, np.diff(epochs, prepend=0.0), rng, size=(rows, epochs.size))
-            return np.cumsum(path, axis=1, out=path)
-
-        blocked = _drawn_per_element(spec.family)
-        return _blend_blocks(spec.atoms, grid, n_paths, subordinator, spec.alpha, blocked, out)
-    if isinstance(spec, Mixture):  # drawn as one block
-        return _blend_blocks(
-            spec.atoms, grid, n_paths, lambda merged, rows: generate(spec.base, TimeGrid(merged), rows, rng.split(0)).values, out=out
-        )
-    raise TypeError(f"unknown process spec {spec!r}")
-
-
-def _collected(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1) -> PathEnsemble:
-    """The spec's ensemble, its block loop collected into one output array."""
-    values = np.empty((n_paths, len(grid)))
-    for _ in _block_loop(spec, grid, n_paths, rng, threads, values):
-        pass
-    return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
-
-
 def _checked_request(grid, n_paths):
     """``(grid, n_paths)`` as a TimeGrid of nonnegative times and a positive int."""
     if not isinstance(grid, TimeGrid):
@@ -647,23 +717,13 @@ def _checked_request(grid, n_paths):
 
 
 def generate(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1) -> PathEnsemble:
-    """Dispatch to the family generator; paths are mutually independent.
+    """The spec's ensemble; paths are mutually independent.
 
     ``threads > 1`` lets a subordinated spec draw its clock on a helper
     thread; the values are the same at every thread count.
     """
     grid, n_paths = _checked_request(grid, n_paths)
-    if isinstance(spec, StableLine):
-        draws = sample_stable(rng, StableParams(spec.alpha, 0.0), n_paths)
-        values = draws[:, None] * grid.times[None, :]
-        return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
-    if isinstance(spec, PowerLine):
-        draws = sample_stable(rng, StableParams(1.0, 0.0), n_paths)
-        values = draws[:, None] * (grid.times**spec.alpha)[None, :]
-        return PathEnsemble(grid, values, spec, rng.seed, rng.stream)
-    if isinstance(spec, GaussianKernel):
-        return gaussian_paths(spec.kernel, grid, n_paths, rng)
-    return _collected(spec, grid, n_paths, rng, threads)
+    return spec.sample(grid, n_paths, rng, threads)
 
 
 def sample_blocks(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1):
@@ -672,7 +732,4 @@ def sample_blocks(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: in
     the ensemble's metadata.  Lines and Gaussian kernels yield one block.
     """
     grid, n_paths = _checked_request(grid, n_paths)
-    if isinstance(spec, (StableLine, PowerLine, GaussianKernel)):
-        whole = generate(spec, grid, n_paths, rng, threads)
-        return whole.meta, iter([whole.values])
-    return {}, _block_loop(spec, grid, n_paths, rng, threads)
+    return spec.sample_blocks(grid, n_paths, rng, threads)

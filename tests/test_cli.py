@@ -383,6 +383,81 @@ spec.chrono.family.kind = gamma
 """
 
 
+
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        ("run", RUN_OK.replace("spec.alpha = 1.5\n", ""), "'spec.alpha'"),
+        ("run", RUN_OK.replace("test.pathline.n = 2\n", ""), "'test.pathline.n'"),
+        ("run", RUN_OK.replace("spec.kind = stable_line\n", ""), "'spec.kind'"),
+        (
+            "run",
+            RUN_OK.replace("spec.kind = stable_line\nspec.alpha = 1.5\n", "spec.kind = additive\nspec.alpha = 0.7\nspec.family.kind = stable_motion\n"),
+            "'spec.family.index'",
+        ),
+        ("calibrate", CALIBRATE_CONF + "entry.b.test = idt\nentry.b.n = 2\nentry.b.spec.kind = fbm\n", "'entry.b.spec.hurst'"),
+        ("calibrate", CALIBRATE_CONF + "entry.b.n = 2\nentry.b.spec.kind = fbm\nentry.b.spec.hurst = 0.3\n", "'entry.b.test'"),
+    ],
+    ids=["spec_alpha", "test_n", "spec_kind", "family_index", "entry_spec_hurst", "entry_test"],
+)
+def test_missing_field_is_named_by_its_dotted_path(tmp_path, capsys, command, text, field):
+    conf = _write(tmp_path, text.format(out=tmp_path / "out"))
+    assert main([command, conf, "--threads", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: missing required config field {field}\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, key, accepted",
+    [
+        (
+            "run",
+            RUN_OK.replace("spec.kind = stable_line\nspec.alpha = 1.5\n", SUBORDINATED_SPEC + "spec.family.drfit = 0.3\n"),
+            "spec.family.drfit",
+            "kind, volatility, drift",
+        ),
+        ("run", RUN_OK + "spec.aplha = 1\n", "spec.aplha", "kind, alpha"),
+        ("run", RUN_OK + "test.pathline.mdoe = sum\n", "test.pathline.mdoe", "kind, threshold, times, n, alpha, mode"),
+        (
+            "calibrate",
+            CALIBRATE_CONF + "entry.low.nreps = 30\n",
+            "entry.low.nreps",
+            "test, spec, n_paths, quantile, n_reps, grid, times, n, alpha, mode",
+        ),
+    ],
+    ids=["family", "spec", "test", "entry"],
+)
+def test_undeclared_key_exit_two(tmp_path, capsys, monkeypatch, command, text, key, accepted):
+    import idtlab.cli
+
+    replays = []
+    monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: replays.append(args) or 0.0)
+    conf = _write(tmp_path, text.format(out=tmp_path / "out"))
+    assert main([command, conf, "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: unknown config field {key!r}; ")
+    assert err.rstrip().endswith(f"takes {accepted}")
+    assert replays == []
+
+
+@pytest.mark.parametrize("command", ["run", "calibrate"])
+def test_every_section_is_checked_before_the_first_replay(tmp_path, capsys, monkeypatch, command):
+    import idtlab.cli
+
+    replays = []
+    monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: replays.append(args) or 0.0)
+    if command == "run":
+        text = RUN_OK.replace("test.pathline.threshold = 0.5\n", "threshold_table = calibrate\ncalibration.n_reps = 100\n")
+        text += "test.zlast.kind = idt\n"  # sorted last, and missing its n
+        field = "'test.zlast.n'"
+    else:
+        text = CALIBRATE_CONF + "entry.zlast.test = idt\nentry.zlast.n = 2\nentry.zlast.spec.kind = stable_line\nentry.zlast.spec.alpha = 3\n"
+        field = "'entry.zlast.spec.alpha'"
+    conf = _write(tmp_path, text.format(out=tmp_path / "out"))
+    assert main([command, conf, "--threads", "1"]) == 2
+    assert field in capsys.readouterr().err
+    assert replays == []
+    assert not (tmp_path / "thresholds.json").exists()
+
 def test_export_round_trip(tmp_path):
     out = tmp_path / "out"
     conf = _write(tmp_path, EXPORT_CONF.format(out=out))

@@ -141,3 +141,26 @@ def test_writes_are_atomic_no_leftover_temp(tmp_path):
     write_binary(e, tmp_path / "a.bin")
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["a.bin", "a.csv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    import os
+
+    from idtlab.io import atomic_write_bytes
+
+    def failing():
+        yield b"partial"
+        raise RuntimeError("mid-write")
+
+    old = os.umask(umask)
+    try:
+        write_csv(_ensemble(), tmp_path / "a.csv")
+        write_binary(_ensemble(), tmp_path / "a.bin")
+        with pytest.raises(RuntimeError):
+            atomic_write_bytes(tmp_path / "b.json", failing())
+    finally:
+        os.umask(old)
+    for name in ("a.csv", "a.bin"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "a.csv"]

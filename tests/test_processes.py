@@ -26,7 +26,6 @@ from idtlab.processes import (
     _chronometer_increments,
     gaussian_paths,
     generate,
-    is_nondecreasing_spec,
     levy_increments,
     spec_label,
 )
@@ -228,7 +227,7 @@ def test_subordinated_runtime_recheck_catches_bad_samples(monkeypatch):
     broken = PathEnsemble(GRID, np.array([[0.0, 1.0, 0.5]]), chrono, 0)
     monkeypatch.setattr(proc, "generate", lambda *a, **k: broken)
     with pytest.raises(ContractViolation, match="path 0"):
-        proc._collected(Subordinated(Brownian(1.0, 0.0), chrono), GRID, 1, RngState(1))
+        Subordinated(Brownian(1.0, 0.0), chrono).sample(GRID, 1, RngState(1))
 
 
 def test_blocked_chronometer_check_names_the_global_path(monkeypatch):
@@ -250,7 +249,7 @@ def test_blocked_chronometer_check_names_the_global_path(monkeypatch):
     for threads, drawn in ((1, [7, 7]), (2, [7, 7, 6])):
         calls = []
         with pytest.raises(ContractViolation, match="path 10 is decreasing"):
-            proc._collected(Subordinated(Brownian(1.0, 0.0), chrono), GRID, 20, RngState(1), threads)
+            Subordinated(Brownian(1.0, 0.0), chrono).sample(GRID, 20, RngState(1), threads)
         assert calls == drawn
 
 
@@ -299,12 +298,12 @@ def test_concurrent_clock_prefetch_under_fast_switching(monkeypatch):
 
 def test_nondecreasing_spec_classifier():
     gamma_clock = AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7)
-    assert is_nondecreasing_spec(gamma_clock)
-    assert is_nondecreasing_spec(Subordinated(GammaSubordinator(1.0, 1.0), gamma_clock))
-    assert is_nondecreasing_spec(Mixture(gamma_clock, ((1.0, 0.5), (2.0, 0.5))))
-    assert not is_nondecreasing_spec(Mixture(gamma_clock, ((1.0, 1.0), (2.0, -0.5))))
-    assert not is_nondecreasing_spec(StableLine(1.0))
-    assert not is_nondecreasing_spec(GaussianKernel(FBmKernel(0.3)))
+    assert gamma_clock.nondecreasing
+    assert Subordinated(GammaSubordinator(1.0, 1.0), gamma_clock).nondecreasing
+    assert Mixture(gamma_clock, ((1.0, 0.5), (2.0, 0.5))).nondecreasing
+    assert not Mixture(gamma_clock, ((1.0, 1.0), (2.0, -0.5))).nondecreasing
+    assert not StableLine(1.0).nondecreasing
+    assert not GaussianKernel(FBmKernel(0.3)).nondecreasing
 
 
 # ---------------------------------------------------------------------------
@@ -503,3 +502,85 @@ def test_changing_any_one_value_changes_the_label(spec):
     label = spec_label(spec)
     for variant in _one_value_changed(spec):
         assert spec_label(variant) != label
+
+
+# Labels key the shipped threshold table and must not change: one spec or
+# family of each kind, with its label as a literal string.
+_PINNED_LABELS = [
+    (StableLine(1.5), "stable_line(alpha=1.5)"),
+    (PowerLine(0.7), "power_line(alpha=0.7)"),
+    (GaussianKernel(FBmKernel(0.3)), "gaussian(fbm(hurst=0.3))"),
+    (
+        GaussianKernel(SpectralKernel(1.0, SpectralMeasure.symmetric(((0.0, 2.0), (1.5, 1.0))))),
+        "gaussian(spectral(alpha=1.0,atoms=[(0.0,2.0),(1.5,0.5),(-1.5,0.5)]))",
+    ),
+    (AdditiveTimeChange(Brownian(1.0, 0.3), 0.5), "additive(brownian(volatility=1.0,drift=0.3),alpha=0.5)"),
+    (
+        Subordinated(CompoundPoisson(2.0, 0.5, 0.1), AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7)),
+        "subordinated(compound_poisson(intensity=2.0,jump_mean=0.5,jump_sd=0.1),"
+        "chrono=additive(gamma(shape=1.0,rate=1.0),alpha=0.7))",
+    ),
+    (
+        Mixture(Mixture(GaussianKernel(FBmKernel(0.3)), ((1.0, 0.5), (2.0, 0.5))), ((3.0, -1.0),)),
+        "mixture(mixture(gaussian(fbm(hurst=0.3)),atoms=[(1.0,0.5),(2.0,0.5)]),atoms=[(3.0,-1.0)])",
+    ),
+    (
+        WeightedSubordinator(StableMotion(0.5, 1.0), ((1.0, 0.5), (2.0, 0.25)), 0.7),
+        "weighted_subordinator(stable_motion(index=0.5,skew=1.0),atoms=[(1.0,0.5),(2.0,0.25)],alpha=0.7)",
+    ),
+    (Brownian(1.0, 0.3), "brownian(volatility=1.0,drift=0.3)"),
+    (StableMotion(1.5), "stable_motion(index=1.5,skew=0.0)"),
+    (GammaSubordinator(2.0, 3.0), "gamma(shape=2.0,rate=3.0)"),
+    (CompoundPoisson(2.0, 0.5, 0.1), "compound_poisson(intensity=2.0,jump_mean=0.5,jump_sd=0.1)"),
+]
+
+
+@pytest.mark.parametrize("obj, label", _PINNED_LABELS, ids=[label.split("(")[0] for _, label in _PINNED_LABELS])
+def test_pinned_label_of_each_kind(obj, label):
+    assert spec_label(obj) == label
+
+
+def _config_value(obj, name):
+    """The config value of field ``name`` of a spec or family: kernels are
+    read through, and atoms split into points and weights."""
+    obj = getattr(obj, "kernel", obj)
+    if name not in ("dilations", "locations", "weights"):
+        return getattr(obj, name)
+    if hasattr(obj, "measure"):  # back to the (location >= 0, total weight) pairs
+        atoms = [(a, w if a == 0 else 2.0 * w) for a, w in obj.measure.atoms if a >= 0]
+    else:
+        atoms = obj.atoms
+    return [w if name == "weights" else u for u, w in atoms]
+
+
+def _render(obj, prefix="spec"):
+    """Config lines that ``cli.build_spec`` turns back into ``obj``, found
+    through the kind tables: the kind whose constructor rebuilds ``obj``."""
+    from idtlab.processes import FAMILY_KINDS, SPEC_KINDS
+
+    for kind, (make, fields) in {**SPEC_KINDS, **FAMILY_KINDS}.items():
+        try:
+            values = {name: _config_value(obj, name) for name, _, _ in fields}
+            if make(**values) != obj:
+                continue
+        except (AttributeError, ValueError):
+            continue
+        lines = [f"{prefix}.kind = {kind}"]
+        for name, parse, _ in fields:
+            value = values[name]
+            if parse in ("spec", "family"):
+                lines.append(_render(value, f"{prefix}.{name}"))
+            elif parse == "floats":
+                lines.append(f"{prefix}.{name} = {' '.join(map(repr, value))}")
+            else:
+                lines.append(f"{prefix}.{name} = {value!r}")
+        return "\n".join(lines)
+    raise AssertionError(f"no config kind rebuilds {obj!r}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs)
+def test_config_round_trip(spec):
+    from idtlab.cli import build_spec, parse_config_text
+
+    assert build_spec(parse_config_text(_render(spec))["spec"], "spec") == spec
