@@ -86,6 +86,33 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+# the keys each command reads outside its spec, test and entry sections;
+# export also takes run's keys, so one experiment config serves both
+_RUN_KEYS = ("seed", "n_paths", "grid", "output_dir", "quantile", "threshold_table", "calibration.n_reps", "export_csv")
+_COMMAND_KEYS = {
+    "run": (("spec", "test"), _RUN_KEYS),
+    "calibrate": (("entry",), ("seed", "n_paths", "grid", "quantile", "n_reps", "output")),
+    "export": (("spec", "test"), _RUN_KEYS + ("export.formats",)),
+}
+
+
+def _command_config(args, command: str) -> dict:
+    """The config of ``args.config`` with the command-line overrides; a key
+    that ``command`` does not declare is a config error."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg["seed"] = str(args.seed)
+    if args.paths is not None:
+        cfg["n_paths"] = str(args.paths)
+    if command != "calibrate" and args.out is not None:
+        cfg["output_dir"] = args.out
+    sections, keys = _COMMAND_KEYS[command]
+    for key in _flatten({k: v for k, v in cfg.items() if k not in sections}):
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r}; idtlab {command} takes {', '.join(keys + sections)}")
+    return cfg
+
+
 def _flatten(tree: dict, prefix: str = "") -> dict:
     out = {}
     for key, value in tree.items():
@@ -330,14 +357,8 @@ def _write_json(path, doc) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _command_config(args, "run")
     config_dir = os.path.dirname(os.path.abspath(args.config))
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    if args.paths is not None:
-        cfg["n_paths"] = str(args.paths)
-    if args.out is not None:
-        cfg["output_dir"] = args.out
 
     seed, n_paths, grid_list, spec = _require_run_basics(cfg)
     out_dir = str(_get(cfg, "output_dir", "out"))
@@ -359,7 +380,8 @@ def cmd_run(args) -> int:
             raise ConfigError(f"section test.{name} must hold test fields")
         prefix = f"test.{name}"
         kind = _test_kind(_get(node, "kind", required=True, prefix=f"{prefix}."), f"{prefix}.kind")
-        params = _test_params(kind, node, prefix, spec, grid_list, ("kind", "threshold"))
+        # an uncalibrated test reports a p-value and takes no threshold
+        params = _test_params(kind, node, prefix, spec, grid_list, ("kind",) + ("threshold",) * kind.calibrated)
         threshold = _resolve_threshold(kind, node, prefix, spec, n_paths, quantile, params, cfg, config_dir)
         jobs.append((name, kind, params, root.split(_STREAM_TESTS + index), threshold))
     for index, (name, kind, params, rng, threshold) in enumerate(jobs):
@@ -418,12 +440,8 @@ _ENTRY_KEYS = ("test", "spec", "n_paths", "quantile", "n_reps", "grid")
 
 
 def cmd_calibrate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _command_config(args, "calibrate")
     config_dir = os.path.dirname(os.path.abspath(args.config))
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    if args.paths is not None:
-        cfg["n_paths"] = str(args.paths)
 
     seed = _as_int(_get(cfg, "seed", required=True), "seed")
     n_paths_default = _as_int(_get(cfg, "n_paths", required=True), "n_paths")
@@ -483,13 +501,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_export(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    if args.paths is not None:
-        cfg["n_paths"] = str(args.paths)
-    if args.out is not None:
-        cfg["output_dir"] = args.out
+    cfg = _command_config(args, "export")
     seed, n_paths, grid_list, spec = _require_run_basics(cfg)
     out_dir = str(_get(cfg, "output_dir", "out"))
     formats_raw = str(_get(cfg, "export.formats", "csv"))

@@ -11,23 +11,27 @@ and returns an empirical quantile of the statistic.
 ECF evaluation is the cost every replay repeats, so the default grid
 takes a product-form kernel.  Its magnitudes are
 ``THETA_COMPONENTS = 0.25 * 2**j`` and its pair frequencies are
-``(a, +-b)``, so every value is built from the unit phasors
-``exp(i*c*x)``: one ``cos``/``sin`` pair of ``0.25*x`` per path and
-time, then three complex squarings (``z(2c) = z(c)**2``) and
-conjugation for the negative magnitudes.  A single-time ECF is the mean
-of a phasor row; a pair ECF is ``[Z_k Z_l^T, Z_k conj(Z_l)^T] / N``,
-formed as one 4x8 matrix product.  For three times that is 3 ``cos``/
-``sin`` pairs per path instead of 108, one per frequency vector.  Any
-other frequency array, including every custom ``thetas``, takes the
-direct kernel: ``cos``/``sin`` of ``values @ thetas.T``.
+``(a, +-b)``, so every value is built from ``cos`` and ``sin`` of
+``c*x``: one ``cos``/``sin`` pair of ``0.25*x`` per path and time, then
+three real double-angle steps (``c**2 - s**2`` and ``2*c*s``) for the
+larger magnitudes.  A single-time ECF is a row sum of ``[C; S]``; a pair
+ECF comes from one 8x8 real product ``[C_k; S_k] @ [C_l; S_l]^T``, whose
+four blocks give ``Z_k Z_l^T = (CC - SS) + i(CS + SC)`` and
+``Z_k conj(Z_l)^T = (CC + SS) + i(SC - CS)``.  For three times that is
+3 ``cos``/``sin`` pairs per path instead of 108, one per frequency
+vector.  Any other frequency array, including every custom ``thetas``,
+takes the direct kernel: ``cos``/``sin`` of ``values @ thetas.T``.
 
-The product kernel writes its phasors into a per-thread workspace
-(``threading.local``) of ``8 * 16 * N`` bytes per column, kept for the
-life of the thread and regrown only when a call needs more; every
-returned ECF array is fresh.  So replays reuse the same pages instead of
-faulting in new ones, and the distance tests reduce each ensemble to its
-ECFs before generating the next, which keeps one ensemble alive beside
-the workspace.
+The product kernel streams the rows through one fixed block per thread
+(``threading.local``): ``_ECF_BLOCK_ROWS`` = 8,192 rows of ``[C; S]``,
+512 KiB per column in use (``_ECF_BLOCK_BYTES`` = 1 MiB for a pair), so
+1.5 MiB for three times at any number of paths, inside a 2 MiB L2
+cache.  The block is kept for the life of the thread and regrown only
+when a call compares more columns.  The sums of the blocks are added in
+row order, so a result does not depend on the thread, and every returned
+ECF array is fresh.  The distance tests reduce each ensemble to its ECFs
+before generating the next, which keeps one ensemble alive beside the
+block.
 
 Each test kind has one ``TestKind`` entry in ``TEST_KINDS``: its config
 fields and defaults, its threshold-key fields, its preconditions and how
@@ -100,65 +104,99 @@ def _direct_ecf(values_sub: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.cos(phases).mean(axis=0) + 1j * np.sin(phases).mean(axis=0)
 
 
-def _phasors(x: np.ndarray, z: np.ndarray) -> None:
-    """Fill row ``j`` of ``z`` with ``exp(i*s*x)``, ``s = _SIGNED_COMPONENTS[j]``."""
+# a block holds 8 float64 rows, [cos; sin], for each column in use; the
+# two columns of a pair fill _ECF_BLOCK_BYTES, so its rows are 8,192
+_ECF_BLOCK_BYTES = 1 << 20
+_ECF_BLOCK_ROWS = _ECF_BLOCK_BYTES // (2 * len(_SIGNED_COMPONENTS) * 8)
+
+
+def _phasor_block(rows: np.ndarray, cols, w: np.ndarray) -> None:
+    """Fill ``w[i]`` (8, r) with ``[cos; sin]`` of ``c * rows[:, cols[i]]``, ``c`` in ``THETA_COMPONENTS``."""
     k = len(THETA_COMPONENTS)
-    arg = THETA_COMPONENTS[0] * x
-    z[0].real = np.cos(arg)
-    z[0].imag = np.sin(arg)
+    c, s = w[:, :k], w[:, k:]
+    for i, col in enumerate(cols):
+        np.multiply(rows[:, col], THETA_COMPONENTS[0], out=c[i, 1])  # the argument, overwritten below
+    np.cos(c[:, 1], out=c[:, 0])
+    np.sin(c[:, 1], out=s[:, 0])
     for j in range(1, k):
-        np.square(z[j - 1], out=z[j])
-    np.conjugate(z[:k], out=z[k:])
+        # double angle: cos 2a = cos^2 a - sin^2 a, sin 2a = 2 cos a sin a
+        np.multiply(c[:, j - 1], c[:, j - 1], out=c[:, j])
+        np.multiply(s[:, j - 1], s[:, j - 1], out=s[:, j])
+        np.subtract(c[:, j], s[:, j], out=c[:, j])
+        np.multiply(c[:, j - 1], s[:, j - 1], out=s[:, j])
+        np.add(s[:, j], s[:, j], out=s[:, j])
 
 
 _workspace = threading.local()
 
 
-def _phasor_slots(n_slots: int, n: int) -> np.ndarray:
-    """This thread's ``(n_slots, 8, n)`` phasor workspace.
+def _phasor_slots(n_slots: int) -> np.ndarray:
+    """This thread's ``(n_slots, 8, _ECF_BLOCK_ROWS)`` phasor block.
 
     The backing buffer lives as long as the thread and is replaced only
-    when a call needs more than it holds.
+    when a call compares more columns than it holds.
     """
-    size = n_slots * len(_SIGNED_COMPONENTS) * n
+    size = n_slots * len(_SIGNED_COMPONENTS) * _ECF_BLOCK_ROWS
     buf = getattr(_workspace, "buf", None)
     if buf is None or buf.size < size:
-        buf = _workspace.buf = np.empty(size, dtype=np.complex128)
-    return buf[:size].reshape(n_slots, len(_SIGNED_COMPONENTS), n)
+        buf = _workspace.buf = np.empty(size, dtype=np.float64)
+    return buf[:size].reshape(n_slots, len(_SIGNED_COMPONENTS), _ECF_BLOCK_ROWS)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """A fresh complex array ``re + i*im``."""
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return z
 
 
 def _group_ecfs(values: np.ndarray, col_of, groups):
     """ECF values of each ``(cols, thetas)`` group on ``values[:, col_of[c]]``.
 
-    Default-grid groups take the product kernel, with phasors computed
-    once per column into this thread's workspace and shared by every
-    group of the call; any other frequency array takes the direct
-    kernel.  Every returned array is freshly allocated, never a view of
-    the workspace.
+    Default-grid groups take the product kernel: the rows pass through
+    this thread's phasor block ``_ECF_BLOCK_ROWS`` at a time, each column
+    in use once per block, and every group of the call sums from the
+    same block.  Any other frequency array takes the direct kernel.
+    Every returned array is freshly allocated, never a view of the block.
     """
     n = values.shape[0]
     k = len(THETA_COMPONENTS)
     slot_of = {}
-    slots = None
-
-    def z(col):
-        nonlocal slots
-        if col not in slot_of:
-            if slots is None:
-                slots = _phasor_slots(len(col_of), n)
-            slot_of[col] = len(slot_of)
-            _phasors(values[:, col], slots[slot_of[col]])
-        return slots[slot_of[col]]
-
-    out = []
-    for cols, thetas in groups:
+    singles, pairs = [], []
+    out = [None] * len(groups)
+    for i, (cols, thetas) in enumerate(groups):
         cols = [col_of[c] for c in cols]
         if len(cols) == 1 and np.array_equal(thetas, _SINGLE_THETAS):
-            out.append(z(cols[0])[:k].mean(axis=1))
+            singles.append((i, slot_of.setdefault(cols[0], len(slot_of))))
         elif len(cols) == 2 and np.array_equal(thetas, _PAIR_THETAS):
-            out.append((z(cols[0])[:k] @ z(cols[1]).T).ravel() / n)
+            pairs.append((i, *(slot_of.setdefault(c, len(slot_of)) for c in cols)))
         else:
-            out.append(_direct_ecf(values[:, cols], thetas))
+            out[i] = _direct_ecf(values[:, cols], thetas)
+    if not slot_of:
+        return out
+
+    slots = _phasor_slots(len(slot_of))
+    cols = list(slot_of)  # in slot order
+    row_sums = np.zeros((len(slot_of), 2 * k))
+    pair_sums = np.zeros((len(pairs), 2 * k, 2 * k))
+    for start in range(0, n, _ECF_BLOCK_ROWS):
+        stop = min(n, start + _ECF_BLOCK_ROWS)
+        w = slots[:, :, : stop - start]
+        _phasor_block(values[start:stop], cols, w)
+        if singles:
+            row_sums += w.sum(axis=2)
+        for acc, (_, a, b) in zip(pair_sums, pairs):
+            acc += w[a] @ w[b].T  # [C_a; S_a] @ [C_b; S_b]^T
+
+    for i, slot in singles:
+        out[i] = _complex(row_sums[slot, :k] / n, row_sums[slot, k:] / n)
+    for acc, (i, _, _) in zip(pair_sums, pairs):
+        cc, cs, sc, ss = acc[:k, :k], acc[:k, k:], acc[k:, :k], acc[k:, k:]
+        # Z_a Z_b^T beside Z_a conj(Z_b)^T, in the row layout of _PAIR_THETAS
+        re = np.concatenate([cc - ss, cc + ss], axis=1) / n
+        im = np.concatenate([cs + sc, sc - cs], axis=1) / n
+        out[i] = _complex(re, im).ravel()
     return out
 
 

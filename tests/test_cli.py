@@ -128,6 +128,11 @@ def test_run_out_of_range_spec_value_exit_two(tmp_path, capsys, spec_lines, fiel
     assert field in err
 
 
+def _threshold_line(test_lines):
+    """An explicit threshold for a distance test; association takes none."""
+    return "" if "kind = association" in test_lines else "test.x.threshold = 0.5\n"
+
+
 @pytest.mark.parametrize(
     "test_lines, field",
     [
@@ -154,7 +159,7 @@ def test_run_out_of_range_spec_value_exit_two(tmp_path, capsys, spec_lines, fiel
 )
 def test_run_test_precondition_exit_two(tmp_path, capsys, test_lines, field):
     conf = "seed = 1\nn_paths = 500\ngrid = 0.5 1 2\nspec.kind = stable_line\nspec.alpha = 1.5\n"
-    conf += f"output_dir = {tmp_path / 'out'}\n" + test_lines + "test.x.threshold = 0.5\n"
+    conf += f"output_dir = {tmp_path / 'out'}\n" + test_lines + _threshold_line(test_lines)
     assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
@@ -174,7 +179,7 @@ def test_run_test_precondition_exit_two(tmp_path, capsys, test_lines, field):
 )
 def test_run_bad_exponent_exit_two(tmp_path, capsys, test_lines, alpha):
     conf = "seed = 1\nn_paths = 500\ngrid = 0.5 1 2\nspec.kind = stable_line\nspec.alpha = 1.5\n"
-    conf += f"output_dir = {tmp_path / 'out'}\n" + test_lines + f"test.x.alpha = {alpha}\ntest.x.threshold = 0.5\n"
+    conf += f"output_dir = {tmp_path / 'out'}\n" + test_lines + f"test.x.alpha = {alpha}\n" + _threshold_line(test_lines)
     assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: field 'test.x.alpha': ")
@@ -418,13 +423,20 @@ def test_missing_field_is_named_by_its_dotted_path(tmp_path, capsys, command, te
         ("run", RUN_OK + "spec.aplha = 1\n", "spec.aplha", "kind, alpha"),
         ("run", RUN_OK + "test.pathline.mdoe = sum\n", "test.pathline.mdoe", "kind, threshold, times, n, alpha, mode"),
         (
+            "run",
+            RUN_OK + "test.assoc.kind = association\ntest.assoc.alpha = 1\ntest.assoc.family.kind = brownian\n"
+            "test.assoc.threshold = 0.5\n",
+            "test.assoc.threshold",
+            "kind, times, alpha, level, family",
+        ),
+        (
             "calibrate",
             CALIBRATE_CONF + "entry.low.nreps = 30\n",
             "entry.low.nreps",
             "test, spec, n_paths, quantile, n_reps, grid, times, n, alpha, mode",
         ),
     ],
-    ids=["family", "spec", "test", "entry"],
+    ids=["family", "spec", "test", "association_threshold", "entry"],
 )
 def test_undeclared_key_exit_two(tmp_path, capsys, monkeypatch, command, text, key, accepted):
     import idtlab.cli
@@ -457,6 +469,94 @@ def test_every_section_is_checked_before_the_first_replay(tmp_path, capsys, monk
     assert field in capsys.readouterr().err
     assert replays == []
     assert not (tmp_path / "thresholds.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("run", RUN_OK + "qauntile = 0.5\n", "qauntile"),
+        ("run", RUN_OK + "export.formats = bin\n", "export.formats"),
+        ("run", RUN_OK + "calibration.nreps = 100\n", "calibration.nreps"),
+        ("run", RUN_OK + "calibration = 100\n", "calibration"),
+        ("export", EXPORT_CONF.replace("export.formats", "export.fromats"), "export.fromats"),
+        ("export", EXPORT_CONF + "threshold_tabel = default\n", "threshold_tabel"),
+        ("calibrate", CALIBRATE_CONF + "calibration.n_reps = 100\n", "calibration.n_reps"),
+        ("calibrate", CALIBRATE_CONF + "output_dir = elsewhere\n", "output_dir"),
+    ],
+    ids=["run_quantile", "run_export", "run_calibration", "run_calibration_scalar",
+         "export_formats", "export_top", "calibrate_calibration", "calibrate_output_dir"],
+)
+def test_undeclared_command_key_exit_two(tmp_path, capsys, command, text, key):
+    out = tmp_path / "out"
+    conf = _write(tmp_path, text.format(out=out))
+    assert main([command, conf, "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: unknown key {key!r}; idtlab {command} takes seed, n_paths, grid, ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+    assert not (tmp_path / "thresholds.json").exists()
+
+
+def test_export_reads_a_run_config(tmp_path):
+    text = RUN_OK.replace("output_dir", "threshold_table = default\nquantile = 0.99\nexport_csv = true\noutput_dir")
+    conf = _write(tmp_path, text.format(out=tmp_path / "out"))
+    assert main(["export", conf, "--threads", "1"]) == 0
+    assert read_csv(tmp_path / "out" / "paths.csv").values.shape == (500, 3)
+
+
+def _shipped_configs():
+    """``(source, command, text)`` of every config shipped in the repository."""
+    import ast
+    import importlib.util
+    import pathlib
+    import re
+
+    root = pathlib.Path(__file__).parent.parent
+    yield "calibration.conf", "calibrate", (root / "calibration" / "calibration.conf").read_text()
+    for demo in sorted((root / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(demo.read_text())):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", "") == "CONFIG" for t in node.targets):
+                text = ast.literal_eval(node.value)
+                yield demo.stem, "run", text
+                yield demo.stem, "export", text
+    for block in re.findall(r"^```\w*\n(.*?)^```", (root / "README.md").read_text(), re.M | re.S):
+        if re.search(r"^seed = ", block, re.M):
+            yield "README", "run", block
+            yield "README", "export", block
+    spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
+    workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules["bench_workloads"]
+    for workload in workloads.WORKLOADS.values():
+        yield f"bench_{workload.name}", workload.command, workload.config(1, workloads.SCALES["tiny"])
+
+
+SHIPPED_CONFIGS = list(_shipped_configs())
+
+
+@pytest.mark.parametrize(
+    "command, text", [c[1:] for c in SHIPPED_CONFIGS], ids=[f"{src}-{cmd}" for src, cmd, _ in SHIPPED_CONFIGS]
+)
+def test_shipped_configs_pass_the_strict_parser(tmp_path, monkeypatch, command, text):
+    import idtlab.cli
+
+    # every section is parsed and checked, and the tests run; null replays are skipped
+    monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: 0.1)
+    conf = _write(tmp_path, text.format(out=tmp_path / "out") if "{out}" in text else text)
+    argv = [command, conf, "--out", str(tmp_path / "out"), "--threads", "1"]
+    if command == "export":
+        argv += ["--paths", "100"]
+    assert main(argv) in (0, 1)
+
+
+def test_every_kind_of_shipped_config_is_found():
+    commands = [command for _, command, _ in SHIPPED_CONFIGS]
+    assert commands.count("calibrate") == 2  # the shipped table and the benchmark
+    assert commands.count("run") >= 3  # demo 07, the README example and the benchmark
+    assert commands.count("export") >= 3
+
 
 def test_export_round_trip(tmp_path):
     out = tmp_path / "out"

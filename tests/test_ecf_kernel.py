@@ -23,6 +23,7 @@ from idtlab.processes import (
 )
 from idtlab.randkit import RngState
 from idtlab.statlab import (
+    _ECF_BLOCK_ROWS,
     THETA_COMPONENTS,
     _group_ecfs,
     calibrate,
@@ -111,8 +112,24 @@ def test_stationarity_windows_match_direct_evaluation(window, shift):
 
 
 # ---------------------------------------------------------------------------
-# the per-thread phasor workspace
+# the per-thread phasor block
 # ---------------------------------------------------------------------------
+
+R = _ECF_BLOCK_ROWS
+
+
+def test_default_grid_call_peak_does_not_grow_with_paths():
+    values = generate(SPECS["fbm(0.3)"], GRID, 200_000, RngState(35)).values
+    groups = default_theta_groups(3)
+    _group_ecfs(values[:R], [0, 1, 2], groups)  # warm-up on one block
+    tracemalloc.start()
+    try:
+        _group_ecfs(values, [0, 1, 2], groups)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a workspace of 8 complex phasors per path would be 77 MB here
+    assert peak < 2_000_000
 
 
 def test_default_grid_call_allocates_no_phasor_blocks_after_warm_up(ensemble):
@@ -124,7 +141,7 @@ def test_default_grid_call_allocates_no_phasor_blocks_after_warm_up(ensemble):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one fresh (8, N) complex phasor block is 2.56 MB at 20k paths
+    # one fresh three-column phasor block is 1.5 MiB
     assert peak < 1_000_000
 
 
@@ -139,7 +156,8 @@ def test_results_do_not_alias_the_workspace(ensemble):
 
 def test_workspace_serves_smaller_and_larger_calls():
     groups = default_theta_groups(3)
-    for n in (3000, 500, 4000):
+    # every side of a block boundary, R rows to a block
+    for n in (3000, 1, R - 1, R, R + 1, 3 * R + 7, 20000, 500):
         values = generate(SPECS["fbm(0.3)"], GRID, n, RngState(n)).values
         got = _group_ecfs(values, [0, 1, 2], groups)
         for (cols, thetas), value in zip(groups, got):
@@ -179,6 +197,16 @@ def test_calibrate_is_the_same_at_one_and_two_threads():
     def threshold(threads):
         return calibrate(
             SPECS["stable_line(1.5)"], "idt", 100, 0.99, RngState(34), 2000,
+            threads=threads, n=2, grid=[0.5, 1.0, 2.0], times=[0.5, 1.0, 2.0],
+        )
+
+    assert threshold(1) == threshold(2)
+
+
+def test_calibrate_over_several_blocks_is_the_same_at_one_and_two_threads():
+    def threshold(threads):
+        return calibrate(
+            SPECS["stable_line(1.5)"], "idt", 12, 0.9, RngState(36), 2 * R + 100,
             threads=threads, n=2, grid=[0.5, 1.0, 2.0], times=[0.5, 1.0, 2.0],
         )
 
@@ -243,6 +271,18 @@ def test_nan_in_a_later_group_fails_the_test():
     # the first group compares columns 0 and 1, both finite; the second
     # compares column 1 with column 2, which holds the NaN
     report = stationarity_test(_ensemble_with_nan_column(2), 2, 1, threshold=10.0)
+    assert np.isnan(report.statistic)
+    assert report.passed is False
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_in_the_last_block_fails_the_test(bad):
+    grid = TimeGrid([1.0, 2.0, 3.0])
+    values = generate(GaussianKernel(FBmKernel(0.3)), grid, 2 * R + 5, RngState(37)).values.copy()
+    values[-1, 2] = bad
+    ens = PathEnsemble(grid, values, spec=None, seed=37)
+    with np.errstate(invalid="ignore"):
+        report = stationarity_test(ens, 2, 1, threshold=10.0)
     assert np.isnan(report.statistic)
     assert report.passed is False
 
