@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .processes import ContractViolation, PathEnsemble, TimeGrid, generate
+from .processes import ContractViolation, PathEnsemble, TimeGrid, _by_columns, generate
 from .randkit import RngState
 
 
@@ -21,7 +21,7 @@ def lamperti_apply(ensemble: PathEnsemble, alpha: float, y_grid) -> PathEnsemble
     if np.any(np.abs(ensemble.grid.times - np.exp(y)) > 1e-12):
         raise ContractViolation("ensemble grid does not equal exp(y_grid) within 1e-12")
     factors = np.exp(-alpha * y / 2.0)
-    values = ensemble.values * factors[None, :]
+    values = _by_columns(np.multiply, ensemble.values, factors)
     return PathEnsemble(
         TimeGrid(y, allow_negative=True),
         values,
@@ -41,7 +41,7 @@ def lamperti_invert(ensemble: PathEnsemble, alpha: float) -> PathEnsemble:
     """
     y = ensemble.grid.times
     factors = np.exp(-alpha * y / 2.0)
-    values = ensemble.values / factors[None, :]
+    values = _by_columns(np.divide, ensemble.values, factors)
     meta = {k: v for k, v in ensemble.meta.items() if k != "lamperti_alpha"}
     return PathEnsemble(
         TimeGrid(np.exp(y)),

@@ -303,6 +303,27 @@ def test_calibrate_config_error_exit_two(tmp_path, capsys, extra, field):
     assert not (tmp_path / "thresholds.json").exists()
 
 
+@pytest.mark.parametrize("quantile, n_reps", [(0.9, 10), (0.95, 20), (0.99, 100)])
+@pytest.mark.parametrize("short", [True, False], ids=["short", "exact"])
+def test_calibrate_replay_count_boundary(tmp_path, capsys, quantile, n_reps, short):
+    # n_reps = 1/(1 - quantile) resolves the quantile; one fewer does not
+    conf = (
+        f"seed = 3\nn_paths = 50\ngrid = 0.5 1 2\nn_reps = {n_reps - short}\n"
+        f"entry.x.test = idt\nentry.x.n = 2\nentry.x.quantile = {quantile}\n"
+        "entry.x.spec.kind = stable_line\nentry.x.spec.alpha = 1\n"
+    )
+    code = main(["calibrate", _write(tmp_path, conf), "--threads", "1"])
+    table = tmp_path / "thresholds.json"
+    if short:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'entry.x.n_reps'" in err
+        assert not table.exists()
+    else:
+        assert code == 0
+        assert len(json.loads(table.read_text())["entries"]) == 1
+
+
 def test_calibrate_creates_a_missing_nested_out_dir(tmp_path):
     out = tmp_path / "a" / "b"
     assert main(["calibrate", _write(tmp_path, CALIBRATE_CONF), "--out", str(out), "--threads", "1"]) == 0

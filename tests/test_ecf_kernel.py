@@ -26,6 +26,7 @@ from idtlab.statlab import (
     _ECF_BLOCK_ROWS,
     THETA_COMPONENTS,
     _group_ecfs,
+    _phasor_block,
     calibrate,
     default_theta_groups,
     ecf,
@@ -109,6 +110,45 @@ def test_stationarity_windows_match_direct_evaluation(window, shift):
     expected = max(np.abs(a - b).max() for a, b in zip(first, refs))
     statistic = stationarity_test(lam, window, shift, threshold=1.0).statistic
     assert statistic == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the half-angle phasors against libm cos and sin
+# ---------------------------------------------------------------------------
+
+
+def _base_phasors(x):
+    """``cos`` and ``sin`` of ``0.25 * x`` as ``_phasor_block`` computes them."""
+    w = np.empty((1, 8, x.size))
+    _phasor_block(x.reshape(-1, 1), [0], w)
+    return w[0, 0], w[0, 4]
+
+
+def test_half_angle_phasors_match_cos_and_sin():
+    rng = np.random.default_rng(38)
+    n = 200_000
+    # 0.125 * x lands on the poles of tan, pi/2 + k*pi, as near as doubles go
+    poles = 8.0 * (np.pi / 2 + np.pi * np.arange(-20_000, 20_000))
+    x = np.concatenate([
+        rng.standard_cauchy(n),
+        rng.standard_cauchy(n) * 1e6,
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n),
+        [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.finfo(float).max],
+        poles, np.nextafter(poles, np.inf), np.nextafter(poles, -np.inf),
+    ])
+    cos, sin = _base_phasors(x)
+    assert np.abs(cos - np.cos(0.25 * x)).max() <= 4.5e-16
+    assert np.abs(sin - np.sin(0.25 * x)).max() <= 4.5e-16
+    # the zeros keep their sign, as np.sin does
+    assert np.array_equal(np.signbit(sin[n * 3 : n * 3 + 2]), [False, True])
+    assert np.all(cos[n * 3 : n * 3 + 2] == 1.0)
+
+
+def test_half_angle_phasors_of_non_finite_values_are_nan():
+    with np.errstate(invalid="ignore"):
+        cos, sin = _base_phasors(np.array([np.nan, np.inf, -np.inf, 1.0]))
+    assert np.all(np.isnan(cos[:3])) and np.all(np.isnan(sin[:3]))
+    assert np.isfinite(cos[3]) and np.isfinite(sin[3])
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,23 @@ def test_calibrate_insufficient_reps():
         calibrate(StableLine(1.0), "nonsense", 50, 0.9, RngState(36), 500, n=2, grid=GRID, times=TIMES)
 
 
+# the count that resolves the quantile exactly, although 1/(1 - q) rounds above it
+REPLAY_BOUNDARY = [(0.9, 10), (0.95, 20), (0.99, 100)]
+
+
+@pytest.mark.parametrize("quantile, n_reps", REPLAY_BOUNDARY)
+def test_calibrate_accepts_the_exact_replay_count(quantile, n_reps):
+    kw = dict(n=2, grid=GRID, times=TIMES)
+    with pytest.raises(ValueError, match=f"^{n_reps - 1} repetitions cannot resolve"):
+        calibrate(StableLine(1.0), "idt", n_reps - 1, quantile, RngState(38), 50, **kw)
+    stats = [
+        idt_test(StableLine(1.0), 1.0, 2, GRID, TIMES, 50, RngState(38).split(rep), math.inf).statistic
+        for rep in range(n_reps)
+    ]
+    thr = calibrate(StableLine(1.0), "idt", n_reps, quantile, RngState(38), 50, **kw)
+    assert thr == np.quantile(stats, quantile, method="higher")
+
+
 # ---------------------------------------------------------------------------
 # residual of a selfdecomposable Gaussian process stays time-divisible
 # ---------------------------------------------------------------------------
