@@ -36,6 +36,7 @@ import sys
 from . import io as ensio
 from .processes import FAMILY_KINDS, SPEC_KINDS, TimeGrid, generate, sample_blocks
 from .randkit import RngState
+from .report import TestReport
 from .statlab import TEST_KINDS, TestKind, _check_replays, calibrate
 from .thresholds import ThresholdTable, entry_key
 
@@ -449,9 +450,11 @@ def cmd_calibrate(args) -> int:
     quantile_default = _as_float(_get(cfg, "quantile", 0.99), "quantile")
     n_reps_default = _as_int(_get(cfg, "n_reps", 200), "n_reps")
     out_name = str(_get(cfg, "output", "thresholds.json"))
-    out_path = out_name if os.path.isabs(out_name) else os.path.join(
-        args.out or config_dir, out_name
-    )
+    # --out names the directory itself; otherwise output is relative to the config
+    if args.out is not None:
+        out_path = os.path.join(args.out, os.path.basename(out_name))
+    else:
+        out_path = os.path.join(config_dir, out_name)
 
     entries_node = _get(cfg, "entry", required=True)
     if not isinstance(entries_node, dict):
@@ -535,16 +538,12 @@ def cmd_report(args) -> int:
         path = os.path.join(directory, fname)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                rep = json.load(fh)["report"]
-            passed = bool(rep["pass"])
-            line = (
-                f"{rep['name']} statistic={rep['statistic']:.6g} "
-                f"threshold={rep['threshold']:.6g} n={rep['n_samples']}"
-            )
+                report = TestReport.from_dict(json.load(fh)["report"])
+            line = report.to_tap(number)
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: not a report file ({exc!r})") from None
-        n_pass += passed
-        print(f"{'ok' if passed else 'not ok'} {number} - {line}")
+        n_pass += bool(report.passed)
+        print(line)
     print(f"# {n_pass}/{len(names)} tests passed")
     return 0
 

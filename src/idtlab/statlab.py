@@ -3,13 +3,14 @@
 Every identity is checked in characteristic-function space: empirical
 characteristic functions (ECFs) are bounded by 1 regardless of tails, so
 the same machinery covers Gaussian and heavy-tailed families alike.  A
-test statistic is the maximum modulus of an ECF discrepancy over a fixed
-grid of frequency vectors; its acceptance threshold comes from
+test statistic is the maximum modulus of an ECF discrepancy over one
+fixed grid of frequency vectors, the default grid of
+``default_theta_groups``; its acceptance threshold comes from
 ``calibrate``, which replays the test under a true-null configuration
 and returns an empirical quantile of the statistic.
 
 ECF evaluation is the cost every replay repeats, so the default grid
-takes a product-form kernel.  Its magnitudes are
+takes a product-form kernel, ``_ecf_vector``.  Its magnitudes are
 ``THETA_COMPONENTS = 0.25 * 2**j`` and its pair frequencies are
 ``(a, +-b)``, so every value is built from ``cos`` and ``sin`` of
 ``c*x``.  One ``t = tan(0.125*x)`` per path and time gives those of
@@ -23,10 +24,11 @@ comes from one 8x8 real product ``[C_k; S_k] @ [C_l; S_l]^T``, whose
 four blocks give ``Z_k Z_l^T = (CC - SS) + i(CS + SC)`` and
 ``Z_k conj(Z_l)^T = (CC + SS) + i(SC - CS)``.  For three times that is
 3 ``tan`` calls per path instead of 108 ``cos``/``sin`` pairs, one per
-frequency vector.  Any other frequency array, including every custom
-``thetas``, takes the direct kernel: ``cos``/``sin`` of
-``values @ thetas.T``.  ECF values may differ at the ulp level between
-numpy builds whose float64 ``tan`` differs.
+frequency vector.  The distance tests always use the default grid.
+Arbitrary frequencies go through ``ecf()`` only, which takes the direct
+kernel for any array other than the default single or pair grid:
+``cos``/``sin`` of ``values @ thetas.T``.  ECF values may differ at the
+ulp level between numpy builds whose float64 ``tan`` differs.
 
 The product kernel streams the rows through one fixed block per thread
 (``threading.local``): ``_ECF_BLOCK_ROWS`` = 8,192 rows of ``[C; S]``,
@@ -35,9 +37,9 @@ The product kernel streams the rows through one fixed block per thread
 cache.  The block is kept for the life of the thread and regrown only
 when a call compares more columns.  The sums of the blocks are added in
 row order, so a result does not depend on the thread, and every returned
-ECF array is fresh.  The distance tests reduce each ensemble to its ECFs
-before generating the next, which keeps one ensemble alive beside the
-block.
+ECF array is fresh.  The distance tests reduce each ensemble to one flat
+ECF vector before generating the next, which keeps one ensemble alive
+beside the block, and take the statistic over the whole vector at once.
 
 Each test kind has one ``TestKind`` entry in ``TEST_KINDS``: its config
 fields and defaults, its threshold-key fields, its preconditions and how
@@ -45,7 +47,7 @@ to run it.  The CLI and ``calibrate`` read everything from the entry, so
 adding a kind takes one entry plus its public ``*_test`` function, which
 for a distance test is a thin wrapper over ``_spec_report``: the ensembles
 to draw, each on its own ``rng.split`` index, and how to combine their
-ECFs.
+ECF vectors elementwise.
 """
 
 from __future__ import annotations
@@ -166,53 +168,41 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
-def _group_ecfs(values: np.ndarray, col_of, groups):
-    """ECF values of each ``(cols, thetas)`` group on ``values[:, col_of[c]]``.
+def _ecf_vector(values: np.ndarray, cols) -> np.ndarray:
+    """Every single-time ECF, then every time-pair ECF, of ``values[:, cols]``.
 
-    Default-grid groups take the product kernel: the rows pass through
-    this thread's phasor block ``_ECF_BLOCK_ROWS`` at a time, each column
-    in use once per block, and every group of the call sums from the
-    same block.  Any other frequency array takes the direct kernel.
-    Every returned array is freshly allocated, never a view of the block.
+    The layout is that of ``default_theta_groups(len(cols))``.  The rows
+    pass through this thread's phasor block ``_ECF_BLOCK_ROWS`` at a time,
+    each distinct column once per block, and the single and pair ECFs sum
+    from the same block.  The returned vector is freshly allocated, never
+    a view of the block.
     """
     n = values.shape[0]
     k = len(THETA_COMPONENTS)
-    slot_of = {}
-    singles, pairs = [], []
-    out = [None] * len(groups)
-    for i, (cols, thetas) in enumerate(groups):
-        cols = [col_of[c] for c in cols]
-        if len(cols) == 1 and np.array_equal(thetas, _SINGLE_THETAS):
-            singles.append((i, slot_of.setdefault(cols[0], len(slot_of))))
-        elif len(cols) == 2 and np.array_equal(thetas, _PAIR_THETAS):
-            pairs.append((i, *(slot_of.setdefault(c, len(slot_of)) for c in cols)))
-        else:
-            out[i] = _direct_ecf(values[:, cols], thetas)
-    if not slot_of:
-        return out
-
-    slots = _phasor_slots(len(slot_of))
-    cols = list(slot_of)  # in slot order
-    row_sums = np.zeros((len(slot_of), 2 * k))
+    # a repeated column takes one slot, so its pair is one product of a slot with itself
+    distinct = list(dict.fromkeys(cols))
+    slot = [distinct.index(c) for c in cols]
+    pairs = [(slot[a], slot[b]) for a in range(len(cols)) for b in range(a + 1, len(cols))]
+    slots = _phasor_slots(len(distinct))
+    row_sums = np.zeros((len(distinct), 2 * k))
     pair_sums = np.zeros((len(pairs), 2 * k, 2 * k))
     for start in range(0, n, _ECF_BLOCK_ROWS):
         stop = min(n, start + _ECF_BLOCK_ROWS)
         w = slots[:, :, : stop - start]
-        _phasor_block(values[start:stop], cols, w)
-        if singles:
-            row_sums += w.sum(axis=2)
-        for acc, (_, a, b) in zip(pair_sums, pairs):
+        _phasor_block(values[start:stop], distinct, w)
+        row_sums += w.sum(axis=2)
+        for acc, (a, b) in zip(pair_sums, pairs):
             acc += w[a] @ w[b].T  # [C_a; S_a] @ [C_b; S_b]^T
 
-    for i, slot in singles:
-        out[i] = _complex(row_sums[slot, :k] / n, row_sums[slot, k:] / n)
-    for acc, (i, _, _) in zip(pair_sums, pairs):
-        cc, cs, sc, ss = acc[:k, :k], acc[:k, k:], acc[k:, :k], acc[k:, k:]
-        # Z_a Z_b^T beside Z_a conj(Z_b)^T, in the row layout of _PAIR_THETAS
-        re = np.concatenate([cc - ss, cc + ss], axis=1) / n
-        im = np.concatenate([cs + sc, sc - cs], axis=1) / n
-        out[i] = _complex(re, im).ravel()
-    return out
+    singles = row_sums[slot] / n
+    cc, cs = pair_sums[:, :k, :k], pair_sums[:, :k, k:]
+    sc, ss = pair_sums[:, k:, :k], pair_sums[:, k:, k:]
+    # Z_a Z_b^T beside Z_a conj(Z_b)^T, in the row layout of _PAIR_THETAS
+    pair_re = np.concatenate([cc - ss, cc + ss], axis=2) / n
+    pair_im = np.concatenate([cs + sc, sc - cs], axis=2) / n
+    re = np.concatenate([singles[:, :k].ravel(), pair_re.ravel()])
+    im = np.concatenate([singles[:, k:].ravel(), pair_im.ravel()])
+    return _complex(re, im)
 
 
 def ecf(ensemble: PathEnsemble, time_indices, thetas) -> EcfEvaluation:
@@ -220,7 +210,9 @@ def ecf(ensemble: PathEnsemble, time_indices, thetas) -> EcfEvaluation:
 
     ``thetas`` is a (K, m) array of frequency vectors, one component per
     selected time.  The value at the zero vector is exactly 1, and
-    conjugating the frequencies conjugates the value.
+    conjugating the frequencies conjugates the value.  This is the one
+    entry point for arbitrary frequencies: the default single or pair grid
+    returns its slice of ``_ecf_vector``, any other array the direct formula.
     """
     idx = [int(i) for i in time_indices]
     if not 1 <= len(idx) <= 3:
@@ -232,10 +224,15 @@ def ecf(ensemble: PathEnsemble, time_indices, thetas) -> EcfEvaluation:
         raise ValueError(
             f"frequency vectors have {thetas.shape[1]} components, expected {len(idx)}"
         )
+    default = {1: _SINGLE_THETAS, 2: _PAIR_THETAS}.get(len(idx))
+    if default is not None and np.array_equal(thetas, default):
+        values = _ecf_vector(ensemble.values, idx)[-len(default):]
+    else:
+        values = _direct_ecf(ensemble.values[:, idx], thetas)
     return EcfEvaluation(
         times=tuple(float(ensemble.grid.times[i]) for i in idx),
         theta_points=thetas,
-        values=_group_ecfs(ensemble.values, idx, [(range(len(idx)), thetas)])[0],
+        values=values,
         n_samples=ensemble.n_paths,
     )
 
@@ -243,7 +240,9 @@ def ecf(ensemble: PathEnsemble, time_indices, thetas) -> EcfEvaluation:
 def default_theta_groups(m_total: int):
     """Frequency groups: all single times and all time pairs.
 
-    Components come from ``THETA_COMPONENTS``; the leading component is
+    This is the layout of the ECF vector of ``m_total`` times that the
+    distance tests compare: group by group, and each group's frequency
+    vectors in row order.  Components come from ``THETA_COMPONENTS``; the leading component is
     kept positive because ensembles are real, so the ECF at ``-theta`` is
     the conjugate and carries no extra information.
     """
@@ -380,31 +379,28 @@ def _check_replays(n_reps, quantile: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _distance_report(name, views, n_times, thetas, combine, threshold, n_samples, seed, details):
-    """Report of the largest ``|combine(ECF_0, ECF_1, ...)|`` over the frequency groups.
+def _distance_report(name, views, combine, threshold, n_samples, seed, details):
+    """Report of the largest ``|combine(ECF_0, ECF_1, ...)|`` over the default grid.
 
     ``views`` are ``(draw, idx)`` pairs: ``draw()`` returns a value matrix
-    and ``idx`` the columns compared.  Each view is reduced to its ECFs
-    before the next is drawn, so at most one ensemble is alive at a time.
+    and ``idx`` the columns compared.  Each view is reduced to its ECF
+    vector before the next is drawn, so at most one ensemble is alive at a
+    time.  ``combine`` acts elementwise on the vectors.
     """
-    if thetas is None:
-        groups, theta_id = default_theta_groups(n_times), DEFAULT_THETA_ID
-    else:
-        groups, theta_id = thetas, "custom"
-    ecfs = [_group_ecfs(draw(), idx, groups) for draw, idx in views]
-    # the largest modulus over every group's discrepancy; NaN anywhere gives NaN
-    statistic = float(np.abs(np.concatenate([combine(*parts) for parts in zip(*ecfs)])).max())
+    vectors = [_ecf_vector(draw(), idx) for draw, idx in views]
+    # the largest modulus over the whole discrepancy vector; NaN anywhere gives NaN
+    statistic = float(np.abs(combine(*vectors)).max())
     return TestReport.from_distance(
         name=name,
         statistic=statistic,
         threshold=threshold,
         n_samples=n_samples,
         seed=seed,
-        details={**details, "theta_grid": theta_id},
+        details={**details, "theta_grid": DEFAULT_THETA_ID},
     )
 
 
-def _spec_report(kind, spec, grid, times, n_paths, rng, threshold, thetas, draws, combine, details):
+def _spec_report(kind, spec, grid, times, n_paths, rng, threshold, draws, combine, details):
     """``_distance_report`` over ensembles ``draw(grid)`` of ``spec`` at ``times``.
 
     Each draw takes its own ``rng.split`` index, so the order in which
@@ -416,8 +412,7 @@ def _spec_report(kind, spec, grid, times, n_paths, rng, threshold, thetas, draws
     views = [(lambda draw=draw: draw(grid).values, idx) for draw in draws]
     details = {**details, "times": [float(t) for t in times], "stream": rng.stream}
     return _distance_report(
-        f"{kind}[{spec_label(spec)}]", views, len(idx), thetas, combine,
-        threshold, n_paths, rng.seed, details,
+        f"{kind}[{spec_label(spec)}]", views, combine, threshold, n_paths, rng.seed, details,
     )
 
 
@@ -430,7 +425,6 @@ def idt_test(
     n_paths: int,
     rng: RngState,
     threshold: float,
-    thetas=None,
     mode: str = "power",
 ) -> TestReport:
     """Check the dividing-time identity at exponent ``alpha``.
@@ -453,7 +447,7 @@ def idt_test(
         combine = sub
     draws = [lambda g: generate(spec, g.scale(n ** (1.0 / alpha)), n_paths, rng.split(1)), reference]
     details = {"alpha": float(alpha), "n": n, "mode": mode}
-    return _spec_report("idt", spec, grid, times, n_paths, rng, threshold, thetas, draws, combine, details)
+    return _spec_report("idt", spec, grid, times, n_paths, rng, threshold, draws, combine, details)
 
 
 def selfsimilarity_test(
@@ -465,7 +459,6 @@ def selfsimilarity_test(
     n_paths: int,
     rng: RngState,
     threshold: float,
-    thetas=None,
 ) -> TestReport:
     """Check ``X(a*t) = a**h * X(t)`` in law via ECF distance."""
     _check_dilation(a)
@@ -475,7 +468,7 @@ def selfsimilarity_test(
     ]
     details = {"h": float(h), "a": float(a)}
     return _spec_report(
-        "selfsimilarity", spec, grid, times, n_paths, rng, threshold, thetas, draws, sub, details
+        "selfsimilarity", spec, grid, times, n_paths, rng, threshold, draws, sub, details
     )
 
 
@@ -488,7 +481,6 @@ def stability_test(
     n_paths: int,
     rng: RngState,
     threshold: float,
-    thetas=None,
 ) -> TestReport:
     """Check strict stability: n-fold sum matches ``n**(1/beta) * X`` in law."""
     n = _at_least_two(n)
@@ -498,7 +490,7 @@ def stability_test(
     ]
     details = {"beta": float(beta_index), "n": n}
     return _spec_report(
-        "stability", spec, grid, times, n_paths, rng, threshold, thetas, draws, sub, details
+        "stability", spec, grid, times, n_paths, rng, threshold, draws, sub, details
     )
 
 
@@ -507,13 +499,12 @@ def stationarity_test(
     window: int,
     shift: int,
     threshold: float,
-    thetas=None,
 ) -> TestReport:
     """Compare ECFs over two windows of a (log-time transformed) ensemble."""
     window, shift = _check_window(window, shift, ensemble.n_times)
     views = [(lambda: ensemble.values, [i + s for i in range(window)]) for s in (0, shift)]
     return _distance_report(
-        "stationarity", views, window, thetas, sub, threshold,
+        "stationarity", views, sub, threshold,
         ensemble.n_paths, ensemble.seed, {"window": window, "shift": shift},
     )
 
@@ -527,7 +518,6 @@ def temporal_sd_test(
     n_paths: int,
     rng: RngState,
     threshold: float,
-    thetas=None,
 ) -> TestReport:
     """Check the time-scale factorization of the joint CF.
 
@@ -546,7 +536,7 @@ def temporal_sd_test(
     ]
     details = {"alpha": float(alpha), "b": float(b)}
     return _spec_report(
-        "temporal_sd", spec, grid, times, n_paths, rng, threshold, thetas, draws,
+        "temporal_sd", spec, grid, times, n_paths, rng, threshold, draws,
         lambda whole, part, rest: whole - part * rest, details,
     )
 

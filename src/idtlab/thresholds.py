@@ -37,13 +37,13 @@ def _canon(value) -> str:
     raise TypeError(f"cannot canonicalize {value!r} for a threshold key")
 
 
-def entry_key(kind: str, spec, n_paths: int, quantile: float, theta_id: str = DEFAULT_THETA_ID, **params) -> str:
-    """Canonical lookup key for one calibrated threshold."""
+def entry_key(kind: str, spec, n_paths: int, quantile: float, **params) -> str:
+    """Canonical lookup key for one calibrated threshold on the default grid."""
     parts = [
         f"test={kind}",
         f"spec={spec if isinstance(spec, str) else spec_label(spec)}",
         f"n_paths={int(n_paths)}",
-        f"theta={theta_id}",
+        f"theta={DEFAULT_THETA_ID}",
         f"q={repr(float(quantile))}",
     ]
     for name in sorted(params):

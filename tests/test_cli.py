@@ -324,6 +324,16 @@ def test_calibrate_replay_count_boundary(tmp_path, capsys, quantile, n_reps, sho
         assert len(json.loads(table.read_text())["entries"]) == 1
 
 
+def test_calibrate_out_dir_takes_the_basename_of_output(tmp_path):
+    conf = _write(tmp_path, CALIBRATE_CONF.replace("output = thresholds.json", "output = ../x/thresholds.json"))
+    out = tmp_path / "o"
+    assert main(["calibrate", conf, "--out", str(out), "--threads", "1"]) == 0
+    assert len(json.loads((out / "thresholds.json").read_text())["entries"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["thresholds.json"]
+    assert not (tmp_path / "x").exists()
+    assert not (tmp_path.parent / "x").exists()
+
+
 def test_calibrate_creates_a_missing_nested_out_dir(tmp_path):
     out = tmp_path / "a" / "b"
     assert main(["calibrate", _write(tmp_path, CALIBRATE_CONF), "--out", str(out), "--threads", "1"]) == 0
@@ -700,8 +710,17 @@ def test_report_missing_dir_exit_two(tmp_path):
     assert main(["report", str(tmp_path / "nope")]) == 2
 
 
-@pytest.mark.parametrize("text", ["{not json", '{"config": {}}', '{"report": {"name": "x"}}'])
+INCONSISTENT_REPORT = json.dumps({"report": {
+    "name": "x", "statistic": 0.5, "threshold": 0.1, "pass": True, "n_samples": 10, "seed": 1,
+    "details": {"convention": "distance"},
+}})
+
+
+@pytest.mark.parametrize(
+    "text", ["{not json", '{"config": {}}', '{"report": {"name": "x"}}', INCONSISTENT_REPORT]
+)
 def test_report_malformed_file_exit_two(tmp_path, capsys, text):
+    # the last one passes although its statistic exceeds its threshold
     (tmp_path / "report_bad.json").write_text(text)
     assert main(["report", str(tmp_path)]) == 2
     err = capsys.readouterr().err

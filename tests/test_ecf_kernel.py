@@ -25,7 +25,7 @@ from idtlab.randkit import RngState
 from idtlab.statlab import (
     _ECF_BLOCK_ROWS,
     THETA_COMPONENTS,
-    _group_ecfs,
+    _ecf_vector,
     _phasor_block,
     calibrate,
     default_theta_groups,
@@ -53,6 +53,12 @@ def direct_ecf(values, cols, thetas):
     return np.cos(phases).mean(axis=0) + 1j * np.sin(phases).mean(axis=0)
 
 
+def direct_vector(values, cols):
+    """The direct formula over ``default_theta_groups``, as one flat vector."""
+    groups = default_theta_groups(len(cols))
+    return np.concatenate([direct_ecf(values, [cols[c] for c in g], th) for g, th in groups])
+
+
 @pytest.fixture(scope="module", params=list(SPECS))
 def ensemble(request):
     # the dilated grid reaches far into the tails of the heavy-tailed lines
@@ -60,19 +66,26 @@ def ensemble(request):
 
 
 def test_product_kernel_matches_direct_formula(ensemble):
-    groups = default_theta_groups(3)
-    got = _group_ecfs(ensemble.values, [0, 1, 2], groups)
-    for (cols, thetas), value in zip(groups, got):
-        ref = direct_ecf(ensemble.values, cols, thetas)
-        assert value.shape == ref.shape
-        assert np.abs(value - ref).max() <= 1e-12
+    got = _ecf_vector(ensemble.values, [0, 1, 2])
+    ref = direct_vector(ensemble.values, [0, 1, 2])
+    assert got.shape == ref.shape == (108,)
+    assert np.abs(got - ref).max() <= 1e-12
 
 
 def test_public_ecf_uses_the_same_kernel(ensemble):
-    groups = default_theta_groups(3)
-    got = _group_ecfs(ensemble.values, [0, 1, 2], groups)
-    for (cols, thetas), value in zip(groups, got):
-        assert np.array_equal(ecf(ensemble, cols, thetas).values, value)
+    got = _ecf_vector(ensemble.values, [0, 1, 2])
+    ref = [ecf(ensemble, cols, thetas).values for cols, thetas in default_theta_groups(3)]
+    assert np.array_equal(got, np.concatenate(ref))
+
+
+@pytest.mark.parametrize("cols", [(1,), (2, 0), (1, 1), (2, 0, 1), (0, 2, 2)])
+def test_ecf_vector_layout_is_default_theta_groups(cols):
+    # singles, then pairs, of the columns in the order given; a repeated
+    # column is compared with itself
+    ens = generate(SPECS["stable_line(1.5)"], GRID, 3000, RngState(39))
+    groups = default_theta_groups(len(cols))
+    ref = [ecf(ens, [cols[c] for c in g], thetas).values for g, thetas in groups]
+    assert np.array_equal(_ecf_vector(ens.values, list(cols)), np.concatenate(ref))
 
 
 def test_pair_rows_follow_signed_layout():
@@ -89,8 +102,8 @@ def test_custom_thetas_are_bit_identical_to_direct(ensemble):
         ((0, 1, 2), rng.normal(size=(9, 3))),
         ((0, 2), PAIR[:16]),
     ]
-    got = _group_ecfs(ensemble.values, [0, 1, 2], groups)
-    for (cols, thetas), value in zip(groups, got):
+    for cols, thetas in groups:
+        value = ecf(ensemble, cols, thetas).values
         assert np.array_equal(value, direct_ecf(ensemble.values, cols, thetas))
 
 
@@ -100,14 +113,10 @@ def test_stationarity_windows_match_direct_evaluation(window, shift):
     y = np.linspace(-1.0, 1.0, 5)
     ens = generate(GaussianKernel(FBmKernel(0.3)), TimeGrid(np.exp(y)), 5000, RngState(32))
     lam = lamperti_apply(ens, 0.6, y)
-    groups = default_theta_groups(window)
     idx_b = [i + shift for i in range(window)]
-    got = _group_ecfs(lam.values, idx_b, groups)
-    refs = [direct_ecf(lam.values, [idx_b[c] for c in cols], th) for cols, th in groups]
-    for value, ref in zip(got, refs):
-        assert np.abs(value - ref).max() <= 1e-12
-    first = [direct_ecf(lam.values, cols, th) for cols, th in groups]
-    expected = max(np.abs(a - b).max() for a, b in zip(first, refs))
+    ref = direct_vector(lam.values, idx_b)
+    assert np.abs(_ecf_vector(lam.values, idx_b) - ref).max() <= 1e-12
+    expected = np.abs(direct_vector(lam.values, list(range(window))) - ref).max()
     statistic = stationarity_test(lam, window, shift, threshold=1.0).statistic
     assert statistic == pytest.approx(expected, abs=1e-12)
 
@@ -160,11 +169,10 @@ R = _ECF_BLOCK_ROWS
 
 def test_default_grid_call_peak_does_not_grow_with_paths():
     values = generate(SPECS["fbm(0.3)"], GRID, 200_000, RngState(35)).values
-    groups = default_theta_groups(3)
-    _group_ecfs(values[:R], [0, 1, 2], groups)  # warm-up on one block
+    _ecf_vector(values[:R], [0, 1, 2])  # warm-up on one block
     tracemalloc.start()
     try:
-        _group_ecfs(values, [0, 1, 2], groups)
+        _ecf_vector(values, [0, 1, 2])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -173,11 +181,10 @@ def test_default_grid_call_peak_does_not_grow_with_paths():
 
 
 def test_default_grid_call_allocates_no_phasor_blocks_after_warm_up(ensemble):
-    groups = default_theta_groups(3)
-    _group_ecfs(ensemble.values, [0, 1, 2], groups)
+    _ecf_vector(ensemble.values, [0, 1, 2])
     tracemalloc.start()
     try:
-        _group_ecfs(ensemble.values, [0, 1, 2], groups)
+        _ecf_vector(ensemble.values, [0, 1, 2])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -186,37 +193,31 @@ def test_default_grid_call_allocates_no_phasor_blocks_after_warm_up(ensemble):
 
 
 def test_results_do_not_alias_the_workspace(ensemble):
-    groups = default_theta_groups(3)
-    first = _group_ecfs(ensemble.values, [0, 1, 2], groups)
-    kept = [v.copy() for v in first]
-    _group_ecfs(ensemble.values[:, ::-1] * 0.5, [0, 1, 2], groups)
-    for value, copy in zip(first, kept):
-        assert np.array_equal(value, copy)
+    first = _ecf_vector(ensemble.values, [0, 1, 2])
+    kept = first.copy()
+    _ecf_vector(ensemble.values[:, ::-1] * 0.5, [0, 1, 2])
+    assert np.array_equal(first, kept)
 
 
 def test_workspace_serves_smaller_and_larger_calls():
-    groups = default_theta_groups(3)
     # every side of a block boundary, R rows to a block
     for n in (3000, 1, R - 1, R, R + 1, 3 * R + 7, 20000, 500):
         values = generate(SPECS["fbm(0.3)"], GRID, n, RngState(n)).values
-        got = _group_ecfs(values, [0, 1, 2], groups)
-        for (cols, thetas), value in zip(groups, got):
-            assert np.abs(value - direct_ecf(values, cols, thetas)).max() <= 1e-12
+        got = _ecf_vector(values, [0, 1, 2])
+        assert np.abs(got - direct_vector(values, [0, 1, 2])).max() <= 1e-12
 
 
 def test_concurrent_threads_get_their_own_workspace():
-    groups = default_theta_groups(3)
     inputs = [
         generate(SPECS[label], GRID, 2000, RngState(40 + i)).values
         for i, label in enumerate(SPECS)
     ]
-    expected = [_group_ecfs(v, [0, 1, 2], groups) for v in inputs]
+    expected = [_ecf_vector(v, [0, 1, 2]) for v in inputs]
     mismatches = []
 
     def work(i):
         for _ in range(20):
-            got = _group_ecfs(inputs[i], [0, 1, 2], groups)
-            if not all(np.array_equal(g, e) for g, e in zip(got, expected[i])):
+            if not np.array_equal(_ecf_vector(inputs[i], [0, 1, 2]), expected[i]):
                 mismatches.append(i)
 
     interval = sys.getswitchinterval()

@@ -117,14 +117,12 @@ def test_dilate_and_scale_match_fresh_fbm_in_law():
     dilated = dilate_grid(generate(spec, grid.scale(a), n, RngState(9).split(0)), a)
     matched = scale_paths(dilated, a ** (-hurst))
     fresh = generate(spec, grid, n, RngState(9).split(1))
-    from idtlab.statlab import default_theta_groups, _group_ecfs
+    from idtlab.statlab import _ecf_vector
 
-    groups = default_theta_groups(3)
-    got = _group_ecfs(matched.values, [0, 1, 2], groups)
-    ref = _group_ecfs(fresh.values, [0, 1, 2], groups)
-    k_points = sum(g[1].shape[0] for g in groups)
-    bound = 2.0 * ecf_noise_bound(n, k_points)
-    assert max(np.abs(g - r).max() for g, r in zip(got, ref)) < bound
+    got = _ecf_vector(matched.values, [0, 1, 2])
+    ref = _ecf_vector(fresh.values, [0, 1, 2])
+    bound = 2.0 * ecf_noise_bound(n, got.size)
+    assert np.abs(got - ref).max() < bound
 
 
 # ---------------------------------------------------------------------------
