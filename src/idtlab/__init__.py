@@ -8,6 +8,25 @@ and verifies their distributional identities with calibrated empirical
 characteristic function tests.
 """
 
+import os as _os
+import sys as _sys
+
+# idtlab runs its parallel work on its own ``--threads`` workers, and its
+# BLAS calls are small, so a second OpenBLAS thread would only busy-wait.
+# OpenBLAS reads its thread count once, while numpy loads it: load numpy
+# with one thread unless it is already loaded or the user set a count,
+# then restore the environment that the host process and its children see.
+# Other BLAS builds (MKL, Accelerate) keep their own defaults; results
+# never depend on the BLAS thread count.
+if "numpy" not in _sys.modules and not any(
+    name in _os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .kernels import (
     FBmKernel,
     SpectralKernel,

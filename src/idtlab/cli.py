@@ -22,6 +22,14 @@ clock of its next row block on one helper thread, holding one more
 bit-identical for any thread count because every unit of work, and each
 of the clock and family streams, draws from its own substream in a fixed
 order.
+
+These workers do all the parallel work, so ``import idtlab`` loads
+numpy's OpenBLAS with one thread, whose calls here are small; a second
+thread would only busy-wait.  ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, when set, or a numpy
+imported before idtlab, keeps OpenBLAS's own choice; other BLAS builds
+(MKL, Accelerate) keep their defaults.  Results never depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations

@@ -174,8 +174,13 @@ class Brownian:
             scale = np.sqrt(dt)
             scale *= self.volatility
             sample_normal(rng, out=out)
-            out *= scale
-            out += drift  # even at drift 0, since 0.0 + -0.0 is +0.0
+            # drift is added even at 0, since 0.0 + -0.0 is +0.0
+            if dt.shape == out.shape:  # a full (N, m) block: numpy's single pass
+                out *= scale
+                out += drift
+            else:  # a grid row, broadcast along the short axis
+                _by_columns(np.multiply, out, scale, out=out)
+                _by_columns(np.add, out, drift, out=out)
         else:
             out[...] = drift
         return out
@@ -311,12 +316,12 @@ _NARROW_COLUMNS = 4
 def _column_wise(shape) -> bool:
     """Whether an ``(N, m)`` operation goes column by column: more rows than
     columns, and at most ``_NARROW_COLUMNS`` columns."""
-    return shape[1] <= _NARROW_COLUMNS and shape[0] > shape[1]
+    return len(shape) == 2 and shape[1] <= _NARROW_COLUMNS and shape[0] > shape[1]
 
 
 def _by_columns(op, a, b, out=None) -> np.ndarray:
     """``op(a, b, out=out)`` for operands that broadcast to an ``(N, m)`` array;
-    ``out`` must not overlap ``a`` or ``b``."""
+    ``out`` may be ``a`` itself but must not otherwise overlap ``a`` or ``b``."""
     shape = np.broadcast_shapes(np.shape(a), np.shape(b))
     if not _column_wise(shape):
         return op(a, b, out=out)

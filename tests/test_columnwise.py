@@ -11,6 +11,7 @@ import pytest
 
 from idtlab.kernels import FBmKernel
 from idtlab.processes import (
+    Brownian,
     ContractViolation,
     GaussianKernel,
     Mixture,
@@ -22,8 +23,9 @@ from idtlab.processes import (
     _chronometer_increments,
     _cumsum_rows,
     generate,
+    levy_increments,
 )
-from idtlab.randkit import RngState, StableParams, sample_stable
+from idtlab.randkit import RngState, StableParams, sample_normal, sample_stable
 from idtlab.transforms import lamperti_apply, lamperti_invert
 
 # column by column: more rows than columns, at most 4 columns; the rest
@@ -65,13 +67,32 @@ def test_outer_product_by_columns(shape):
         _same_bytes(_by_columns(np.multiply, col[:, None], row), col[:, None] * row[None, :])
 
 
-@pytest.mark.parametrize("op", [np.multiply, np.divide, np.subtract])
+@pytest.mark.parametrize("op", [np.multiply, np.divide, np.subtract, np.add])
 @pytest.mark.parametrize("shape", SHAPES, ids=IDS)
 def test_matrix_by_row_by_columns(shape, op):
     a = _matrix(shape, 4)
     row = _matrix((shape[1],), 5)
     with np.errstate(all="ignore"):
-        _same_bytes(_by_columns(op, a, row), op(a, row[None, :]))
+        want = op(a, row[None, :])
+        _same_bytes(_by_columns(op, a, row), want)
+        in_place = a.copy()
+        _same_bytes(_by_columns(op, in_place, row, out=in_place), want)
+        _same_bytes(in_place, want)
+
+
+@pytest.mark.parametrize(
+    "dt_shape, out_shape", [((3,), (20000, 3)), ((64,), (2048, 64)), ((20000, 3), (20000, 3)), ((), (10,))]
+)
+def test_brownian_increments_by_columns(dt_shape, out_shape):
+    """A grid row of durations takes the column loop, a full block numpy's pass."""
+    dt = np.abs(np.random.default_rng(7).standard_normal(dt_shape))
+    dt.reshape(-1)[0] = 0.0
+    family = Brownian(1.3, -0.4)
+    got = levy_increments(family, dt, RngState(8), size=out_shape)
+    want = sample_normal(RngState(8), out=np.empty(out_shape))
+    want *= np.sqrt(dt) * 1.3
+    want += -0.4 * dt
+    _same_bytes(got, want)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=IDS)
