@@ -12,25 +12,29 @@ metadata needed to reproduce it bit for bit.
 
 Memory: lines and Gaussian kernels ``sample`` the whole ensemble.  The
 other specs run one ``blocks`` loop over row blocks of ``_BLOCK_BYTES``
-(1 MiB): ``generate`` fills the rows of one ``8*N*m``-byte output with
+(256 KiB): ``generate`` fills the rows of one ``8*N*m``-byte output with
 it; ``sample_blocks`` fills one block buffer that each block reuses, so
 an export streamed block by block holds a few blocks, never the
-ensemble.  A subordinated loop also writes ``drift*dt`` or the gamma
-shape into one reused block.  Only ``per_element`` families (Brownian,
-gamma) are drawn in blocks: they take one variate per element in C
-order, so blocks drawn from one continuing stream give the whole-array
-bytes.  Stable motion (all ``u``, then all ``w``), compound Poisson (all
-counts, then normals), mixtures and chronometers that split their own
-streams again are drawn as one block.
+ensemble.  A subordinated loop reuses its other blocks too: one
+continuing loop of the clock spec fills a ring of one clock block (two
+with a helper thread), and ``drift*dt`` and the Brownian scale, or the
+gamma shape, go into two scratch blocks.  So a streamed subordinated
+export holds five blocks (1.25 MiB) at two threads.  Only
+``per_element`` families (Brownian, gamma) are drawn in blocks: they
+take one variate per element in C order, so blocks drawn from one
+continuing stream give the whole-array bytes.  Stable motion (all
+``u``, then all ``w``), compound Poisson (all counts, then normals),
+mixtures and chronometers that split their own streams again are drawn
+as one block.
 
 Threads: ``generate(..., threads=n)`` with ``n > 1`` lets a subordinated
 ensemble of more than one block draw the clock of the next block on one
 helper thread while the caller turns the current clock into increments,
 draws the family increments and sums them.  The clock and the family
 keep their own streams, each consumed in block order by one thread, so
-the values are the same at every thread count; one more clock block is
-held in flight.  Every other spec, and every nested generator call,
-runs on the calling thread.
+the values are the same at every thread count; the helper fills the
+second clock block of the ring while the caller reads the first.  Every
+other spec, and every nested generator call, runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -143,7 +147,8 @@ class PathEnsemble:
 
 # ---------------------------------------------------------------------------
 # Levy families: building blocks with independent stationary increments.
-# ``increments(dt, rng, out, scratch)`` fills ``out`` (see ``levy_increments``).
+# ``increments(dt, rng, out, scratch)`` fills ``out`` (see ``levy_increments``);
+# it checks nothing, so ``dt`` must be nonnegative.
 # ---------------------------------------------------------------------------
 
 
@@ -168,11 +173,12 @@ class Brownian:
     def nondecreasing(self) -> bool:
         return self.volatility == 0.0 and self.drift >= 0.0
 
-    def increments(self, dt, rng, out, scratch=None):
-        drift = np.multiply(self.drift, dt, out=scratch)
+    def increments(self, dt, rng, out, scratch=(None, None)):
+        drift = np.multiply(self.drift, dt, out=scratch[0])
         if self.volatility > 0:
-            scale = np.sqrt(dt)
-            scale *= self.volatility
+            scale = np.sqrt(dt, out=scratch[1])
+            if self.volatility != 1.0:  # x * 1.0 is x, bit for bit
+                scale *= self.volatility
             sample_normal(rng, out=out)
             # drift is added even at 0, since 0.0 + -0.0 is +0.0
             if dt.shape == out.shape:  # a full (N, m) block: numpy's single pass
@@ -202,7 +208,7 @@ class StableMotion:
     def nondecreasing(self) -> bool:
         return self.index < 1.0 and self.skew == 1.0
 
-    def increments(self, dt, rng, out, scratch=None):
+    def increments(self, dt, rng, out, scratch=(None, None)):
         draws = sample_stable(rng, StableParams(self.index, self.skew), out.shape)
         return np.multiply(dt ** (1.0 / self.index), draws, out=out)
 
@@ -223,10 +229,11 @@ class GammaSubordinator:
         if not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
 
-    def increments(self, dt, rng, out, scratch=None):
+    def increments(self, dt, rng, out, scratch=(None, None)):
         # a zero shape gives exactly 0 and draws nothing
-        rng.generator.standard_gamma(np.multiply(self.shape, dt, out=scratch), out=out)
-        out *= 1.0 / self.rate
+        rng.generator.standard_gamma(np.multiply(self.shape, dt, out=scratch[0]), out=out)
+        if self.rate != 1.0:  # x * 1.0 is x, bit for bit
+            out *= 1.0 / self.rate
         return out
 
 
@@ -250,7 +257,7 @@ class CompoundPoisson:
     def nondecreasing(self) -> bool:
         return self.jump_sd == 0.0 and self.jump_mean >= 0.0
 
-    def increments(self, dt, rng, out, scratch=None):
+    def increments(self, dt, rng, out, scratch=(None, None)):
         counts = rng.generator.poisson(self.intensity * dt, size=out.shape)
         np.multiply(self.jump_mean, counts, out=out)
         if self.jump_sd > 0:
@@ -264,14 +271,15 @@ class CompoundPoisson:
 LevyFamily = Union[Brownian, StableMotion, GammaSubordinator, CompoundPoisson]
 
 
-def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None, scratch=None):
+def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None, scratch=(None, None)):
     """Independent increments of the family over the given time lengths.
 
     ``dt`` broadcasts to ``size`` (or to ``out``, which receives the
     increments and may be ``dt`` itself); an entry of 0 yields an
-    increment of exactly 0.  ``scratch``, an array of ``dt``'s shape,
-    receives the Brownian ``drift*dt`` or the gamma shape instead of a
-    new array.
+    increment of exactly 0.  ``scratch`` holds two arrays of ``dt``'s
+    shape (or ``None`` for a new array) that receive the Brownian
+    ``drift*dt`` and ``sqrt(dt)*volatility``, or the gamma shape in the
+    first.
     """
     dt = np.asarray(dt, dtype=np.float64)
     if np.any(dt < 0):
@@ -285,17 +293,22 @@ def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None, 
 # Row blocks
 # ---------------------------------------------------------------------------
 
-_BLOCK_BYTES = 1 << 20  # bytes of values in one row block
+_BLOCK_BYTES = 1 << 18  # bytes of values in one row block
 
 
 def _row_blocks(n_paths: int, n_times: int, blocked: bool, out=None):
-    """``(first, rows)`` for consecutive row blocks, or one block of all rows;
-    ``rows`` views ``out``, or one buffer that every block reuses."""
+    """``(first, rows)`` for consecutive row blocks, or one block of all rows.
+
+    ``rows`` views ``out``, the whole output array, or else the next of the
+    block buffers in the list ``out`` (by default one new buffer), which
+    the blocks take in turn.
+    """
     step = max(1, _BLOCK_BYTES // (8 * n_times)) if blocked else n_paths
-    buffer = np.empty((min(step, n_paths), n_times)) if out is None else None
-    for first in range(0, n_paths, step):
+    if out is None:
+        out = [np.empty((min(step, n_paths), n_times))]
+    for block, first in enumerate(range(0, n_paths, step)):
         rows = min(step, n_paths - first)
-        yield first, out[first : first + rows] if buffer is None else buffer[:rows]
+        yield first, out[block % len(out)][:rows] if isinstance(out, list) else out[first : first + rows]
 
 
 # ---------------------------------------------------------------------------
@@ -357,25 +370,25 @@ def _chronometer_increments(chrono_values: np.ndarray, out=None, first: int = 0)
     raise ContractViolation(f"chronometer path {path} is decreasing")
 
 
-def _prefetched(draw, sizes, threads: int):
-    """``draw(size)`` for each of ``sizes``, in order.
+def _prefetched(items, threads: int):
+    """The items of the iterator ``items``, in order.
 
-    With ``threads > 1`` and more than one size, one helper thread makes
-    the next draw while the caller works on the current one, so one extra
-    result is in flight; otherwise each draw runs inline when it is asked
-    for.  Every draw runs on one thread, in order, so a stream that only
-    ``draw`` consumes gives the same values either way.
+    With ``threads > 1`` one helper thread advances ``items`` up to two
+    items ahead: the next is asked for once the caller has taken the
+    current one, the one after once the caller is done with the current
+    one (so two reused buffers suffice), and the helper need not wait for
+    the caller between items.  Otherwise each item is made inline when it
+    is asked for.  One thread at a time advances ``items``, in order, so
+    the items are the same either way.
     """
-    if threads < 2 or len(sizes) < 2:
-        yield from map(draw, sizes)
+    if threads < 2:
+        yield from items
         return
     with ThreadPoolExecutor(max_workers=1) as helper:
-        # popped before it is yielded, so the caller holds the only reference
-        pending = deque([helper.submit(draw, sizes[0])])
-        for size in sizes[1:]:
-            pending.append(helper.submit(draw, size))
-            yield pending.popleft().result()
-        yield pending.popleft().result()
+        pending = deque(helper.submit(next, items, None) for _ in range(2))
+        while (item := pending.popleft().result()) is not None:
+            yield item
+            pending.append(helper.submit(next, items, None))
 
 
 def _blend_blocks(atoms, grid: TimeGrid, n_paths: int, sample, exponent: float = 1.0, blocked: bool = False, out=None):
@@ -551,20 +564,23 @@ class Subordinated(_RowBlocked):
         family, chrono = self.family, self.chrono
         chrono_rng, family_rng = rng.split(0), rng.split(1)
         row_blocks = list(_row_blocks(n_paths, len(grid), family.per_element and chrono.per_element, out))
-        clocks = _prefetched(
-            lambda size: generate(chrono, grid, size, chrono_rng).values,
-            [rows.shape[0] for _, rows in row_blocks],
-            threads,
-        )
-        # drift*dt or the gamma shape goes into one block reused by every block
-        # (one block needs none); the Brownian scale stays a new array, made
-        # after the clock block it replaces is freed
-        scratch = np.empty(row_blocks[0][1].shape) if family.per_element and len(row_blocks) > 1 else None
+        shape = row_blocks[0][1].shape
+        if len(row_blocks) > 1:
+            # one continuing clock loop fills a ring of reused buffers: two
+            # when the helper fills the next while the caller reads this one
+            ring = [np.empty(shape) for _ in range(2 if threads > 1 else 1)]
+            clocks = _prefetched(chrono.blocks(grid, n_paths, chrono_rng, out=ring), threads)
+            # drift*dt and the Brownian scale, or the gamma shape
+            scratch = np.empty((2,) + shape)
+        else:
+            clocks = (generate(chrono, grid, n_paths, chrono_rng).values for _ in row_blocks)
+            scratch = None
         with closing(clocks):
             for first, rows in row_blocks:
+                # checks the clock, so the increments need no second check
                 _chronometer_increments(next(clocks), rows, first)
-                block_scratch = None if scratch is None else scratch[: rows.shape[0]]
-                levy_increments(family, rows, family_rng, out=rows, scratch=block_scratch)
+                block_scratch = (None, None) if scratch is None else scratch[:, : rows.shape[0]]
+                family.increments(rows, family_rng, rows, block_scratch)
                 _cumsum_rows(rows)
                 yield rows
 

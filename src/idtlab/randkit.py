@@ -94,7 +94,14 @@ def next_uniform(rng: RngState, size=None):
     unreachable by construction.
     """
     bits = rng.generator.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    return (bits + 0.5) * 2.0**-53
+    u = np.add(bits, 0.5)
+    u *= 2.0**-53
+    return u
+
+
+def _inplace(ufunc, x):
+    """``ufunc(x)``, written into ``x`` when it is an array."""
+    return ufunc(x, out=x if isinstance(x, np.ndarray) else None)
 
 
 def sample_normal(rng: RngState, size=None, out=None):
@@ -113,23 +120,37 @@ def sample_stable(rng: RngState, params: StableParams, size=None):
         params = StableParams(*params)
     a = params.index
     b = params.skew
-    u = np.pi * (next_uniform(rng, size) - 0.5)
-    w = -np.log(next_uniform(rng, size))
+    # in place where the draws are arrays, with the formula's operations in
+    # its order (a product may swap its factors), so the bits are the same
+    u = next_uniform(rng, size)
+    u -= 0.5
+    u *= np.pi
+    w = _inplace(np.log, next_uniform(rng, size))
+    w = _inplace(np.negative, w)
     if a == 1.0:
-        out = np.tan(u)
+        out = _inplace(np.tan, u)
     elif a == 2.0:
         # skew is immaterial at index 2; the symmetric branch is exact
-        out = 2.0 * np.sin(u) * np.sqrt(w)
+        out = _inplace(np.sin, u)
+        out *= 2.0
+        out *= _inplace(np.sqrt, w)
     else:
         bta = b * np.tan(np.pi * a / 2.0)
         shift = np.arctan(bta) / a
         scale = (1.0 + bta * bta) ** (1.0 / (2.0 * a))
-        out = (
-            scale
-            * np.sin(a * (u + shift))
-            / np.cos(u) ** (1.0 / a)
-            * (np.cos(u - a * (u + shift)) / w) ** ((1.0 - a) / a)
-        )
+        # scale * sin(a*(u+shift)) / cos(u)**(1/a) * (cos(u - a*(u+shift)) / w)**((1-a)/a)
+        out = u + shift
+        out *= a
+        tail = u - out
+        out = _inplace(np.sin, out)
+        out *= scale
+        u = _inplace(np.cos, u)
+        u **= 1.0 / a
+        out /= u
+        tail = _inplace(np.cos, tail)
+        tail /= w
+        tail **= (1.0 - a) / a
+        out *= tail
     return float(out) if size is None else out
 
 

@@ -211,6 +211,32 @@ def test_run_threshold_key_missing_from_table_exit_two(tmp_path, capsys):
     assert "test=idt|spec=stable_line(alpha=1.5)|n_paths=500|" in err
 
 
+@pytest.mark.parametrize("source", ["default", "table.json"])
+def test_run_reads_the_threshold_table_once(tmp_path, monkeypatch, source):
+    from idtlab.thresholds import ThresholdTable
+
+    reads = []
+
+    class Table:
+        def lookup(self, key):
+            return 0.5
+
+    def read(cls, *path):
+        reads.append(path)
+        return Table()
+
+    monkeypatch.setattr(ThresholdTable, "default", classmethod(read))
+    monkeypatch.setattr(ThresholdTable, "load", classmethod(read))
+    tests = "".join(f"test.{name}.kind = idt\ntest.{name}.n = {n}\n" for name, n in (("a", 2), ("b", 3), ("c", 2)))
+    conf = RUN_OK.format(out=tmp_path / "out").replace(
+        "test.pathline.kind = idt\ntest.pathline.n = 2\ntest.pathline.threshold = 0.5\n",
+        f"threshold_table = {source}\n" + tests,
+    )
+    assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 0
+    assert reads == ([()] if source == "default" else [(str(tmp_path / "table.json"),)])
+    assert len(json.loads((tmp_path / "out" / "summary.json").read_text())["reports"]) == 3
+
+
 def test_run_malformed_threshold_table_exit_two(tmp_path, capsys):
     (tmp_path / "table.json").write_text("{not json")
     conf = RUN_OK.format(out=tmp_path / "out").replace(
@@ -669,17 +695,18 @@ def test_export_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch):
     # with 7-row blocks the clock decreases at local row 3 of the second
     # block, path 10, after the first block has gone to both files
     import idtlab.processes as proc
-    from idtlab.processes import ContractViolation, PathEnsemble
+    from idtlab.processes import AdditiveTimeChange, ContractViolation
 
-    def clock(spec, grid, n_paths, rng):
-        values = np.tile([0.0, 1.0, 2.0], (n_paths, 1))
-        if calls:
-            values[3] = [0.0, 1.0, 0.5]
-        calls.append(n_paths)
-        return PathEnsemble(grid, values, spec, 0)
+    def clock(spec, grid, n_paths, rng, threads=1, out=None):  # the clock's continuing block loop
+        for _, rows in proc._row_blocks(n_paths, len(grid), True, out):
+            rows[...] = [0.0, 1.0, 2.0]
+            if calls:
+                rows[3] = [0.0, 1.0, 0.5]
+            calls.append(rows.shape[0])
+            yield rows
 
     monkeypatch.setattr(proc, "_BLOCK_BYTES", 8 * 3 * 7)
-    monkeypatch.setattr(proc, "generate", clock)
+    monkeypatch.setattr(AdditiveTimeChange, "blocks", clock)
     text = EXPORT_CONF.format(out=tmp_path / "o")
     conf = _write(tmp_path, text.replace("spec.kind = stable_line\nspec.alpha = 1.5\n", SUBORDINATED_SPEC))
     for threads in ("1", "2"):

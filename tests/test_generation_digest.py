@@ -3,10 +3,12 @@
 The digests were recorded from the whole-array generators, before they
 drew Levy paths in row blocks, so any change to a random stream or to the
 order of the floating-point operations shows up here.  The sizes on the
-64-point grid straddle one block (2048 rows at 1 MiB): below, exactly one
-and not a multiple of the block rows.  Every case is drawn at one and at
-two threads, where a subordinated ensemble draws its next clock block on
-a helper thread.
+64-point grid straddle one block of 256 KiB (512 rows) and one of the
+earlier 1 MiB (2048 rows): below, exactly one and not a multiple of the
+block rows.  Those digests do not depend on the block size, so the
+256 KiB cases were recorded with 1 MiB blocks.  Every case is drawn at
+one and at two threads, where a subordinated ensemble draws its next
+clock block on a helper thread.
 """
 
 import hashlib
@@ -40,6 +42,8 @@ GRID64 = TimeGrid(np.geomspace(0.0625, 4.0, 64))
 GAMMA_CLOCK = AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7)
 NESTED_CLOCK = Subordinated(GammaSubordinator(2.0, 2.0), GAMMA_CLOCK)
 SUBORDINATED = Subordinated(Brownian(1.0, 0.0), GAMMA_CLOCK)
+# a volatility and a gamma rate other than 1 scale every block
+SCALED = Subordinated(Brownian(0.7, 0.2), AdditiveTimeChange(GammaSubordinator(0.8, 2.0), 0.7))
 
 # id -> (spec, grid, n_paths)
 CASES = {
@@ -53,6 +57,7 @@ CASES = {
     "additive_brownian_t0": (AdditiveTimeChange(Brownian(1.0, 0.3), 0.7), GRID0, 2000),
     "additive_brownian_no_drift": (AdditiveTimeChange(Brownian(1.0, 0.0), 1.4), GRID, 2000),
     "additive_brownian_no_volatility": (AdditiveTimeChange(Brownian(0.0, 0.5), 1.0), GRID0, 500),
+    "additive_brownian_scaled": (AdditiveTimeChange(Brownian(0.7, 0.2), 0.7), GRID, 2000),
     "additive_stable_t0": (AdditiveTimeChange(StableMotion(1.5), 0.7), GRID0, 2000),
     "additive_one_sided_stable": (AdditiveTimeChange(StableMotion(0.5, 1.0), 0.5), GRID, 2000),
     "additive_gamma_t0": (AdditiveTimeChange(GammaSubordinator(0.8, 2.0), 0.7), GRID0, 2000),
@@ -68,6 +73,10 @@ CASES = {
     "subordinated_m64_below_block": (SUBORDINATED, GRID64, 1000),
     "subordinated_m64_one_block": (SUBORDINATED, GRID64, 2048),
     "subordinated_m64_ragged": (SUBORDINATED, GRID64, 5000),
+    "subordinated_m64_below_256k_block": (SUBORDINATED, GRID64, 300),
+    "subordinated_m64_one_256k_block": (SUBORDINATED, GRID64, 512),
+    "subordinated_m64_ragged_256k": (SUBORDINATED, GRID64, 1300),
+    "subordinated_scaled_m64": (SCALED, GRID64, 1300),
     "subordinated_t0": (Subordinated(Brownian(1.0, 0.3), GAMMA_CLOCK), GRID0, 2000),
     "subordinated_gamma": (Subordinated(GammaSubordinator(0.5, 1.0), GAMMA_CLOCK), GRID64, 5000),
     "subordinated_nested_clock": (Subordinated(Brownian(1.0, 0.2), NESTED_CLOCK), GRID64, 5000),
@@ -97,7 +106,8 @@ CASES = {
     ),
 }
 
-# sha256 of the shape's repr and the little-endian values, recorded before blocking
+# sha256 of the shape's repr and the little-endian values, recorded before
+# blocking (the 256 KiB and scaled cases: with 1 MiB blocks)
 DIGESTS = {
     "stable_line": "a85d2e55518946efa9b74234867d96e334a093d812b60a74d412110f7d1f9800",
     "power_line_t0": "9cbfe00f7b4e789956980e1c3539c2d272c3693f4e59c5ffcc10dc63bba947ba",
@@ -106,6 +116,7 @@ DIGESTS = {
     "additive_brownian_t0": "b8b2d9452ae60d0f765a849073d95c682789b1a2dff0a6a73639b62662ef4203",
     "additive_brownian_no_drift": "c989b0601df5ded5ff664d3ef1a737a00d4adf910e55a0902526a10dbc5577e2",
     "additive_brownian_no_volatility": "a13491c752278008d6309f9511a57ac3674f365de8f60b92c33ee2f116d519a8",
+    "additive_brownian_scaled": "d36895070ae5f47b04206a9dc846277b1a146006be33b16174e9ac4a86c9498e",
     "additive_stable_t0": "125344ac4b9a8de65b65fae913918078cfca1c2513614dc958b0b23fdd9c3b16",
     "additive_one_sided_stable": "011a16db089a76237ba44465b9ff9b67577dbcef1dfaeb9cdcb39a874898a86d",
     "additive_gamma_t0": "0b190ddb0eef82769b34481e247ced599cc9d905ea4aaf360d452cf4f11578b9",
@@ -117,6 +128,10 @@ DIGESTS = {
     "subordinated_m64_below_block": "935588557c9a2825056319a67faa1a6265f42c1528fffc983594915a6e33aca6",
     "subordinated_m64_one_block": "372e55a8270e8d6cf025cde1eb4a6f192f020fcd0ab2acb7ec71c4609c41d3ce",
     "subordinated_m64_ragged": "e0546f0c757a7ef9729398564d67df8c895abcd5c5e9f5c05272c33c030b90f7",
+    "subordinated_m64_below_256k_block": "4e2a484c7f87078d14d5f1919cccce9944f660d9240501d0a2bfb97b88f705e1",
+    "subordinated_m64_one_256k_block": "53928f074dfb365a51a65caca6c0c0bcf2e3d8b3a25faf43b2e5956e3582f315",
+    "subordinated_m64_ragged_256k": "199131e0711a8c187ae715ec55e53f088534f216db7ba252cdcc99e3a6d77171",
+    "subordinated_scaled_m64": "f82315aa9bd6b5a8ae5bfe6209b673b6f7737f6328dcab3fcfc630413873ad07",
     "subordinated_t0": "6c95d0db14938acb323eed72a3265f5afc35ad5e6c6a9d66b16d43620ace2f90",
     "subordinated_gamma": "eabca3a46c7105cf692fb9834f2757a2f7502de7dc54fabb4ba1369326dbd45f",
     "subordinated_nested_clock": "6a8c2c78dd6693e624f669a9ed6e5a05f6ba41fd6bd9673adb154edb1ccece88",
@@ -136,6 +151,7 @@ BLOCKED = [
     "additive_gamma_t0",
     "additive_gamma_m64_ragged",
     "subordinated_m64_ragged",
+    "subordinated_scaled_m64",
     "subordinated_t0",
     "subordinated_gamma",
     "subordinated_identity_clock",
@@ -163,8 +179,9 @@ def test_generate_matches_pinned_digest(case_id):
 def test_block_sizes_straddle_the_pinned_cases():
     rows = proc._BLOCK_BYTES // (8 * len(GRID64))
     sizes = sorted({n for spec, grid, n in CASES.values() if spec == SUBORDINATED})
-    assert sizes == [1000, rows, 5000]
-    assert 5000 % rows != 0
+    # 1000, 2048 and 5000 straddle the 1 MiB blocks of 2048 rows
+    assert sizes == [300, rows, 1000, 1300, 2048, 5000]
+    assert 1300 % rows != 0 and 5000 % 2048 != 0
 
 
 @pytest.mark.parametrize("case_id", BLOCKED)

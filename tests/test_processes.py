@@ -237,15 +237,16 @@ def test_blocked_chronometer_check_names_the_global_path(monkeypatch):
 
     chrono = AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7)
 
-    def clock(spec, grid, n_paths, rng):
-        values = np.tile([0.0, 1.0, 2.0], (n_paths, 1))
-        if calls:
-            values[3] = [0.0, 1.0, 0.5]
-        calls.append(n_paths)
-        return PathEnsemble(grid, values, spec, 0)
+    def clock(spec, grid, n_paths, rng, threads=1, out=None):  # the clock's continuing block loop
+        for _, rows in proc._row_blocks(n_paths, len(grid), True, out):
+            rows[...] = [0.0, 1.0, 2.0]
+            if calls:
+                rows[3] = [0.0, 1.0, 0.5]
+            calls.append(rows.shape[0])
+            yield rows
 
     monkeypatch.setattr(proc, "_BLOCK_BYTES", 8 * len(GRID) * 7)
-    monkeypatch.setattr(proc, "generate", clock)
+    monkeypatch.setattr(AdditiveTimeChange, "blocks", clock)
     for threads, drawn in ((1, [7, 7]), (2, [7, 7, 6])):
         calls = []
         with pytest.raises(ContractViolation, match="path 10 is decreasing"):
