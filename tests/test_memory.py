@@ -98,7 +98,9 @@ spec.chrono.family.kind = gamma
 """
 
 
-@pytest.mark.parametrize("formats, threads, bound", [("csv bin", 1, 2 * MB), ("bin", 2, 2 * MB)])
+@pytest.mark.parametrize(
+    "formats, threads, bound", [("csv bin", 1, 2 * MB), ("bin", 2, 2 * MB)], ids=["csv bin-1", "bin-2"]
+)
 def test_streamed_export_holds_blocks_not_the_ensemble(tmp_path, formats, threads, bound):
     # 25.6 MB of values; at two threads the clock ring holds one more block
     conf = tmp_path / "export.conf"
