@@ -11,9 +11,10 @@ Subcommands::
     idtlab report <dir>        pretty-print report files written by `run`
 
 Configs are flat ``key = value`` text with dotted sections; see the
-``demos`` directory for worked examples.  ``export`` streams the
-ensemble: each row block is written to every requested file and its
-buffer reused for the next, so the whole ensemble is never held.
+``demos`` directory for worked examples.  Each key is one ``(name, type,
+default)`` row, and every key is checked before any work.  ``export``
+streams the ensemble: each row block is written to every requested file
+and its buffer reused for the next, so the whole ensemble is never held.
 ``--threads`` (or the IDTLAB_THREADS environment variable) sets the
 worker count for tests and replays; above 1, an exported subordinated
 ensemble (``export``, and ``run`` with ``export_csv``) also draws the
@@ -96,54 +97,23 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-# the keys each command reads outside its spec, test and entry sections;
-# export also takes run's keys, so one experiment config serves both
-_RUN_KEYS = ("seed", "n_paths", "grid", "output_dir", "quantile", "threshold_table", "calibration.n_reps", "export_csv")
-_COMMAND_KEYS = {
-    "run": (("spec", "test"), _RUN_KEYS),
-    "calibrate": (("entry",), ("seed", "n_paths", "grid", "quantile", "n_reps", "output")),
-    "export": (("spec", "test"), _RUN_KEYS + ("export.formats",)),
-}
-
-
-def _command_config(args, command: str) -> dict:
-    """The config of ``args.config`` with the command-line overrides; a key
-    that ``command`` does not declare is a config error."""
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    if args.paths is not None:
-        cfg["n_paths"] = str(args.paths)
-    if command != "calibrate" and args.out is not None:
-        cfg["output_dir"] = args.out
-    sections, keys = _COMMAND_KEYS[command]
-    for key in _flatten({k: v for k, v in cfg.items() if k not in sections}):
-        if key not in keys:
-            raise ConfigError(f"unknown key {key!r}; idtlab {command} takes {', '.join(keys + sections)}")
-    return cfg
-
-
-def _flatten(tree: dict, prefix: str = "") -> dict:
+def _flatten(tree: dict, prefix: str = "", sections=()) -> dict:
+    """``tree`` as dotted keys; a key in ``sections`` keeps its whole section."""
     out = {}
     for key, value in tree.items():
         dotted = f"{prefix}{key}"
-        if isinstance(value, dict):
+        if isinstance(value, dict) and dotted not in sections:
             out.update(_flatten(value, dotted + "."))
         else:
             out[dotted] = value
     return out
 
 
-def _get(tree: dict, dotted: str, default=None, required: bool = False, prefix: str = ""):
-    """The value at ``dotted``; a missing required one is named ``prefix + dotted``."""
-    node = tree
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"missing required config field {prefix + dotted!r}")
-            return default
-        node = node[part]
-    return node
+def _required(node: dict, name: str, prefix: str):
+    """``node[name]``; a missing one is named ``prefix + name``."""
+    if name not in node:
+        raise ConfigError(f"missing required config field {prefix + name!r}")
+    return node[name]
 
 
 def _as_float(raw, field: str) -> float:
@@ -187,6 +157,21 @@ def _as_bool(raw, field: str) -> bool:
     raise ConfigError(f"field {field!r}: expected a boolean, got {raw!r}")
 
 
+def _as_formats(raw, field: str) -> list:
+    formats = str(raw).replace(",", " ").split()
+    for fmt in formats:
+        if fmt not in ("csv", "bin"):
+            raise ConfigError(f"field {field!r}: unknown format {fmt!r}")
+    return formats
+
+
+def _as_sections(raw, field: str) -> dict:
+    """A section of named subsections, such as ``test.*``."""
+    if not isinstance(raw, dict) or not all(isinstance(node, dict) for node in raw.values()):
+        raise ConfigError(f"section {field!r} must hold named subsections")
+    return raw
+
+
 # ---------------------------------------------------------------------------
 # Fields of specs, families and tests, read from their kind tables
 # ---------------------------------------------------------------------------
@@ -207,33 +192,38 @@ def _value_fields(node: dict, path: str) -> list:
     return fields or [path]
 
 
-def _parse_fields(fields, node: dict, prefix: str, keys=("kind",)) -> dict:
-    """The declared ``(name, type, default)`` fields of the section ``node``
-    at ``prefix``, parsed; a missing optional field is left out.  A key that
-    neither ``fields`` nor ``keys`` declares is a config error."""
-    accepted = tuple(keys) + tuple(name for name, _, _ in fields)
-    for key in node:
-        if key not in accepted:
-            raise ConfigError(f"unknown config field {f'{prefix}.{key}'!r}; {prefix} takes {', '.join(accepted)}")
+def _parse_fields(fields, node: dict, path: str, keys=("kind",)) -> dict:
+    """The declared ``(name, type, default)`` fields of ``node``, the
+    section at ``path`` ("" for the top level), parsed; a missing optional
+    field is left out.  A key that neither ``fields`` nor ``keys``
+    declares is a config error; with ``keys=None`` the caller checks."""
+    prefix = f"{path}." if path else ""
+    if keys is not None:
+        accepted = tuple(keys) + tuple(name for name, _, _ in fields)
+        for key in node:
+            if key not in accepted:
+                raise ConfigError(f"unknown config field {prefix + key!r}; {path} takes {', '.join(accepted)}")
     params = {}
     for name, parse, default in fields:
-        raw = _get(node, name, required=default is None, prefix=f"{prefix}.")
-        if raw is not None:
-            params[name] = _PARSERS[parse](raw, f"{prefix}.{name}")
+        if name in node or default is None:
+            params[name] = _PARSERS[parse](_required(node, name, prefix), prefix + name)
     return params
+
+
+def _field_values(fields, node: dict, path: str, keys=("kind",)) -> dict:
+    """``_parse_fields``, with each missing optional field at its default."""
+    return {**{name: default for name, _, default in fields}, **_parse_fields(fields, node, path, keys)}
 
 
 def _build(kinds: dict, what: str, node, path: str):
     """The spec or family that the section ``node`` at ``path`` declares, by its ``kind`` in ``kinds``."""
     if not isinstance(node, dict):
         raise ConfigError(f"section {path!r} must hold {what} fields")
-    kind = _get(node, "kind", required=True, prefix=f"{path}.")
+    kind = _required(node, "kind", f"{path}.")
     if str(kind) not in kinds:
         raise ConfigError(f"field {path}.kind: unknown {what} kind {kind!r}; expected one of {tuple(kinds)}")
     make, fields = kinds[str(kind)]
-    values = {name: default for name, _, default in fields}
-    values.update(_parse_fields(fields, node, path))
-    return _checked(_value_fields(node, path), make, **values)
+    return _checked(_value_fields(node, path), make, **_field_values(fields, node, path))
 
 
 def build_family(node: dict, path: str):
@@ -244,26 +234,79 @@ def build_spec(node: dict, path: str):
     return _build(SPEC_KINDS, "spec", node, path)
 
 
-_PARSERS = {
-    "int": _as_int,
-    "float": _as_float,
-    "str": lambda raw, field: str(raw),
-    "floats": _as_floats,
-    "family": build_family,
-    "spec": build_spec,
-}
-
-
-# ---------------------------------------------------------------------------
-# Test fields and threshold keys, read from each kind's ``TestKind`` entry
-# ---------------------------------------------------------------------------
-
-
 def _test_kind(raw, field: str) -> TestKind:
     kind = TEST_KINDS.get(str(raw))
     if kind is None:
         raise ConfigError(f"field {field}: unknown test kind {str(raw)!r}; expected one of {tuple(TEST_KINDS)}")
     return kind
+
+
+_PARSERS = {
+    "int": _as_int,
+    "float": _as_float,
+    "str": lambda raw, field: str(raw),
+    "floats": _as_floats,
+    "grid": _as_grid,
+    "bool": _as_bool,
+    "formats": _as_formats,
+    "family": build_family,
+    "spec": build_spec,
+    "test": _test_kind,
+    "sections": _as_sections,
+}
+
+
+# ---------------------------------------------------------------------------
+# The keys each command reads outside its test and entry subsections
+# ---------------------------------------------------------------------------
+
+# One (name, type, default) row per key, as in the kind tables; a default of
+# None marks a required key.  export also takes run's keys, so one config
+# serves both; a calibrate entry may override _ENTRY_OVERRIDES.
+_SEED, _N_PATHS, _GRID = ("seed", "int", None), ("n_paths", "int", None), ("grid", "grid", None)
+_QUANTILE, _N_REPS = ("quantile", "float", 0.99), ("n_reps", "int", 200)
+_RUN_FIELDS = (
+    _SEED, _N_PATHS, _GRID, ("output_dir", "str", "out"), _QUANTILE, ("threshold_table", "str", "default"),
+    ("calibration.n_reps", *_N_REPS[1:]), ("export_csv", "bool", False),
+)
+_SPEC_AND_TESTS = (("spec", "spec", None), ("test", "sections", {}))
+_COMMAND_FIELDS = {
+    "run": (_RUN_FIELDS, _SPEC_AND_TESTS),
+    "calibrate": (
+        (_SEED, _N_PATHS, _GRID, _QUANTILE, _N_REPS, ("output", "str", "thresholds.json")),
+        (("entry", "sections", None),),
+    ),
+    "export": (_RUN_FIELDS + (("export.formats", "formats", ["csv"]),), _SPEC_AND_TESTS),
+}
+_ENTRY_OVERRIDES = (_N_PATHS, _QUANTILE, _N_REPS, _GRID)
+
+
+def _command_config(args, command: str):
+    """The config of ``args.config`` with the command-line overrides, and
+    every key of ``command``'s rows parsed, before any work is done; a key
+    that the rows do not declare is a config error."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg["seed"] = str(args.seed)
+    if args.paths is not None:
+        cfg["n_paths"] = str(args.paths)
+    if command != "calibrate" and args.out is not None:
+        cfg["output_dir"] = args.out
+    keys, sections = _COMMAND_FIELDS[command]
+    top = _flatten(cfg, sections=[name for name, _, _ in sections])
+    names = [name for name, _, _ in keys + sections]
+    for key in top:
+        if key not in names:
+            raise ConfigError(f"unknown key {key!r}; idtlab {command} takes {', '.join(names)}")
+    values = _field_values(keys + sections, top, "", keys=None)
+    if command != "calibrate" and values["n_paths"] < 100:
+        raise ConfigError(f"field 'n_paths': must be at least 100, got {values['n_paths']}")
+    return cfg, values
+
+
+# ---------------------------------------------------------------------------
+# Test fields and threshold keys, read from each kind's ``TestKind`` entry
+# ---------------------------------------------------------------------------
 
 
 def _test_params(kind: TestKind, node: dict, prefix: str, spec, grid_list, keys) -> dict:
@@ -272,7 +315,7 @@ def _test_params(kind: TestKind, node: dict, prefix: str, spec, grid_list, keys)
     params = _parse_fields(kind.fields, node, prefix, keys + ("times",) * kind.uses_times)
     if kind.uses_times:
         params["grid"] = grid_list
-        params["times"] = _as_floats(_get(node, "times", grid_list), f"{prefix}.times")
+        params["times"] = _as_floats(node.get("times", grid_list), f"{prefix}.times")
     params = kind.fill(params, spec)
     for fields, rule in kind.checks:
         _checked([f"{prefix}.{f}" for f in fields], rule, params)
@@ -318,22 +361,21 @@ def _load_table(raw: str, config_dir: str):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_threshold(kind, node, prefix, spec, n_paths, quantile, params, cfg, table):
+def _resolve_threshold(kind, node, prefix, spec, params, values, table):
     """The test's threshold: ``None`` for a p-value test, a number from its
     section or from the table that ``table()`` returns, or with
     ``threshold_table = calibrate`` a checked null replay still to run as
     ``replay(rng, n_paths, threads)``."""
     if not kind.calibrated:
         return None
-    explicit = _get(node, "threshold")
-    if explicit is not None:
-        return _as_float(explicit, f"{prefix}.threshold")
-    source = str(_get(cfg, "threshold_table", "default"))
+    if "threshold" in node:
+        return _as_float(node["threshold"], f"{prefix}.threshold")
+    source, quantile = values["threshold_table"], values["quantile"]
     if source == "calibrate":
-        n_reps = _as_int(_get(cfg, "calibration.n_reps", 200), "calibration.n_reps")
+        n_reps = values["calibration.n_reps"]
         _checked(["calibration.n_reps", "quantile"], _check_replays, n_reps, quantile)
         return functools.partial(_null_threshold, kind, spec, params, n_reps, quantile)
-    key = threshold_key_for(kind.name, spec, n_paths, quantile, params.get("grid"), params.get("times"), params)
+    key = threshold_key_for(kind.name, spec, values["n_paths"], quantile, params.get("grid"), params.get("times"), params)
     try:
         return table().lookup(key)
     except KeyError:
@@ -343,18 +385,8 @@ def _resolve_threshold(kind, node, prefix, spec, n_paths, quantile, params, cfg,
         ) from None
 
 
-def _require_run_basics(cfg):
-    seed = _as_int(_get(cfg, "seed", required=True), "seed")
-    n_paths = _as_int(_get(cfg, "n_paths", required=True), "n_paths")
-    if n_paths < 100:
-        raise ConfigError(f"field 'n_paths': must be at least 100, got {n_paths}")
-    grid_list = _as_grid(_get(cfg, "grid", required=True), "grid")
-    spec = build_spec(_get(cfg, "spec", required=True), "spec")
-    return seed, n_paths, grid_list, spec
-
-
 def _make_dir(path) -> None:
-    """Create an output directory and its parents before any work is done."""
+    """Create an output directory and its parents once the config is checked, before any work."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
@@ -367,35 +399,23 @@ def _write_json(path, doc) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = _command_config(args, "run")
+    cfg, values = _command_config(args, "run")
     config_dir = os.path.dirname(os.path.abspath(args.config))
-
-    seed, n_paths, grid_list, spec = _require_run_basics(cfg)
-    out_dir = str(_get(cfg, "output_dir", "out"))
-    quantile = _as_float(_get(cfg, "quantile", 0.99), "quantile")
-    grid = TimeGrid(grid_list)
-    tests_node = _get(cfg, "test", {})
-    if not isinstance(tests_node, dict):
-        raise ConfigError("section 'test' must hold named test subsections")
-
-    _make_dir(out_dir)
-    root = RngState(seed)
+    spec, n_paths, grid_list, out_dir = values["spec"], values["n_paths"], values["grid"], values["output_dir"]
+    root = RngState(values["seed"])
     resolved = _flatten(cfg)
-    reports = {}
     # read at the first test that looks a threshold up, then kept
-    table = functools.cache(lambda: _load_table(str(_get(cfg, "threshold_table", "default")), config_dir))
-    # every test section is parsed and checked before any null replay runs
+    table = functools.cache(lambda: _load_table(values["threshold_table"], config_dir))
+    # every test section is parsed and checked before any directory or null replay
     jobs = []
-    for index, name in enumerate(sorted(tests_node)):
-        node = tests_node[name]
-        if not isinstance(node, dict):
-            raise ConfigError(f"section test.{name} must hold test fields")
+    for index, (name, node) in enumerate(sorted(values["test"].items())):
         prefix = f"test.{name}"
-        kind = _test_kind(_get(node, "kind", required=True, prefix=f"{prefix}."), f"{prefix}.kind")
+        kind = _test_kind(_required(node, "kind", f"{prefix}."), f"{prefix}.kind")
         # an uncalibrated test reports a p-value and takes no threshold
         params = _test_params(kind, node, prefix, spec, grid_list, ("kind",) + ("threshold",) * kind.calibrated)
-        threshold = _resolve_threshold(kind, node, prefix, spec, n_paths, quantile, params, cfg, table)
+        threshold = _resolve_threshold(kind, node, prefix, spec, params, values, table)
         jobs.append((name, kind, params, root.split(_STREAM_TESTS + index), threshold))
+    _make_dir(out_dir)
     for index, (name, kind, params, rng, threshold) in enumerate(jobs):
         if callable(threshold):
             threshold = threshold(root.split(_STREAM_CALIBRATE + index), n_paths, args.threads)
@@ -405,7 +425,7 @@ def cmd_run(args) -> int:
         name, kind, params, rng, threshold = job
         return name, kind.run(spec, params, n_paths, rng, threshold)
 
-    if args.threads and args.threads > 1 and len(jobs) > 1:
+    if args.threads > 1 and len(jobs) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -413,8 +433,8 @@ def cmd_run(args) -> int:
     else:
         results = [run_one(job) for job in jobs]
 
+    reports = dict(results)
     for number, (name, report) in enumerate(results, start=1):
-        reports[name] = report
         print(report.to_tap(number))
         _write_json(
             os.path.join(out_dir, f"report_{name}.json"),
@@ -425,8 +445,8 @@ def cmd_run(args) -> int:
             },
         )
 
-    if _as_bool(_get(cfg, "export_csv", "false"), "export_csv"):
-        ensemble = generate(spec, grid, n_paths, root.split(_STREAM_EXPORT), threads=args.threads)
+    if values["export_csv"]:
+        ensemble = generate(spec, TimeGrid(grid_list), n_paths, root.split(_STREAM_EXPORT), threads=args.threads)
         ensio.write_csv(ensemble, os.path.join(out_dir, "paths.csv"))
 
     all_pass = all(r.passed for r in reports.values())
@@ -448,57 +468,37 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_ENTRY_KEYS = ("test", "spec", "n_paths", "quantile", "n_reps", "grid")
-
-
 def cmd_calibrate(args) -> int:
-    cfg = _command_config(args, "calibrate")
-    config_dir = os.path.dirname(os.path.abspath(args.config))
-
-    seed = _as_int(_get(cfg, "seed", required=True), "seed")
-    n_paths_default = _as_int(_get(cfg, "n_paths", required=True), "n_paths")
-    grid_default = _as_grid(_get(cfg, "grid", required=True), "grid")
-    quantile_default = _as_float(_get(cfg, "quantile", 0.99), "quantile")
-    n_reps_default = _as_int(_get(cfg, "n_reps", 200), "n_reps")
-    out_name = str(_get(cfg, "output", "thresholds.json"))
+    _, values = _command_config(args, "calibrate")
     # --out names the directory itself; otherwise output is relative to the config
     if args.out is not None:
-        out_path = os.path.join(args.out, os.path.basename(out_name))
+        out_path = os.path.join(args.out, os.path.basename(values["output"]))
     else:
-        out_path = os.path.join(config_dir, out_name)
+        out_path = os.path.join(os.path.dirname(os.path.abspath(args.config)), values["output"])
 
-    entries_node = _get(cfg, "entry", required=True)
-    if not isinstance(entries_node, dict):
-        raise ConfigError("section 'entry' must hold named calibration subsections")
-    _make_dir(os.path.dirname(out_path))
-
-    root = RngState(seed)
-    table = ThresholdTable(
-        {},
-        meta={
-            "seed": seed,
-            "n_reps": n_reps_default,
-            "quantile": quantile_default,
-            "tool": "idtlab calibrate",
-        },
+    # an entry names its test and spec, and may override the command's values
+    fields = (("test", "test", None), ("spec", "spec", None)) + tuple(
+        (name, parse, values[name]) for name, parse, _ in _ENTRY_OVERRIDES
     )
-    # every entry is parsed and checked before the first replay runs
+    # every entry is parsed and checked before any directory or replay
     entries = []
-    for index, name in enumerate(sorted(entries_node)):
-        node = entries_node[name]
+    for name, node in sorted(values["entry"].items()):
         prefix = f"entry.{name}"
-        kind = _test_kind(_get(node, "test", required=True, prefix=f"{prefix}."), f"{prefix}.test")
+        # the entry's other keys are checked with its test's fields
+        entry = _field_values(fields, node, prefix, keys=None)
+        kind, spec, quantile, n_reps = entry["test"], entry["spec"], entry["quantile"], entry["n_reps"]
         if not kind.calibrated:
             raise ConfigError(f"{prefix}: {kind.name} uses p-values, not calibrated thresholds")
-        spec = build_spec(_get(node, "spec", required=True, prefix=f"{prefix}."), f"{prefix}.spec")
-        n_paths = _as_int(_get(node, "n_paths", n_paths_default), f"{prefix}.n_paths")
-        quantile = _as_float(_get(node, "quantile", quantile_default), f"{prefix}.quantile")
-        n_reps = _as_int(_get(node, "n_reps", n_reps_default), f"{prefix}.n_reps")
-        grid_list = _as_grid(_get(node, "grid", grid_default), f"{prefix}.grid")
-        params = _test_params(kind, node, prefix, spec, grid_list, _ENTRY_KEYS)
+        params = _test_params(kind, node, prefix, spec, entry["grid"], tuple(name for name, _, _ in fields))
         _checked([f"{prefix}.n_reps", f"{prefix}.quantile"], _check_replays, n_reps, quantile)
-        key = threshold_key_for(kind.name, spec, n_paths, quantile, grid_list, params.get("times"), params)
-        entries.append((name, key, functools.partial(_null_threshold, kind, spec, params, n_reps, quantile, n_paths=n_paths)))
+        key = threshold_key_for(kind.name, spec, entry["n_paths"], quantile, entry["grid"], params.get("times"), params)
+        replay = functools.partial(_null_threshold, kind, spec, params, n_reps, quantile, n_paths=entry["n_paths"])
+        entries.append((name, key, replay))
+    _make_dir(os.path.dirname(out_path))
+
+    root = RngState(values["seed"])
+    meta = {"seed": values["seed"], "n_reps": values["n_reps"], "quantile": values["quantile"], "tool": "idtlab calibrate"}
+    table = ThresholdTable({}, meta=meta)
     for index, (name, key, replay) in enumerate(entries):
         threshold = replay(root.split(_STREAM_CALIBRATE + index), threads=args.threads)
         table.set(key, threshold)
@@ -515,17 +515,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_export(args) -> int:
-    cfg = _command_config(args, "export")
-    seed, n_paths, grid_list, spec = _require_run_basics(cfg)
-    out_dir = str(_get(cfg, "output_dir", "out"))
-    formats_raw = str(_get(cfg, "export.formats", "csv"))
-    formats = formats_raw.replace(",", " ").split()
-    for fmt in formats:
-        if fmt not in ("csv", "bin"):
-            raise ConfigError(f"field 'export.formats': unknown format {fmt!r}")
+    _, values = _command_config(args, "export")
+    spec, n_paths, out_dir = values["spec"], values["n_paths"], values["output_dir"]
     _make_dir(out_dir)
-    grid, rng = TimeGrid(grid_list), RngState(seed).split(_STREAM_EXPORT)
-    targets = [(fmt, os.path.join(out_dir, f"paths.{fmt}")) for fmt in ("csv", "bin") if fmt in formats]
+    grid, rng = TimeGrid(values["grid"]), RngState(values["seed"]).split(_STREAM_EXPORT)
+    targets = [(fmt, os.path.join(out_dir, f"paths.{fmt}")) for fmt in ("csv", "bin") if fmt in values["export.formats"]]
     # one pass: each row block goes to every file, then its buffer is reused
     meta, blocks = sample_blocks(spec, grid, n_paths, rng, args.threads)
     ensio.write_blocks(targets, blocks, grid, n_paths, spec, rng.seed, rng.stream, meta)
@@ -617,6 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -70,11 +70,12 @@ def _csv_header(grid, n_paths, spec, seed, stream, meta) -> bytes:
 
 
 def _csv_chunks(block):
-    """A block's rows, ``_CSV_BLOCK_VALUES`` values at a time."""
+    """A block's rows, ``_CSV_BLOCK_VALUES`` values at a time; ``%r`` is ``repr``."""
     step = max(1, _CSV_BLOCK_VALUES // block.shape[1])
+    row = ",".join(["%r"] * block.shape[1]) + "\n"
     for first in range(0, block.shape[0], step):
-        rows = block[first : first + step].tolist()
-        yield "".join([",".join(map(repr, row)) + "\n" for row in rows]).encode("ascii")
+        rows = block[first : first + step]
+        yield (row * len(rows) % tuple(rows.ravel().tolist())).encode("ascii")
 
 
 def _binary_header(grid, n_paths, spec, seed, stream, meta) -> bytes:

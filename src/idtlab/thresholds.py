@@ -82,18 +82,18 @@ class ThresholdTable:
         atomic_write_bytes(path, [(self.to_json() + "\n").encode("utf-8")])
 
     @classmethod
-    def load(cls, path) -> "ThresholdTable":
-        with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
+    def _read(cls, text: str) -> "ThresholdTable":
+        doc = json.loads(text)
         if doc.get("version") != TABLE_VERSION:
             raise ValueError(f"unsupported threshold table version {doc.get('version')}")
         return cls(doc["entries"], doc.get("meta", {}))
 
     @classmethod
+    def load(cls, path) -> "ThresholdTable":
+        with open(path, "rb") as fh:
+            return cls._read(fh.read().decode("utf-8"))
+
+    @classmethod
     def default(cls) -> "ThresholdTable":
         """The calibration table shipped with the package."""
-        ref = importlib.resources.files("idtlab").joinpath("data/thresholds.json")
-        doc = json.loads(ref.read_text(encoding="utf-8"))
-        if doc.get("version") != TABLE_VERSION:
-            raise ValueError(f"unsupported threshold table version {doc.get('version')}")
-        return cls(doc["entries"], doc.get("meta", {}))
+        return cls._read(importlib.resources.files("idtlab").joinpath("data/thresholds.json").read_text(encoding="utf-8"))

@@ -773,3 +773,80 @@ def test_env_var_thread_fallback(tmp_path, monkeypatch):
     assert _default_threads() == 3
     monkeypatch.setenv("IDTLAB_THREADS", "bogus")
     assert _default_threads() >= 1
+
+
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        ("run", RUN_OK + "export_csv = ture\n", "'export_csv'"),
+        ("run", RUN_OK + "calibration.n_reps = many\n", "'calibration.n_reps'"),
+        ("export", EXPORT_CONF + "export_csv = ture\n", "'export_csv'"),
+        ("export", EXPORT_CONF + "quantile = high\n", "'quantile'"),
+        ("calibrate", CALIBRATE_CONF.replace("n_reps = 25", "n_reps = 2.5"), "'n_reps'"),
+        ("calibrate", CALIBRATE_CONF + "quantile = high\n", "'quantile'"),
+    ],
+    ids=["run_export_csv", "run_calibration_n_reps", "export_export_csv", "export_quantile",
+         "calibrate_n_reps", "calibrate_quantile"],
+)
+def test_malformed_top_level_key_exit_two_before_any_work(tmp_path, capsys, monkeypatch, command, text, field):
+    """A key that the command reads late, or not at all, is still checked first."""
+    import idtlab.cli
+    import idtlab.statlab
+
+    work = []
+    monkeypatch.setattr(idtlab.statlab, "idt_test", lambda *args, **kwargs: work.append("test"))
+    monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: work.append("replay") or 0.0)
+    monkeypatch.setattr(idtlab.cli, "sample_blocks", lambda *args, **kwargs: work.append("export"))
+    monkeypatch.setattr(idtlab.cli, "generate", lambda *args, **kwargs: work.append("export"))
+    out = tmp_path / "out"
+    conf = _write(tmp_path, text.format(out=out))
+    assert main([command, conf, "--out", str(out), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: field {field}: ")
+    assert err.count("\n") == 1
+    assert work == []
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["run", "calibrate", "export"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
+    text = {"run": RUN_OK, "calibrate": CALIBRATE_CONF, "export": EXPORT_CONF}[command]
+    out = tmp_path / "out"
+    conf = _write(tmp_path, text.format(out=out))
+    with pytest.raises(SystemExit) as exc:
+        main([command, conf, "--out", str(out), "--threads", threads])
+    assert exc.value.code == 2
+    assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
+
+
+def test_readme_lists_each_command_key_as_declared():
+    """README's key table shows each row's type and default and the commands that declare it."""
+    import pathlib
+
+    from idtlab.cli import _COMMAND_FIELDS
+
+    def shown(default):
+        if default is None:
+            return "required"
+        if default == {}:
+            return "none"
+        if isinstance(default, list):
+            return " ".join(default)
+        return str(default).lower() if isinstance(default, bool) else str(default)
+
+    declared = {}
+    for command, (keys, sections) in _COMMAND_FIELDS.items():
+        for name, parse, default in keys + sections:
+            row = declared.setdefault(name, (parse, shown(default), []))
+            assert row[:2] == (parse, shown(default)), name  # one row per key
+            row[2].append(command)
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("| key | type | default | commands |\n|---|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for line in table.splitlines():
+        key, parse, default, commands = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        listed[key] = (parse, default, sorted(commands.split(", ")))
+    assert listed == {name: (parse, default, sorted(commands)) for name, (parse, default, commands) in declared.items()}

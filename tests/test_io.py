@@ -164,3 +164,19 @@ def test_written_files_follow_the_umask(tmp_path, umask, mode):
     for name in ("a.csv", "a.bin"):
         assert (tmp_path / name).stat().st_mode & 0o777 == mode
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "a.csv"]
+
+
+@pytest.mark.parametrize("columns", [1, 3, 64])
+def test_csv_chunks_match_the_row_formatter(columns):
+    """One ``%`` per chunk gives the bytes of ``repr`` joined row by row."""
+    from idtlab.io import _CSV_BLOCK_VALUES, _csv_chunks
+
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, np.finfo(float).tiny / 3, 1e300, -1e300]
+    rows = 2 * _CSV_BLOCK_VALUES // columns + 7  # two full chunks and a short one
+    values = np.random.default_rng(5).standard_normal(rows * columns)
+    values[: len(special)] = special
+    values[-len(special) :] = special
+    block = values.reshape(rows, columns)
+    for view in (block, block[::-1, ::-1]):
+        expected = "".join(",".join(map(repr, row)) + "\n" for row in view.tolist()).encode("ascii")
+        assert b"".join(_csv_chunks(view)) == expected
