@@ -63,10 +63,8 @@ from .processes import (
 from .randkit import RngState, StableParams, next_uniform, sample_gamma, sample_normal, sample_stable
 from .report import TestReport
 from .statlab import (
-    EcfEvaluation,
     association_test,
     calibrate,
-    cov_estimate,
     default_theta_groups,
     ecf,
     idt_test,
@@ -78,6 +76,6 @@ from .statlab import (
     temporal_sd_test,
 )
 from .thresholds import ThresholdTable, entry_key
-from .transforms import dilate_grid, lamperti_apply, lamperti_invert, scale_paths, sum_independent
+from .transforms import lamperti_apply, scale_paths, sum_independent
 
 __version__ = "0.1.0"

@@ -12,11 +12,13 @@ Subcommands::
 
 Configs are flat ``key = value`` text with dotted sections; see the
 ``demos`` directory for worked examples.  Each key is one ``(name, type,
-default)`` row, and every key is checked before any work.  ``export``
+default)`` row, and every key is checked before any work; integers are
+read in base 10, as ``--seed`` is, so ``010`` is 10.  ``export``
 streams the ensemble: each row block is written to every requested file
 and its buffer reused for the next, so the whole ensemble is never held.
-``--threads`` (or the IDTLAB_THREADS environment variable) sets the
-worker count for tests and replays; above 1, an exported subordinated
+``--threads`` (else the IDTLAB_THREADS environment variable, else the
+CPU count) sets the worker count for tests and replays; either one below
+1 or not an integer is a usage error.  Above 1, an exported subordinated
 ensemble (``export``, and ``run`` with ``export_csv``) also draws the
 clock of its next row block on one helper thread, holding one more
 256 KiB block (an export of 200,000 paths on 64 times peaks at about
@@ -47,7 +49,7 @@ from . import io as ensio
 from .processes import FAMILY_KINDS, SPEC_KINDS, TimeGrid, generate, sample_blocks
 from .randkit import RngState
 from .report import TestReport
-from .statlab import TEST_KINDS, TestKind, _check_replays, calibrate
+from .statlab import TEST_KINDS, TestKind, _check_replays, _map, calibrate
 from .thresholds import ThresholdTable, entry_key
 
 _STREAM_TESTS = 1000
@@ -125,7 +127,7 @@ def _as_float(raw, field: str) -> float:
 
 def _as_int(raw, field: str) -> int:
     try:
-        return int(str(raw), 0)
+        return int(str(raw))
     except (TypeError, ValueError):
         raise ConfigError(f"field {field!r}: expected an integer, got {raw!r}") from None
 
@@ -425,13 +427,7 @@ def cmd_run(args) -> int:
         name, kind, params, rng, threshold = job
         return name, kind.run(spec, params, n_paths, rng, threshold)
 
-    if args.threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(job) for job in jobs]
+    results = _map(run_one, jobs, args.threads)
 
     reports = dict(results)
     for number, (name, report) in enumerate(results, start=1):
@@ -559,13 +555,14 @@ def cmd_report(args) -> int:
 
 
 def _default_threads() -> int:
+    """``IDTLAB_THREADS``, or the CPU count when it is unset or empty; a
+    value that is not an integer of at least 1 raises ``ValueError``."""
     env = os.environ.get("IDTLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not (env.isdecimal() and int(env) >= 1):
+        raise ValueError(f"environment variable IDTLAB_THREADS: must be an integer of at least 1, got {env!r}")
+    return int(env)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -580,10 +577,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=_default_threads(),
+            default=None,
             help=(
-                "worker threads; export also draws a subordinated clock on a helper thread, "
-                "one more 256 KiB block (never affects results)"
+                "worker threads (default: IDTLAB_THREADS, else the CPU count); export also draws a "
+                "subordinated clock on a helper thread, one more 256 KiB block (never affects results)"
             ),
         )
 
@@ -611,6 +608,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # report takes no --threads, so it never reads IDTLAB_THREADS
+    if hasattr(args, "threads") and args.threads is None:
+        try:
+            args.threads = _default_threads()
+        except ValueError as exc:
+            parser.error(str(exc))
     if getattr(args, "threads", 1) < 1:
         parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     try:

@@ -27,7 +27,9 @@ four blocks give ``Z_k Z_l^T = (CC - SS) + i(CS + SC)`` and
 frequency vector.  The distance tests always use the default grid.
 Arbitrary frequencies go through ``ecf()`` only, which takes the direct
 kernel for any array other than the default single or pair grid:
-``cos``/``sin`` of ``values @ thetas.T``.  ECF values may differ at the
+``cos``/``sin`` of ``values @ thetas.T``.  It returns the complex values
+as a plain array and raises ``ValueError`` on a value that is not finite
+or whose modulus exceeds 1.  ECF values may differ at the
 ulp level between numpy builds whose float64 ``tan`` differs.
 
 The product kernel streams the rows through one fixed block per thread
@@ -47,7 +49,9 @@ to run it.  The CLI and ``calibrate`` read everything from the entry, so
 adding a kind takes one entry plus its public ``*_test`` function, which
 for a distance test is a thin wrapper over ``_spec_report``: the ensembles
 to draw, each on its own ``rng.split`` index, and how to combine their
-ECF vectors elementwise.
+ECF vectors elementwise.  ``calibrate``'s replays and the CLI's tests run
+through one map, ``_map``, on a pool of worker threads when asked for more
+than one.
 """
 
 from __future__ import annotations
@@ -86,24 +90,6 @@ _SINGLE_THETAS = np.array(THETA_COMPONENTS).reshape(-1, 1)
 _PAIR_THETAS = np.array([(a, b) for a in THETA_COMPONENTS for b in _SIGNED_COMPONENTS])
 _SINGLE_THETAS.setflags(write=False)
 _PAIR_THETAS.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class EcfEvaluation:
-    """Empirical characteristic function values on a frequency grid."""
-
-    times: tuple
-    theta_points: np.ndarray
-    values: np.ndarray
-    n_samples: int
-
-    def __post_init__(self):
-        if self.theta_points.shape[0] != self.values.shape[0]:
-            raise ValueError("one value per frequency vector required")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("ECF values must be finite")
-        if np.any(np.abs(self.values) > 1.0 + 1e-12):
-            raise ValueError("ECF modulus exceeded 1")
 
 
 def _direct_ecf(values_sub: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -205,14 +191,16 @@ def _ecf_vector(values: np.ndarray, cols) -> np.ndarray:
     return _complex(re, im)
 
 
-def ecf(ensemble: PathEnsemble, time_indices, thetas) -> EcfEvaluation:
+def ecf(ensemble: PathEnsemble, time_indices, thetas) -> np.ndarray:
     """ECF of the ensemble at a subset of at most three grid times.
 
     ``thetas`` is a (K, m) array of frequency vectors, one component per
-    selected time.  The value at the zero vector is exactly 1, and
-    conjugating the frequencies conjugates the value.  This is the one
-    entry point for arbitrary frequencies: the default single or pair grid
-    returns its slice of ``_ecf_vector``, any other array the direct formula.
+    selected time; the result is the K complex values in row order.  The
+    value at the zero vector is exactly 1, and conjugating the frequencies
+    conjugates the value.  A NaN or Inf in a selected column raises
+    ``ValueError``.  This is the one entry point for arbitrary
+    frequencies: the default single or pair grid returns its slice of
+    ``_ecf_vector``, any other array the direct formula.
     """
     idx = [int(i) for i in time_indices]
     if not 1 <= len(idx) <= 3:
@@ -229,12 +217,11 @@ def ecf(ensemble: PathEnsemble, time_indices, thetas) -> EcfEvaluation:
         values = _ecf_vector(ensemble.values, idx)[-len(default):]
     else:
         values = _direct_ecf(ensemble.values[:, idx], thetas)
-    return EcfEvaluation(
-        times=tuple(float(ensemble.grid.times[i]) for i in idx),
-        theta_points=thetas,
-        values=values,
-        n_samples=ensemble.n_paths,
-    )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("ECF values must be finite")
+    if np.any(np.abs(values) > 1.0 + 1e-12):
+        raise ValueError("ECF modulus exceeded 1")
+    return values
 
 
 def default_theta_groups(m_total: int):
@@ -579,15 +566,6 @@ def association_test(
     )
 
 
-def cov_estimate(ensemble: PathEnsemble) -> np.ndarray:
-    """Uncentered sample covariance (the processes are centered by design)."""
-    if ensemble.n_paths < 2:
-        raise ValueError("need at least 2 paths to estimate a covariance")
-    v = ensemble.values
-    m = v.T @ v / ensemble.n_paths
-    return (m + m.T) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # Test kinds: what the CLI and ``calibrate`` read about each test
 # ---------------------------------------------------------------------------
@@ -720,6 +698,18 @@ TEST_KINDS = {
 # ---------------------------------------------------------------------------
 
 
+def _map(fn, items, threads: int) -> list:
+    """``[fn(x) for x in items]``, on a pool of ``threads`` worker threads
+    when both ``threads`` and the number of items exceed 1.  Each item
+    draws from its own substream, so the results do not depend on
+    ``threads``."""
+    items = list(items)
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def calibrate(
     null_spec,
     kind: str,
@@ -746,9 +736,5 @@ def calibrate(
     def one(rep: int) -> float:
         return test.run(null_spec, params, n_paths, rng.split(rep), float("inf")).statistic
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            stats = list(pool.map(one, range(n_reps)))
-    else:
-        stats = [one(rep) for rep in range(n_reps)]
+    stats = _map(one, range(n_reps), threads)
     return float(np.quantile(np.asarray(stats), quantile, method="higher"))

@@ -1,4 +1,5 @@
-"""Deterministic path-space transforms: log-time change, scaling, sums."""
+"""The path-space transforms that the tests apply: the Lamperti log-time
+change, scaling by a constant and pointwise sums of independent ensembles."""
 
 from __future__ import annotations
 
@@ -32,40 +33,9 @@ def lamperti_apply(ensemble: PathEnsemble, alpha: float, y_grid) -> PathEnsemble
     )
 
 
-def lamperti_invert(ensemble: PathEnsemble, alpha: float) -> PathEnsemble:
-    """Undo ``lamperti_apply``: divide by the same factors, grid ``exp(y)``.
-
-    Division by the identical factor array restores the input to within
-    one unit in the last place; it is bit-exact whenever the factors are
-    powers of two (dyadic ``alpha * y / 2`` grids).
-    """
-    y = ensemble.grid.times
-    factors = np.exp(-alpha * y / 2.0)
-    values = _by_columns(np.divide, ensemble.values, factors)
-    meta = {k: v for k, v in ensemble.meta.items() if k != "lamperti_alpha"}
-    return PathEnsemble(
-        TimeGrid(np.exp(y)),
-        values,
-        ensemble.spec,
-        ensemble.seed,
-        ensemble.stream,
-        meta=meta,
-    )
-
-
 def scale_paths(ensemble: PathEnsemble, c: float) -> PathEnsemble:
     """Multiply every value by ``c``; the grid is unchanged."""
     return ensemble.with_values(ensemble.values * c)
-
-
-def dilate_grid(ensemble: PathEnsemble, a: float) -> PathEnsemble:
-    """Relabel ``X(a*t)`` as a process in ``t``: values kept, times divided by ``a``."""
-    if not a > 0:
-        raise ValueError(f"dilation factor must be positive, got {a}")
-    grid = TimeGrid(
-        ensemble.grid.times / a, allow_negative=bool(ensemble.grid.times[0] < 0)
-    )
-    return ensemble.with_values(ensemble.values, grid=grid)
 
 
 def sum_independent(

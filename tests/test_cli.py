@@ -767,12 +767,62 @@ def test_console_entry_point_subprocess(tmp_path):
 
 
 def test_env_var_thread_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("IDTLAB_THREADS", "3")
+    """IDTLAB_THREADS, read in base 10, else the CPU count; a bad value raises."""
+    import os
+
     from idtlab.cli import _default_threads
 
+    monkeypatch.setenv("IDTLAB_THREADS", "3")
     assert _default_threads() == 3
+    monkeypatch.setenv("IDTLAB_THREADS", "010")
+    assert _default_threads() == 10
+    monkeypatch.setenv("IDTLAB_THREADS", "")
+    assert _default_threads() == (os.cpu_count() or 1)
     monkeypatch.setenv("IDTLAB_THREADS", "bogus")
-    assert _default_threads() >= 1
+    with pytest.raises(ValueError, match="IDTLAB_THREADS"):
+        _default_threads()
+
+
+@pytest.mark.parametrize("value", ["bogus", "2.5", "0", "-3"])
+@pytest.mark.parametrize("command", ["run", "calibrate", "export"])
+def test_bad_thread_variable_is_a_usage_error(tmp_path, capsys, monkeypatch, command, value):
+    monkeypatch.setenv("IDTLAB_THREADS", value)
+    text = {"run": RUN_OK, "calibrate": CALIBRATE_CONF, "export": EXPORT_CONF}[command]
+    out = tmp_path / "out"
+    conf = _write(tmp_path, text.format(out=out))
+    with pytest.raises(SystemExit) as exc:
+        main([command, conf, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"environment variable IDTLAB_THREADS: must be an integer of at least 1, got {value!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
+
+
+def test_thread_variable_is_read_only_without_the_option(tmp_path, monkeypatch):
+    monkeypatch.setenv("IDTLAB_THREADS", "bogus")
+    out = tmp_path / "out"
+    assert main(["export", _write(tmp_path, EXPORT_CONF.format(out=out)), "--threads", "1"]) == 0
+    # report takes no --threads and never reads the variable
+    assert main(["report", str(out)]) == 0
+
+
+def test_zero_padded_config_integer_is_base_ten(tmp_path):
+    """``seed = 010`` is seed 10, as ``--seed 010`` is."""
+    padded, plain = tmp_path / "padded", tmp_path / "plain"
+    conf = EXPORT_CONF.replace("seed = 21", "seed = 010")
+    assert main(["export", _write(tmp_path, conf.format(out=padded), "padded.conf"), "--threads", "1"]) == 0
+    conf = _write(tmp_path, EXPORT_CONF.format(out=plain), "plain.conf")
+    assert main(["export", conf, "--seed", "10", "--threads", "1"]) == 0
+    for name in ("paths.csv", "paths.bin"):
+        assert (padded / name).read_bytes() == (plain / name).read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["0x10", "0o10", "0b10"])
+def test_prefixed_config_integer_exit_two(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    conf = _write(tmp_path, EXPORT_CONF.replace("seed = 21", f"seed = {seed}").format(out=out))
+    assert main(["export", conf, "--threads", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: field 'seed': expected an integer, got {seed!r}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from idtlab.processes import (
     levy_increments,
 )
 from idtlab.randkit import RngState, StableParams, sample_normal, sample_stable
-from idtlab.transforms import lamperti_apply, lamperti_invert
+from idtlab.transforms import lamperti_apply
 
 # column by column: more rows than columns, at most 4 columns; the rest
 # take numpy's form
@@ -163,9 +163,7 @@ def test_lamperti_maps_are_the_broadcast_forms(n_paths):
     ens = PathEnsemble(TimeGrid(np.exp(y)), values, spec=None, seed=10)
     factors = np.exp(-0.6 * y / 2.0)
     with np.errstate(invalid="ignore"):
-        lam = lamperti_apply(ens, 0.6, y)
-        _same_bytes(lam.values, values * factors[None, :])
-        _same_bytes(lamperti_invert(lam, 0.6).values, lam.values / factors[None, :])
+        _same_bytes(lamperti_apply(ens, 0.6, y).values, values * factors[None, :])
 
 
 @pytest.mark.parametrize("n_paths", [20000, 2])

@@ -74,7 +74,7 @@ def test_product_kernel_matches_direct_formula(ensemble):
 
 def test_public_ecf_uses_the_same_kernel(ensemble):
     got = _ecf_vector(ensemble.values, [0, 1, 2])
-    ref = [ecf(ensemble, cols, thetas).values for cols, thetas in default_theta_groups(3)]
+    ref = [ecf(ensemble, cols, thetas) for cols, thetas in default_theta_groups(3)]
     assert np.array_equal(got, np.concatenate(ref))
 
 
@@ -84,7 +84,7 @@ def test_ecf_vector_layout_is_default_theta_groups(cols):
     # column is compared with itself
     ens = generate(SPECS["stable_line(1.5)"], GRID, 3000, RngState(39))
     groups = default_theta_groups(len(cols))
-    ref = [ecf(ens, [cols[c] for c in g], thetas).values for g, thetas in groups]
+    ref = [ecf(ens, [cols[c] for c in g], thetas) for g, thetas in groups]
     assert np.array_equal(_ecf_vector(ens.values, list(cols)), np.concatenate(ref))
 
 
@@ -103,7 +103,7 @@ def test_custom_thetas_are_bit_identical_to_direct(ensemble):
         ((0, 2), PAIR[:16]),
     ]
     for cols, thetas in groups:
-        value = ecf(ensemble, cols, thetas).values
+        value = ecf(ensemble, cols, thetas)
         assert np.array_equal(value, direct_ecf(ensemble.values, cols, thetas))
 
 
@@ -277,11 +277,11 @@ def _thetas(m):
 @given(ensembles, time_subsets, st.data())
 def test_ecf_invariants(ens, cols, data):
     thetas = data.draw(_thetas(len(cols)))
-    value = ecf(ens, cols, thetas).values
+    value = ecf(ens, cols, thetas)
     assert np.all(np.abs(value) <= 1.0 + 1e-12)
     assert np.array_equal(value, direct_ecf(ens.values, cols, thetas))
-    assert np.array_equal(ecf(ens, cols, -thetas).values, np.conj(value))
-    zero = ecf(ens, cols, np.zeros((1, len(cols)))).values
+    assert np.array_equal(ecf(ens, cols, -thetas), np.conj(value))
+    zero = ecf(ens, cols, np.zeros((1, len(cols))))
     assert zero[0] == 1.0 + 0.0j
 
 
@@ -289,11 +289,11 @@ def test_ecf_invariants(ens, cols, data):
 @given(ensembles, st.sampled_from([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]))
 def test_default_grid_invariants(ens, cols):
     thetas = SINGLE if len(cols) == 1 else PAIR
-    value = ecf(ens, cols, thetas).values
+    value = ecf(ens, cols, thetas)
     assert np.all(np.abs(value) <= 1.0 + 1e-12)
     assert np.abs(value - direct_ecf(ens.values, cols, thetas)).max() <= 1e-12
     # -thetas is not the default grid, so this also crosses the two kernels
-    assert np.abs(ecf(ens, cols, -thetas).values - np.conj(value)).max() <= 1e-12
+    assert np.abs(ecf(ens, cols, -thetas) - np.conj(value)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +301,17 @@ def test_default_grid_invariants(ens, cols):
 # ---------------------------------------------------------------------------
 
 
-def _ensemble_with_nan_column(col):
+def _ensemble_with_non_finite_column(col, bad=np.nan):
     grid = TimeGrid([1.0, 2.0, 3.0, 4.0])
     values = generate(GaussianKernel(FBmKernel(0.3)), grid, 500, RngState(33)).values.copy()
-    values[7, col] = np.nan
+    values[7, col] = bad
     return PathEnsemble(grid, values, spec=None, seed=33)
 
 
 def test_nan_in_a_later_group_fails_the_test():
     # the first group compares columns 0 and 1, both finite; the second
     # compares column 1 with column 2, which holds the NaN
-    report = stationarity_test(_ensemble_with_nan_column(2), 2, 1, threshold=10.0)
+    report = stationarity_test(_ensemble_with_non_finite_column(2), 2, 1, threshold=10.0)
     assert np.isnan(report.statistic)
     assert report.passed is False
 
@@ -328,7 +328,13 @@ def test_non_finite_value_in_the_last_block_fails_the_test(bad):
     assert report.passed is False
 
 
-@pytest.mark.parametrize("thetas", [SINGLE, np.array([[0.3], [1.7]])])
+@pytest.mark.parametrize("thetas", [SINGLE, np.array([[0.3], [1.7]]), PAIR, np.array([[0.3, -1.1]])])
 def test_ecf_rejects_non_finite_values(thetas):
-    with pytest.raises(ValueError, match="finite"):
-        ecf(_ensemble_with_nan_column(2), [2], thetas)
+    # the default single and pair grids take the product kernel, other frequencies the direct one
+    width = thetas.shape[1]
+    for bad in (np.nan, np.inf, -np.inf):
+        ens = _ensemble_with_non_finite_column(2, bad)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="ECF values must be finite"):
+            ecf(ens, [2, 1][:width], thetas)
+        # the same frequencies on the finite columns pass
+        assert np.all(np.isfinite(ecf(ens, [0, 1][:width], thetas)))

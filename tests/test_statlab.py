@@ -21,7 +21,6 @@ from idtlab.randkit import RngState, sample_normal
 from idtlab.statlab import (
     association_test,
     calibrate,
-    cov_estimate,
     ecf,
     idt_test,
     ks_one_sample,
@@ -75,7 +74,7 @@ def mini_thresholds():
 def test_ecf_zero_frequency_is_exactly_one():
     e = generate(StableLine(1.5), GRID, 500, RngState(1))
     ev = ecf(e, [0, 1], np.array([[0.0, 0.0]]))
-    assert ev.values[0] == 1.0 + 0.0j
+    assert ev[0] == 1.0 + 0.0j
 
 
 def test_ecf_conjugate_symmetry_is_exact():
@@ -83,7 +82,7 @@ def test_ecf_conjugate_symmetry_is_exact():
     thetas = np.array([[0.7, -0.3], [1.2, 0.4]])
     plus = ecf(e, [0, 2], thetas)
     minus = ecf(e, [0, 2], -thetas)
-    assert np.array_equal(minus.values, np.conj(plus.values))
+    assert np.array_equal(minus, np.conj(plus))
 
 
 def test_ecf_cauchy_line_matches_analytic_cf():
@@ -92,14 +91,14 @@ def test_ecf_cauchy_line_matches_analytic_cf():
     thetas = np.array([[0.25], [0.5], [1.0], [2.0]])
     ev = ecf(e, [1], thetas)  # t = 1: CF is exp(-|theta|)
     expected = np.exp(-np.abs(thetas[:, 0]))
-    assert np.abs(ev.values - expected).max() <= 3.0 / math.sqrt(n)
+    assert np.abs(ev - expected).max() <= 3.0 / math.sqrt(n)
 
 
 def test_ecf_modulus_bounded_by_one():
     e = generate(AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7), GRID, 2000, RngState(4))
     groups = np.array([[2.0, -1.5, 0.3]])
     ev = ecf(e, [0, 1, 2], groups)
-    assert np.all(np.abs(ev.values) <= 1.0 + 1e-12)
+    assert np.all(np.abs(ev) <= 1.0 + 1e-12)
 
 
 def test_ecf_domain_errors():
@@ -375,37 +374,6 @@ def test_association_mismatched_tails_fail():
 
 
 # ---------------------------------------------------------------------------
-# covariance estimation
-# ---------------------------------------------------------------------------
-
-
-def test_cov_estimate_zero_ensemble():
-    e = scale_paths(generate(FBM, GRID, 100, RngState(29)), 0.0)
-    assert np.all(cov_estimate(e) == 0.0)
-
-
-def test_cov_estimate_fbm_brownian_case():
-    n = 10**4
-    e = generate(GaussianKernel(FBmKernel(0.5)), TimeGrid([1.0, 2.0]), n, RngState(30))
-    m = cov_estimate(e)
-    expected = np.array([[1.0, 1.0], [1.0, 2.0]])
-    assert np.abs(m - expected).max() < 5.0 / math.sqrt(n) * 2.0
-
-
-def test_cov_estimate_single_column():
-    e = generate(StableLine(2.0), TimeGrid([1.0]), 500, RngState(31))
-    m = cov_estimate(e)
-    assert m.shape == (1, 1)
-    assert m[0, 0] == pytest.approx((e.values[:, 0] ** 2).mean())
-
-
-def test_cov_estimate_needs_two_paths():
-    e = generate(FBM, GRID, 1, RngState(32))
-    with pytest.raises(ValueError):
-        cov_estimate(e)
-
-
-# ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------
 
@@ -470,8 +438,8 @@ def test_gaussian_residual_cf_ratio_and_kernel_scaling():
     x = generate(FBM, GRID, n, RngState(37).split(0))
     cx = scale_paths(generate(FBM, GRID, n, RngState(37).split(1)), c)
     for theta in (0.5, 1.0):
-        fx = ecf(x, [1], np.array([[theta]])).values[0]
-        fc = ecf(cx, [1], np.array([[theta]])).values[0]
+        fx = ecf(x, [1], np.array([[theta]]))[0]
+        fc = ecf(cx, [1], np.array([[theta]]))[0]
         var_t = fbm_cov(0.3, 1.0, 1.0)
         expected = math.exp(-0.5 * (1.0 - c * c) * var_t * theta * theta)
         assert abs(fx / fc - expected) < 0.05
