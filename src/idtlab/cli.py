@@ -18,14 +18,13 @@ streams the ensemble: each row block is written to every requested file
 and its buffer reused for the next, so the whole ensemble is never held.
 ``--threads`` (else the IDTLAB_THREADS environment variable, else the
 CPU count) sets the worker count for tests and replays; either one below
-1 or not an integer is a usage error.  Above 1, an exported subordinated
-ensemble (``export``, and ``run`` with ``export_csv``) also draws the
-clock of its next row block on one helper thread, holding one more
-256 KiB block (an export of 200,000 paths on 64 times peaks at about
-39 MB of RSS).  Results are
-bit-identical for any thread count because every unit of work, and each
-of the clock and family streams, draws from its own substream in a fixed
-order.
+1 or not an integer is a usage error of the subcommand.  Above 1, an
+exported subordinated ensemble (``export``, and ``run`` with
+``export_csv``) also draws the clock of its next row block on one helper
+thread, holding one more 256 KiB block (an export of 200,000 paths on
+64 times peaks at about 39 MB of RSS).  Results are bit-identical for
+any thread count because every unit of work, and each of the clock and
+family streams, draws from its own substream in a fixed order.
 
 These workers do all the parallel work, so ``import idtlab`` loads
 numpy's OpenBLAS with one thread, whose calls here are small; a second
@@ -570,6 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_out=True):
+        # a bad thread count, from the option or the variable, prints this subcommand's usage
+        p.set_defaults(usage_error=p.error)
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--paths", type=int, default=None, help="override n_paths")
         if with_out:
@@ -609,13 +610,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # report takes no --threads, so it never reads IDTLAB_THREADS
-    if hasattr(args, "threads") and args.threads is None:
-        try:
-            args.threads = _default_threads()
-        except ValueError as exc:
-            parser.error(str(exc))
-    if getattr(args, "threads", 1) < 1:
-        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
+    if hasattr(args, "threads"):
+        if args.threads is None:
+            try:
+                args.threads = _default_threads()
+            except ValueError as exc:
+                args.usage_error(str(exc))
+        if args.threads < 1:
+            args.usage_error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -741,6 +741,8 @@ def gaussian_paths(kernel, grid: TimeGrid, n_paths: int, rng: RngState) -> PathE
     ``1e-12 * trace/n`` escalated tenfold up to three times; the jitter
     actually used is recorded in the ensemble metadata.  Times equal to 0
     are allowed for the fBm kernel only (the value there is exactly 0).
+    The product of the normals and the factor is written straight into
+    the output, so a draw holds the normals and the output only.
     """
     times = grid.times
     if isinstance(kernel, SpectralKernel) and times[0] <= 0:
@@ -767,8 +769,9 @@ def gaussian_paths(kernel, grid: TimeGrid, n_paths: int, rng: RngState) -> PathE
             f"covariance factorization failed after max jitter {base_jitter * 100:g}"
         )
     z = sample_normal(rng, (int(n_paths), m.shape[0]))
+    # times increase, so a time 0 can only be the first column
     values = np.zeros((int(n_paths), len(grid)))
-    values[:, positive] = z @ chol.T
+    np.matmul(z, chol.T, out=values[:, len(grid) - tpos.size :])
     return PathEnsemble(
         grid,
         values,

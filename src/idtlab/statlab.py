@@ -94,8 +94,10 @@ _PAIR_THETAS.setflags(write=False)
 
 def _direct_ecf(values_sub: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """ECF of the column-subset matrix at each row of ``thetas``."""
-    phases = values_sub @ thetas.T
-    return np.cos(phases).mean(axis=0) + 1j * np.sin(phases).mean(axis=0)
+    # an infinite value gives NaN, which ecf() turns into its ValueError
+    with np.errstate(invalid="ignore"):
+        phases = values_sub @ thetas.T
+        return np.cos(phases).mean(axis=0) + 1j * np.sin(phases).mean(axis=0)
 
 
 # a block holds 8 float64 rows, [cos; sin], for each column in use; the
@@ -114,7 +116,8 @@ def _phasor_block(rows: np.ndarray, cols, w: np.ndarray) -> None:
     t, t2, d = c[:, 1], c[:, 2], c[:, 3]
     for i, col in enumerate(cols):
         np.multiply(rows[:, col], 0.5 * THETA_COMPONENTS[0], out=t[i])
-    np.tan(t, out=t)
+    with np.errstate(invalid="ignore"):  # tan(+-inf) is NaN, the caller's to report
+        np.tan(t, out=t)
     np.multiply(t, t, out=t2)
     np.add(t2, 1.0, out=d)
     np.subtract(1.0, t2, out=c[:, 0])
@@ -275,25 +278,44 @@ def _kolmogorov_sf(x: float) -> float:
     return float(min(max(2.0 * total, 0.0), 1.0))
 
 
+def _finite(xs: np.ndarray) -> bool:
+    """Whether a sorted sample is finite: a sort puts -inf first and +inf, then NaN, last."""
+    return math.isfinite(xs[0]) and math.isfinite(xs[-1])
+
+
 def ks_two_sample(a, b):
-    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
-    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
-    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
+
+    A sample that holds a NaN or an infinity gives ``(nan, nan)``, so the
+    p-value can never pass a level.
+    """
+    # one sorted flat copy per sample
+    a = np.sort(np.asarray(a, dtype=np.float64), axis=None)
+    b = np.sort(np.asarray(b, dtype=np.float64), axis=None)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
+    if not (_finite(a) and _finite(b)):
+        return math.nan, math.nan
     pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
-    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
-    d = float(np.abs(cdf_a - cdf_b).max())
+    rank_b = np.searchsorted(b, pooled, side="right")
+    # the pooled buffer takes the CDF of a, then its difference from that of b
+    diff = np.divide(np.searchsorted(a, pooled, side="right"), a.size, out=pooled)
+    np.subtract(diff, rank_b / b.size, out=diff)
+    d = float(np.abs(diff, out=diff).max())
     en = math.sqrt(a.size * b.size / (a.size + b.size))
     return d, _kolmogorov_sf(en * d)
 
 
 def ks_one_sample(x, cdf):
-    """One-sample Kolmogorov-Smirnov test against a callable CDF."""
-    xs = np.sort(np.asarray(x, dtype=np.float64).ravel())
+    """One-sample Kolmogorov-Smirnov test against a callable CDF.
+
+    A sample that holds a NaN or an infinity gives ``(nan, nan)``.
+    """
+    xs = np.sort(np.asarray(x, dtype=np.float64), axis=None)
     if xs.size == 0:
         raise ValueError("sample must be nonempty")
+    if not _finite(xs):
+        return math.nan, math.nan
     n = xs.size
     f = np.asarray(cdf(xs), dtype=np.float64)
     d_plus = float((np.arange(1, n + 1) / n - f).max())
@@ -540,7 +562,9 @@ def association_test(
     """Marginal match between the spec and the clock-deformed Levy process.
 
     Two-sample KS at every requested time, Bonferroni-corrected: passes
-    iff each p-value is at least ``level / len(t_list)``.
+    iff each p-value is at least ``level / len(t_list)``.  A NaN or an
+    infinity in either ensemble makes that time's p-value NaN, and a NaN
+    p-value at any time makes the reported one NaN, which fails.
     """
     grid = TimeGrid(t_list)
     left = generate(spec, grid, n_paths, rng.split(0))
@@ -549,7 +573,7 @@ def association_test(
     for j in range(len(grid)):
         _, p = ks_two_sample(left.values[:, j], right.values[:, j])
         p_values.append(p)
-    p_min = min(p_values)
+    p_min = float(np.min(p_values))  # np.min, unlike min, carries a NaN from any place
     return TestReport.from_pvalue(
         name=f"association[{spec_label(spec)}]",
         p_value=p_min,
@@ -611,7 +635,8 @@ class TestKind:
 def _run_stationarity(spec, p, n_paths, rng, threshold):
     y = np.asarray(p["y_grid"], dtype=np.float64)
     ensemble = generate(spec, TimeGrid(np.exp(y)), n_paths, rng)
-    return stationarity_test(lamperti_apply(ensemble, p["alpha"], y), p["window"], p["shift"], threshold)
+    ensemble = lamperti_apply(ensemble, p["alpha"], y)  # the drawn ensemble is dropped here
+    return stationarity_test(ensemble, p["window"], p["shift"], threshold)
 
 
 _ON_GRID = (("times",), lambda p: _time_indices(TimeGrid(p["grid"]), p["times"]))

@@ -41,14 +41,18 @@ def scale_paths(ensemble: PathEnsemble, c: float) -> PathEnsemble:
 def sum_independent(
     spec, n: int, grid: TimeGrid, n_paths: int, rng: RngState
 ) -> PathEnsemble:
-    """Pointwise sum of ``n`` independently generated ensembles of the spec."""
+    """Pointwise sum of ``n`` independently generated ensembles of the spec.
+
+    The parts are added in split order into one running total, so past
+    the first part the sum holds the total and the part being drawn.
+    """
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    total = None
-    for i in range(n):
-        part = generate(spec, grid, n_paths, rng.split(i))
-        total = part.values if total is None else total + part.values
+    # a copy, as the parts are read-only
+    total = generate(spec, grid, n_paths, rng.split(0)).values.copy()
+    for i in range(1, n):
+        np.add(total, generate(spec, grid, n_paths, rng.split(i)).values, out=total)
     return PathEnsemble(
         grid if isinstance(grid, TimeGrid) else TimeGrid(grid),
         total,

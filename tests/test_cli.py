@@ -783,6 +783,12 @@ def test_env_var_thread_fallback(tmp_path, monkeypatch):
         _default_threads()
 
 
+def _assert_subcommand_usage_error(err: str, command: str, message: str) -> None:
+    """``err`` is the subcommand's usage, then one ``idtlab <command>: error:`` line."""
+    assert err.startswith(f"usage: idtlab {command} [-h] ")
+    assert err.endswith(f"\nidtlab {command}: error: {message}\n")
+
+
 @pytest.mark.parametrize("value", ["bogus", "2.5", "0", "-3"])
 @pytest.mark.parametrize("command", ["run", "calibrate", "export"])
 def test_bad_thread_variable_is_a_usage_error(tmp_path, capsys, monkeypatch, command, value):
@@ -793,7 +799,8 @@ def test_bad_thread_variable_is_a_usage_error(tmp_path, capsys, monkeypatch, com
     with pytest.raises(SystemExit) as exc:
         main([command, conf, "--out", str(out)])
     assert exc.value.code == 2
-    assert f"environment variable IDTLAB_THREADS: must be an integer of at least 1, got {value!r}" in capsys.readouterr().err
+    message = f"environment variable IDTLAB_THREADS: must be an integer of at least 1, got {value!r}"
+    _assert_subcommand_usage_error(capsys.readouterr().err, command, message)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
 
 
@@ -868,7 +875,7 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
     with pytest.raises(SystemExit) as exc:
         main([command, conf, "--out", str(out), "--threads", threads])
     assert exc.value.code == 2
-    assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+    _assert_subcommand_usage_error(capsys.readouterr().err, command, f"argument --threads: must be at least 1, got {threads}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
 
 

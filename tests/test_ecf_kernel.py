@@ -3,6 +3,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -154,8 +155,7 @@ def test_half_angle_phasors_match_cos_and_sin():
 
 
 def test_half_angle_phasors_of_non_finite_values_are_nan():
-    with np.errstate(invalid="ignore"):
-        cos, sin = _base_phasors(np.array([np.nan, np.inf, -np.inf, 1.0]))
+    cos, sin = _base_phasors(np.array([np.nan, np.inf, -np.inf, 1.0]))
     assert np.all(np.isnan(cos[:3])) and np.all(np.isnan(sin[:3]))
     assert np.isfinite(cos[3]) and np.isfinite(sin[3])
 
@@ -322,19 +322,36 @@ def test_non_finite_value_in_the_last_block_fails_the_test(bad):
     values = generate(GaussianKernel(FBmKernel(0.3)), grid, 2 * R + 5, RngState(37)).values.copy()
     values[-1, 2] = bad
     ens = PathEnsemble(grid, values, spec=None, seed=37)
-    with np.errstate(invalid="ignore"):
-        report = stationarity_test(ens, 2, 1, threshold=10.0)
+    report = stationarity_test(ens, 2, 1, threshold=10.0)
     assert np.isnan(report.statistic)
     assert report.passed is False
 
 
-@pytest.mark.parametrize("thetas", [SINGLE, np.array([[0.3], [1.7]]), PAIR, np.array([[0.3, -1.1]])])
+# the default single and pair grids take the product kernel, other frequencies the direct one
+THETAS = [SINGLE, np.array([[0.3], [1.7]]), np.array([[0.0], [1.7]]), PAIR, np.array([[0.3, -1.1]])]
+
+
+@pytest.mark.parametrize("thetas", THETAS)
 def test_ecf_rejects_non_finite_values(thetas):
-    # the default single and pair grids take the product kernel, other frequencies the direct one
     width = thetas.shape[1]
     for bad in (np.nan, np.inf, -np.inf):
         ens = _ensemble_with_non_finite_column(2, bad)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="ECF values must be finite"):
+        with pytest.raises(ValueError, match="ECF values must be finite"):
             ecf(ens, [2, 1][:width], thetas)
         # the same frequencies on the finite columns pass
         assert np.all(np.isfinite(ecf(ens, [0, 1][:width], thetas)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_raise_no_numpy_warning(bad):
+    """Both kernels keep numpy's invalid-value warning to themselves: ``ecf``
+    raises its own error and a distance test reports NaN, with nothing on stderr."""
+    ens = _ensemble_with_non_finite_column(2, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for thetas in THETAS:
+            with pytest.raises(ValueError, match="ECF values must be finite"):
+                ecf(ens, [2, 1][: thetas.shape[1]], thetas)
+        report = stationarity_test(ens, 2, 1, threshold=10.0)
+    assert np.isnan(report.statistic)
+    assert report.passed is False

@@ -1,4 +1,4 @@
-"""Memory bounds of generation and export, measured with tracemalloc.
+"""Memory bounds of generation, export and the tests, measured with tracemalloc.
 
 Levy-based generators fill the output array a row block at a time, so a
 subordinated ensemble costs its own bytes plus a few reused 256 KiB
@@ -10,6 +10,12 @@ below what 1 MiB blocks took (2.2-3.2 MiB beyond the output for
 the value buffer to the file as is, the binary reader reads the payload
 straight into the value array, and the CSV writer formats and writes a
 few thousand values at a time.
+
+On the test path each array holds at most one ensemble's worth of data.
+A Gaussian draw holds the normals and the output, the stationarity test
+drops the drawn ensemble once its Lamperti copy is made, KS keeps one
+sorted copy per sample and forms its CDFs in place, and a sum of
+independent ensembles adds into one running total.
 """
 
 import tracemalloc
@@ -19,15 +25,19 @@ import pytest
 
 from idtlab.cli import main
 from idtlab.io import read_binary, read_csv, write_binary, write_csv
+from idtlab.kernels import FBmKernel
 from idtlab.processes import (
     AdditiveTimeChange,
     Brownian,
     GammaSubordinator,
+    GaussianKernel,
     Subordinated,
     TimeGrid,
     generate,
 )
 from idtlab.randkit import RngState
+from idtlab.statlab import TEST_KINDS, ks_two_sample
+from idtlab.transforms import sum_independent
 
 GRID64 = TimeGrid(np.geomspace(0.0625, 4.0, 64))
 SPEC = Subordinated(Brownian(1.0, 0.0), AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7))
@@ -121,3 +131,59 @@ def test_blocked_ensemble_round_trips_bit_exact(ensemble, tmp_path):
     head = e.with_values(e.values[:300])
     write_csv(head, tmp_path / "paths.csv")
     assert np.array_equal(read_csv(tmp_path / "paths.csv").values, head.values)
+
+
+# ---------------------------------------------------------------------------
+# the test path: fBm(0.3), the Gaussian alpha-IDT process of `idtlab run`
+# ---------------------------------------------------------------------------
+
+FBM = GaussianKernel(FBmKernel(0.3))
+GRID3 = TimeGrid([0.5, 1.0, 2.0])
+Y_GRID = [-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75]
+
+
+@pytest.fixture(scope="module")
+def warmed():
+    """The stationarity kind and its params, run once at 100 paths so that the
+    thread's ECF block and first-call set-up stay out of the bounds."""
+    kind = TEST_KINDS["stationarity"]
+    params = kind.fill({"y_grid": Y_GRID}, FBM)
+    kind.run(FBM, params, 100, RngState(5), 1.0)
+    return kind, params
+
+
+@pytest.mark.parametrize("grid", [GRID3, TimeGrid([0.0, 0.5, 1.0, 2.0])], ids=["positive", "with_zero"])
+def test_fbm_draw_holds_the_normals_and_the_output(warmed, grid):
+    e, peak = _peak_beyond_start(lambda: generate(FBM, grid, 20_000, RngState(5)))
+    # the product is written into the output; a separate product array took
+    # a third ensemble on positive times, and 2.5 with a time 0
+    assert peak <= 2 * e.values.nbytes + 64 * 1024
+
+
+def test_stationarity_holds_two_ensembles(warmed):
+    kind, params = warmed
+    report, peak = _peak_beyond_start(lambda: kind.run(FBM, params, 20_000, RngState(5), 1.0))
+    assert np.isfinite(report.statistic)
+    # the draw's normals and output, then the output and its Lamperti copy;
+    # keeping the drawn ensemble through the test took a third
+    assert peak <= 2 * 20_000 * len(Y_GRID) * 8 + 256 * 1024
+
+
+def test_ks_two_sample_holds_sorted_copies_and_ranks():
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal(20_000), rng.standard_normal(20_000)
+    ks_two_sample(a[:10], b[:10])
+    _, peak = _peak_beyond_start(lambda: ks_two_sample(a, b))
+    # the sorted copies, the pooled values (later the CDF of a and the
+    # difference), the ranks in b and either the ranks in a or the CDF of b
+    # are 8 samples' worth; separate CDF, difference and absolute-value
+    # arrays took 12
+    assert peak <= 8 * a.nbytes + 256 * 1024
+
+
+def test_sum_of_three_holds_the_total_and_one_part(warmed):
+    e, peak = _peak_beyond_start(lambda: sum_independent(FBM, 3, GRID3, 20_000, RngState(5)))
+    # the first part and its copy, then the total beside a Gaussian draw's
+    # normals and output; keeping each part to the next draw and a fresh
+    # total per addition took five
+    assert peak <= 3 * e.values.nbytes + 64 * 1024

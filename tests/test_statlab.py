@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from idtlab import statlab
 from idtlab.kernels import FBmKernel, check_scaling, fbm_cov
 from idtlab.processes import (
     AdditiveTimeChange,
     Brownian,
     GammaSubordinator,
     GaussianKernel,
+    PathEnsemble,
     StableLine,
     StableMotion,
     TimeGrid,
@@ -187,6 +189,54 @@ def test_ks_leaves_scipy_unimported():
 def test_ks_empty_input():
     with pytest.raises(ValueError):
         ks_two_sample([], [1.0])
+
+
+def _ks_two_sample_reference(a, b):
+    """The textbook two-sample statistic: both CDFs over the pooled values."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
+    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
+def test_ks_in_place_statistic_is_bit_identical_to_the_reference(tied):
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((3000, 3))
+    if tied:
+        m = np.round(m * 4.0)
+    # strided columns, as association_test passes them
+    a, b = m[:, 0], 1.1 * m[:2000, 2]
+    d, p = ks_two_sample(a, b)
+    assert d == _ks_two_sample_reference(a, b)
+    assert p == statlab._kolmogorov_sf(math.sqrt(a.size * b.size / (a.size + b.size)) * d)
+
+
+def _no_series(x):
+    raise AssertionError("the Kolmogorov series ran on a non-finite sample")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("side", [0, 1], ids=["first", "second"])
+def test_ks_two_sample_non_finite_value_gives_nan(monkeypatch, bad, side):
+    rng = RngState(7)
+    samples = [sample_normal(rng.split(0), 2000), sample_normal(rng.split(1), 2000)]
+    samples[side][1000] = bad
+    monkeypatch.setattr(statlab, "_kolmogorov_sf", _no_series)
+    d, p = ks_two_sample(*samples)
+    assert math.isnan(d) and math.isnan(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_ks_one_sample_non_finite_value_gives_nan(monkeypatch, bad):
+    from scipy.special import ndtr
+
+    x = sample_normal(RngState(8), 2000)
+    x[1000] = bad
+    monkeypatch.setattr(statlab, "_kolmogorov_sf", _no_series)
+    d, p = ks_one_sample(x, ndtr)
+    assert math.isnan(d) and math.isnan(p)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +420,24 @@ def test_association_at_t1_is_definitional():
 
 def test_association_mismatched_tails_fail():
     report = association_test(StableLine(1.5), Brownian(1.0, 0.0), 1.5, TIMES, 10**4, RngState(28))
+    assert not report.passed
+
+
+def test_association_nan_p_value_in_a_later_column_fails(monkeypatch):
+    """The matched pair of ``test_association_matched_stable_pair_passes``
+    with one NaN at the third time: its p-value, and so the report's, is NaN."""
+    draw = statlab.generate
+
+    def with_nan(*args, **kwargs):
+        values = draw(*args, **kwargs).values.copy()
+        values[0, 2] = np.nan
+        return PathEnsemble(args[1], values, spec=None, seed=0)
+
+    monkeypatch.setattr(statlab, "generate", with_nan)
+    report = association_test(StableLine(1.5), StableMotion(1.5), 1.5, TIMES, 10**4, RngState(26))
+    p_values = report.details["p_values"]
+    assert all(p > 0.01 for p in p_values[:2]) and math.isnan(p_values[2])
+    assert math.isnan(report.statistic)
     assert not report.passed
 
 
