@@ -17,14 +17,18 @@ read in base 10, as ``--seed`` is, so ``010`` is 10.  ``export``
 streams the ensemble: each row block is written to every requested file
 and its buffer reused for the next, so the whole ensemble is never held.
 ``--threads`` (else the IDTLAB_THREADS environment variable, else the
-CPU count) sets the worker count for tests and replays; either one below
-1 or not an integer is a usage error of the subcommand.  Above 1, an
-exported subordinated ensemble (``export``, and ``run`` with
-``export_csv``) also draws the clock of its next row block on one helper
-thread, holding one more 256 KiB block (an export of 200,000 paths on
-64 times peaks at about 39 MB of RSS).  Results are bit-identical for
-any thread count because every unit of work, and each of the clock and
-family streams, draws from its own substream in a fixed order.
+CPU count) sets the worker count for null replays (``calibrate``, and
+``run`` with ``threshold_table = calibrate``); either one below 1 or not
+an integer is a usage error of the subcommand.  Above 1, an exported
+subordinated ensemble (``export``, and ``run`` with ``export_csv``) also
+draws the clock of its next row block on one helper thread, holding one
+more 256 KiB block (an export of 200,000 paths on 64 times peaks at
+about 39 MB of RSS).  ``run``'s tests run in config order on the calling
+thread at any count: a pool overlapped little of their work at the
+shipped 20,000 paths, and held a second ECF block and a second test's
+ensembles (peak RSS 45.2 MB against 41.3 MB).  Results are bit-identical
+for any thread count because every test and replay, and each of the
+clock and family streams, draws from its own substream in a fixed order.
 
 These workers do all the parallel work, so ``import idtlab`` loads
 numpy's OpenBLAS with one thread, whose calls here are small; a second
@@ -48,7 +52,7 @@ from . import io as ensio
 from .processes import FAMILY_KINDS, SPEC_KINDS, TimeGrid, generate, sample_blocks
 from .randkit import RngState
 from .report import TestReport
-from .statlab import TEST_KINDS, TestKind, _check_replays, _map, calibrate
+from .statlab import TEST_KINDS, TestKind, _check_replays, calibrate
 from .thresholds import ThresholdTable, entry_key
 
 _STREAM_TESTS = 1000
@@ -377,8 +381,9 @@ def _resolve_threshold(kind, node, prefix, spec, params, values, table):
         _checked(["calibration.n_reps", "quantile"], _check_replays, n_reps, quantile)
         return functools.partial(_null_threshold, kind, spec, params, n_reps, quantile)
     key = threshold_key_for(kind.name, spec, values["n_paths"], quantile, params.get("grid"), params.get("times"), params)
+    thresholds = table()  # outside the try: a malformed table is not a missing key
     try:
-        return table().lookup(key)
+        return thresholds.lookup(key)
     except KeyError:
         raise ConfigError(
             f"{prefix}: threshold table {source!r} has no key {key}; "
@@ -422,11 +427,9 @@ def cmd_run(args) -> int:
             threshold = threshold(root.split(_STREAM_CALIBRATE + index), n_paths, args.threads)
             jobs[index] = (name, kind, params, rng, threshold)
 
-    def run_one(job):
-        name, kind, params, rng, threshold = job
-        return name, kind.run(spec, params, n_paths, rng, threshold)
-
-    results = _map(run_one, jobs, args.threads)
+    # in config order on this thread: a pool overlapped little of the tests'
+    # work and held a second ECF block and ensemble; --threads drives the replays
+    results = [(name, kind.run(spec, params, n_paths, rng, threshold)) for name, kind, params, rng, threshold in jobs]
 
     reports = dict(results)
     for number, (name, report) in enumerate(results, start=1):
@@ -580,8 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help=(
-                "worker threads (default: IDTLAB_THREADS, else the CPU count); export also draws a "
-                "subordinated clock on a helper thread, one more 256 KiB block (never affects results)"
+                "worker threads for null replays (default: IDTLAB_THREADS, else the CPU count); export "
+                "also draws a subordinated clock on a helper thread, one more 256 KiB block; run's tests "
+                "run in config order on the calling thread (never affects results)"
             ),
         )
 

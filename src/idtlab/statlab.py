@@ -49,9 +49,10 @@ to run it.  The CLI and ``calibrate`` read everything from the entry, so
 adding a kind takes one entry plus its public ``*_test`` function, which
 for a distance test is a thin wrapper over ``_spec_report``: the ensembles
 to draw, each on its own ``rng.split`` index, and how to combine their
-ECF vectors elementwise.  ``calibrate``'s replays and the CLI's tests run
-through one map, ``_map``, on a pool of worker threads when asked for more
-than one.
+ECF vectors elementwise.  ``calibrate``'s replays run through ``_map``,
+on a pool of worker threads when asked for more than one; ``idtlab run``
+runs its tests in config order on the calling thread, since a pool
+overlapped little of their work and held a second ECF block.
 """
 
 from __future__ import annotations

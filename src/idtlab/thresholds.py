@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 
 import numpy as np
 
@@ -51,6 +52,22 @@ def entry_key(kind: str, spec, n_paths: int, quantile: float, **params) -> str:
     return "|".join(parts)
 
 
+def _finite_number(value) -> bool:
+    """Whether a parsed JSON value is a finite number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+def _shown(value) -> str:
+    """``value`` as JSON text, cut to 40 characters, for an error message."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 class ThresholdTable:
     """Mapping from canonical test keys to calibrated thresholds."""
 
@@ -83,10 +100,26 @@ class ThresholdTable:
 
     @classmethod
     def _read(cls, text: str) -> "ThresholdTable":
+        """The table in ``text``: a JSON object with ``version`` 1, ``entries``
+        an object of finite numbers and, when present, ``meta`` an object;
+        anything else raises a ``ValueError`` naming the field."""
         doc = json.loads(text)
-        if doc.get("version") != TABLE_VERSION:
-            raise ValueError(f"unsupported threshold table version {doc.get('version')}")
-        return cls(doc["entries"], doc.get("meta", {}))
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {_shown(doc)}")
+        version = doc.get("version")
+        if type(version) is not int or version != TABLE_VERSION:
+            raise ValueError(f"field 'version': unsupported threshold table version {_shown(version)}")
+        if "entries" not in doc:
+            raise ValueError("field 'entries': missing")
+        entries, meta = doc["entries"], doc.get("meta", {})
+        if not isinstance(entries, dict):
+            raise ValueError(f"field 'entries': expected an object of thresholds, got {_shown(entries)}")
+        for key, value in entries.items():
+            if not _finite_number(value):
+                raise ValueError(f"field 'entries', key {key!r}: expected a finite number, got {_shown(value)}")
+        if not isinstance(meta, dict):
+            raise ValueError(f"field 'meta': expected an object, got {_shown(meta)}")
+        return cls(entries, meta)
 
     @classmethod
     def load(cls, path) -> "ThresholdTable":

@@ -237,13 +237,49 @@ def test_run_reads_the_threshold_table_once(tmp_path, monkeypatch, source):
     assert len(json.loads((tmp_path / "out" / "summary.json").read_text())["reports"]) == 3
 
 
-def test_run_malformed_threshold_table_exit_two(tmp_path, capsys):
-    (tmp_path / "table.json").write_text("{not json")
+# the threshold key of RUN_OK's test, so a table's only fault is the one named
+_KEY = (
+    "test=idt|spec=stable_line(alpha=1.5)|n_paths=500|theta=m12:0.25-2|q=0.99|"
+    "grid=[0.5,1.0,2.0]|mode=power|n=2|times=[0.5,1.0,2.0]"
+)
+# table text, and the part of its error that names the field
+MALFORMED_TABLES = {
+    "not json": ("{not json", "Expecting property name"),
+    "list": ("[]", "expected a JSON object, got []"),
+    "version 2": (f'{{"version": 2, "entries": {{"{_KEY}": 0.5}}}}', "field 'version'"),
+    "version true": (f'{{"version": true, "entries": {{"{_KEY}": 0.5}}}}', "field 'version'"),
+    "meta 3": (f'{{"version": 1, "meta": 3, "entries": {{"{_KEY}": 0.5}}}}', "field 'meta'"),
+    "entry string": (f'{{"version": 1, "entries": {{"{_KEY}": "abc"}}}}', "field 'entries', key"),
+    "entry null": (f'{{"version": 1, "entries": {{"{_KEY}": null}}}}', "field 'entries', key"),
+    "entry true": (f'{{"version": 1, "entries": {{"{_KEY}": true}}}}', "field 'entries', key"),
+    "entry numeric string": (f'{{"version": 1, "entries": {{"{_KEY}": "0.05"}}}}', "field 'entries', key"),
+    "entry NaN": (f'{{"version": 1, "entries": {{"{_KEY}": NaN}}}}', "field 'entries', key"),
+    "entries list": ('{"version": 1, "entries": []}', "field 'entries': expected an object"),
+    "no entries": ('{"version": 1}', "field 'entries': missing"),
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES)
+def test_run_malformed_threshold_table_exit_two(tmp_path, capsys, text, message):
+    (tmp_path / "table.json").write_text(text)
     conf = RUN_OK.format(out=tmp_path / "out").replace(
         "test.pathline.threshold = 0.5\n", "threshold_table = table.json\n"
     )
     assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 2
-    assert "table.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read threshold table {tmp_path / 'table.json'}: ")
+    assert message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_well_formed_threshold_table_gates_the_test(tmp_path):
+    (tmp_path / "table.json").write_text(f'{{"version": 1, "meta": {{}}, "entries": {{"{_KEY}": 5}}}}')
+    conf = RUN_OK.format(out=tmp_path / "out").replace(
+        "test.pathline.threshold = 0.5\n", "threshold_table = table.json\n"
+    )
+    assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 0
+    assert json.loads((tmp_path / "out" / "report_pathline.json").read_text())["report"]["threshold"] == 5.0
 
 
 def test_run_seed_override_changes_reports(tmp_path):
@@ -276,6 +312,63 @@ def test_run_threads_do_not_change_reports(tmp_path):
 
     assert strip_volatile(rep1) == strip_volatile(rep2)
     assert strip_volatile(sum1) == strip_volatile(sum2)
+
+
+FBM_THREE_TESTS = """
+seed = 7
+n_paths = 500
+grid = 0.5 1 2
+output_dir = {out}
+export_csv = false
+
+spec.kind = fbm
+spec.hurst = 0.3
+
+test.a.kind = idt
+test.a.n = 2
+test.a.threshold = 0.5
+test.b.kind = idt
+test.b.n = 3
+test.b.threshold = 0.5
+test.c.kind = idt
+test.c.n = 2
+test.c.mode = sum
+test.c.threshold = 0.5
+"""
+
+
+def test_run_tests_start_no_thread(tmp_path, monkeypatch):
+    import threading
+
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self.name) or start(self))
+    conf = _write(tmp_path, FBM_THREE_TESTS.format(out=tmp_path / "out"))
+    assert main(["run", conf, "--threads", "4"]) == 0
+    # the tests run in config order on the calling thread
+    assert started == []
+    assert len(json.loads((tmp_path / "out" / "summary.json").read_text())["reports"]) == 3
+
+
+def test_run_replays_take_the_thread_count(tmp_path, monkeypatch):
+    import idtlab.statlab
+
+    calls = []
+    pooled = idtlab.statlab._map
+
+    def recorded(fn, items, threads):
+        calls.append((len(items), threads))
+        return pooled(fn, items, threads)
+
+    monkeypatch.setattr(idtlab.statlab, "_map", recorded)
+    # tests a and b replay 10 nulls each; test c keeps its explicit threshold
+    text = FBM_THREE_TESTS.replace("test.a.threshold = 0.5\n", "").replace("test.b.threshold = 0.5\n", "").replace(
+        "n_paths = 500", "n_paths = 100\nthreshold_table = calibrate\nquantile = 0.9\ncalibration.n_reps = 10"
+    )
+    conf = _write(tmp_path, text.format(out=tmp_path / "out"))
+    assert main(["run", conf, "--threads", "4"]) in (0, 1)
+    # one replay set per calibrated test, and nothing else reaches the pool
+    assert calls == [(10, 4), (10, 4)]
 
 
 CALIBRATE_CONF = """

@@ -15,7 +15,9 @@ On the test path each array holds at most one ensemble's worth of data.
 A Gaussian draw holds the normals and the output, the stationarity test
 drops the drawn ensemble once its Lamperti copy is made, KS keeps one
 sorted copy per sample and forms its CDFs in place, and a sum of
-independent ensembles adds into one running total.
+independent ensembles adds into one running total.  ``idtlab run`` runs
+its tests one after another on the calling thread, so ``--threads``
+adds no ECF block and no second test's ensembles.
 """
 
 import tracemalloc
@@ -187,3 +189,38 @@ def test_sum_of_three_holds_the_total_and_one_part(warmed):
     # normals and output; keeping each part to the next draw and a fresh
     # total per addition took five
     assert peak <= 3 * e.values.nbytes + 64 * 1024
+
+
+RUN_CONF = """
+seed = 7
+n_paths = 20000
+grid = 0.5 1 2
+export_csv = false
+spec.kind = fbm
+spec.hurst = 0.3
+test.a.kind = idt
+test.a.n = 2
+test.a.threshold = 0.5
+test.b.kind = idt
+test.b.n = 3
+test.b.threshold = 0.5
+test.c.kind = idt
+test.c.n = 2
+test.c.mode = sum
+test.c.threshold = 0.5
+"""
+
+
+def test_run_threads_add_no_traced_memory(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text(RUN_CONF)
+    args = ["run", str(conf), "--out", str(tmp_path / "out")]
+    assert main(args + ["--paths", "100", "--threads", "1"]) in (0, 1)  # this thread's ECF block and first-call set-up
+    peaks = {}
+    for threads in ("1", "2"):
+        code, peaks[threads] = _peak_beyond_start(lambda: main(args + ["--threads", threads]))
+        assert code in (0, 1)
+    # the tests run one after another on the calling thread at any --threads;
+    # a pool of two held a second ECF block and a second test's ensembles
+    # (4.9 MiB against 1.4 MiB)
+    assert peaks["2"] <= peaks["1"] + 64 * 1024
