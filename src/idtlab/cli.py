@@ -16,10 +16,10 @@ default)`` row, and every key is checked before any work; integers are
 read in base 10, as ``--seed`` is, so ``010`` is 10.  ``export``
 streams the ensemble: each row block is written to every requested file
 and its buffer reused for the next, so the whole ensemble is never held.
-``--threads`` (else the IDTLAB_THREADS environment variable, else the
-CPU count) sets the worker count for null replays (``calibrate``, and
-``run`` with ``threshold_table = calibrate``); either one below 1 or not
-an integer is a usage error of the subcommand.  Above 1, an exported
+``--threads`` alone sets the worker count for null replays (``calibrate``,
+and ``run`` with ``threshold_table = calibrate``), by default the CPUs in
+the process's affinity mask; a count below 1 or not an integer is a
+usage error of the subcommand.  Above 1, an exported
 subordinated ensemble (``export``, and ``run`` with ``export_csv``) also
 draws the clock of its next row block on one helper thread, holding one
 more 256 KiB block (an export of 200,000 paths on 64 times peaks at
@@ -52,7 +52,7 @@ from . import io as ensio
 from .processes import FAMILY_KINDS, SPEC_KINDS, TimeGrid, generate, sample_blocks
 from .randkit import RngState
 from .report import TestReport
-from .statlab import TEST_KINDS, TestKind, _check_replays, calibrate
+from .statlab import _SPEC_EXPONENT, TEST_KINDS, TestKind, _check_replays, calibrate
 from .thresholds import ThresholdTable, entry_key
 
 _STREAM_TESTS = 1000
@@ -377,6 +377,13 @@ def _resolve_threshold(kind, node, prefix, spec, params, values, table):
         return _as_float(node["threshold"], f"{prefix}.threshold")
     source, quantile = values["threshold_table"], values["quantile"]
     if source == "calibrate":
+        # a probe exponent with no spec value (selfsimilarity h, stability beta) would calibrate itself
+        for name, _, default in kind.fields:
+            if name not in kind.key_fields and default is not _SPEC_EXPONENT:
+                raise ConfigError(
+                    f"field '{prefix}.{name}': threshold_table = calibrate would replay the null at this probe "
+                    f"value; set {prefix}.threshold, or use an idtlab calibrate entry at the spec's true {name}"
+                )
         n_reps = values["calibration.n_reps"]
         _checked(["calibration.n_reps", "quantile"], _check_replays, n_reps, quantile)
         return functools.partial(_null_threshold, kind, spec, params, n_reps, quantile)
@@ -556,15 +563,15 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_threads() -> int:
-    """``IDTLAB_THREADS``, or the CPU count when it is unset or empty; a
-    value that is not an integer of at least 1 raises ``ValueError``."""
-    env = os.environ.get("IDTLAB_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    if not (env.isdecimal() and int(env) >= 1):
-        raise ValueError(f"environment variable IDTLAB_THREADS: must be an integer of at least 1, got {env!r}")
-    return int(env)
+def _thread_count(text: str) -> int:
+    """``--threads``: a base-10 integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,20 +579,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_out=True):
-        # a bad thread count, from the option or the variable, prints this subcommand's usage
-        p.set_defaults(usage_error=p.error)
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--paths", type=int, default=None, help="override n_paths")
         if with_out:
             p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument(
             "--threads",
-            type=int,
-            default=None,
+            type=_thread_count,
+            # the CPUs this process may run on, where the OS keeps an affinity mask
+            default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
             help=(
-                "worker threads for null replays (default: IDTLAB_THREADS, else the CPU count); export "
-                "also draws a subordinated clock on a helper thread, one more 256 KiB block; run's tests "
-                "run in config order on the calling thread (never affects results)"
+                "worker threads for null replays, at least 1 (default: the CPUs in this process's affinity "
+                "mask, here %(default)s); export also draws a subordinated clock on a helper thread, one more "
+                "256 KiB block; run's tests run in config order on the calling thread (never affects results)"
             ),
         )
 
@@ -613,15 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # report takes no --threads, so it never reads IDTLAB_THREADS
-    if hasattr(args, "threads"):
-        if args.threads is None:
-            try:
-                args.threads = _default_threads()
-            except ValueError as exc:
-                args.usage_error(str(exc))
-        if args.threads < 1:
-            args.usage_error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -202,6 +202,34 @@ def test_run_calibrate_too_few_reps_exit_two(tmp_path, capsys):
     assert "'calibration.n_reps'" in err
 
 
+@pytest.mark.parametrize(
+    "test_lines, field",
+    [
+        ("test.x.kind = selfsimilarity\ntest.x.h = 0.3\ntest.x.a = 2\n", "test.x.h"),
+        ("test.x.kind = stability\ntest.x.beta = 0.7\ntest.x.n = 2\n", "test.x.beta"),
+    ],
+    ids=["selfsimilarity_h", "stability_beta"],
+)
+def test_run_calibrate_refuses_a_probe_exponent(tmp_path, capsys, monkeypatch, test_lines, field):
+    """A wrong h or beta would be replayed as the null and calibrate its own threshold."""
+    import idtlab.cli
+
+    replays = []
+    monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: replays.append(args) or 0.0)
+    out = tmp_path / "out"
+    conf = (
+        f"seed = 5\nn_paths = 2000\ngrid = 0.5 1 2\nquantile = 0.95\noutput_dir = {out}\n"
+        "threshold_table = calibrate\ncalibration.n_reps = 40\nspec.kind = stable_line\nspec.alpha = 1.5\n" + test_lines
+    )
+    assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: field '{field}': threshold_table = calibrate ")
+    assert "test.x.threshold" in err and "idtlab calibrate" in err
+    assert err.count("\n") == 1
+    assert replays == []
+    assert not out.exists()
+
+
 def test_run_threshold_key_missing_from_table_exit_two(tmp_path, capsys):
     # the shipped table has no entry at 500 paths
     conf = RUN_OK.format(out=tmp_path / "out").replace("test.pathline.threshold = 0.5\n", "")
@@ -859,50 +887,25 @@ def test_console_entry_point_subprocess(tmp_path):
     assert "ok 1" in proc.stdout
 
 
-def test_env_var_thread_fallback(tmp_path, monkeypatch):
-    """IDTLAB_THREADS, read in base 10, else the CPU count; a bad value raises."""
-    import os
-
-    from idtlab.cli import _default_threads
-
-    monkeypatch.setenv("IDTLAB_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.setenv("IDTLAB_THREADS", "010")
-    assert _default_threads() == 10
-    monkeypatch.setenv("IDTLAB_THREADS", "")
-    assert _default_threads() == (os.cpu_count() or 1)
-    monkeypatch.setenv("IDTLAB_THREADS", "bogus")
-    with pytest.raises(ValueError, match="IDTLAB_THREADS"):
-        _default_threads()
-
-
 def _assert_subcommand_usage_error(err: str, command: str, message: str) -> None:
     """``err`` is the subcommand's usage, then one ``idtlab <command>: error:`` line."""
     assert err.startswith(f"usage: idtlab {command} [-h] ")
     assert err.endswith(f"\nidtlab {command}: error: {message}\n")
 
 
-@pytest.mark.parametrize("value", ["bogus", "2.5", "0", "-3"])
-@pytest.mark.parametrize("command", ["run", "calibrate", "export"])
-def test_bad_thread_variable_is_a_usage_error(tmp_path, capsys, monkeypatch, command, value):
-    monkeypatch.setenv("IDTLAB_THREADS", value)
-    text = {"run": RUN_OK, "calibrate": CALIBRATE_CONF, "export": EXPORT_CONF}[command]
-    out = tmp_path / "out"
-    conf = _write(tmp_path, text.format(out=out))
-    with pytest.raises(SystemExit) as exc:
-        main([command, conf, "--out", str(out)])
-    assert exc.value.code == 2
-    message = f"environment variable IDTLAB_THREADS: must be an integer of at least 1, got {value!r}"
-    _assert_subcommand_usage_error(capsys.readouterr().err, command, message)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
+def test_default_threads_count_usable_cpus(monkeypatch):
+    """The default is the CPUs in the affinity mask, else the CPU count."""
+    import os
 
+    from idtlab.cli import build_parser
 
-def test_thread_variable_is_read_only_without_the_option(tmp_path, monkeypatch):
-    monkeypatch.setenv("IDTLAB_THREADS", "bogus")
-    out = tmp_path / "out"
-    assert main(["export", _write(tmp_path, EXPORT_CONF.format(out=out)), "--threads", "1"]) == 0
-    # report takes no --threads and never reads the variable
-    assert main(["report", str(out)]) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for command in ("run", "calibrate", "export"):
+        assert build_parser().parse_args([command, "exp.conf"]).threads == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for command in ("run", "calibrate", "export"):
+        assert build_parser().parse_args([command, "exp.conf"]).threads == 64
 
 
 def test_zero_padded_config_integer_is_base_ten(tmp_path):
@@ -959,7 +962,7 @@ def test_malformed_top_level_key_exit_two_before_any_work(tmp_path, capsys, monk
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("threads", ["0", "-3", "abc", "2.5"])
 @pytest.mark.parametrize("command", ["run", "calibrate", "export"])
 def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
     text = {"run": RUN_OK, "calibrate": CALIBRATE_CONF, "export": EXPORT_CONF}[command]
@@ -968,7 +971,8 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
     with pytest.raises(SystemExit) as exc:
         main([command, conf, "--out", str(out), "--threads", threads])
     assert exc.value.code == 2
-    _assert_subcommand_usage_error(capsys.readouterr().err, command, f"argument --threads: must be at least 1, got {threads}")
+    problem = f"must be at least 1, got {threads}" if threads in ("0", "-3") else f"invalid int value: {threads!r}"
+    _assert_subcommand_usage_error(capsys.readouterr().err, command, f"argument --threads: {problem}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
 
 
