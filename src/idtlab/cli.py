@@ -52,8 +52,8 @@ from . import io as ensio
 from .processes import FAMILY_KINDS, SPEC_KINDS, TimeGrid, generate, sample_blocks
 from .randkit import RngState
 from .report import TestReport
-from .statlab import _SPEC_EXPONENT, TEST_KINDS, TestKind, _check_replays, calibrate
-from .thresholds import ThresholdTable, entry_key
+from .statlab import TEST_KINDS, TestKind, _check_replays, calibrate
+from .thresholds import ThresholdTable
 
 _STREAM_TESTS = 1000
 _STREAM_EXPORT = 1
@@ -133,6 +133,10 @@ def _as_int(raw, field: str) -> int:
         return int(str(raw))
     except (TypeError, ValueError):
         raise ConfigError(f"field {field!r}: expected an integer, got {raw!r}") from None
+
+
+def _as_seed(raw, field: str) -> int:
+    return _checked([field], RngState, _as_int(raw, field)).seed
 
 
 def _as_floats(raw, field: str) -> list:
@@ -248,6 +252,7 @@ def _test_kind(raw, field: str) -> TestKind:
 
 _PARSERS = {
     "int": _as_int,
+    "seed": _as_seed,
     "float": _as_float,
     "str": lambda raw, field: str(raw),
     "floats": _as_floats,
@@ -268,7 +273,7 @@ _PARSERS = {
 # One (name, type, default) row per key, as in the kind tables; a default of
 # None marks a required key.  export also takes run's keys, so one config
 # serves both; a calibrate entry may override _ENTRY_OVERRIDES.
-_SEED, _N_PATHS, _GRID = ("seed", "int", None), ("n_paths", "int", None), ("grid", "grid", None)
+_SEED, _N_PATHS, _GRID = ("seed", "seed", None), ("n_paths", "int", None), ("grid", "grid", None)
 _QUANTILE, _N_REPS = ("quantile", "float", 0.99), ("n_reps", "int", 200)
 _RUN_FIELDS = (
     _SEED, _N_PATHS, _GRID, ("output_dir", "str", "out"), _QUANTILE, ("threshold_table", "str", "default"),
@@ -304,13 +309,17 @@ def _command_config(args, command: str):
         if key not in names:
             raise ConfigError(f"unknown key {key!r}; idtlab {command} takes {', '.join(names)}")
     values = _field_values(keys + sections, top, "", keys=None)
-    if command != "calibrate" and values["n_paths"] < 100:
-        raise ConfigError(f"field 'n_paths': must be at least 100, got {values['n_paths']}")
+    _at_least(values["n_paths"], 1 if command == "calibrate" else 100, "n_paths")
     return cfg, values
 
 
+def _at_least(count: int, minimum: int, field: str) -> None:
+    if count < minimum:
+        raise ConfigError(f"field {field!r}: must be at least {minimum}, got {count}")
+
+
 # ---------------------------------------------------------------------------
-# Test fields and threshold keys, read from each kind's ``TestKind`` entry
+# Test fields, read from each kind's ``TestKind`` entry, and threshold tables
 # ---------------------------------------------------------------------------
 
 
@@ -325,30 +334,6 @@ def _test_params(kind: TestKind, node: dict, prefix: str, spec, grid_list, keys)
     for fields, rule in kind.checks:
         _checked([f"{prefix}.{f}" for f in fields], rule, params)
     return params
-
-
-def threshold_key_for(kind, spec, n_paths, quantile, grid, times, params) -> str:
-    """Canonical table key.
-
-    Hypothesis exponents (the idt/temporal alpha, the selfsimilarity h,
-    the stability beta) are deliberately excluded: under the null they do
-    not shape the statistic's distribution, and excluding them lets a
-    negative control share the threshold of its positive twin.
-    """
-    test = TEST_KINDS.get(kind)
-    if test is None or not test.calibrated:
-        raise ConfigError(f"test kind {kind!r} does not use calibrated thresholds")
-    params = test.fill(params, spec)
-    extra = {name: params[name] for name in test.key_fields}
-    if test.uses_times:
-        extra.update(grid=grid, times=times)
-    return entry_key(kind, spec, n_paths, quantile, **extra)
-
-
-def _null_threshold(kind, spec, params, n_reps, quantile, rng, n_paths, threads) -> float:
-    # replay under the true null: the spec's own exponent, never a probe value
-    replay = {k: v for k, v in params.items() if k != "alpha"}
-    return calibrate(spec, kind.name, n_reps, quantile, rng, n_paths, threads=threads, **replay)
 
 
 def _load_table(raw: str, config_dir: str):
@@ -369,25 +354,23 @@ def _load_table(raw: str, config_dir: str):
 def _resolve_threshold(kind, node, prefix, spec, params, values, table):
     """The test's threshold: ``None`` for a p-value test, a number from its
     section or from the table that ``table()`` returns, or with
-    ``threshold_table = calibrate`` a checked null replay still to run as
-    ``replay(rng, n_paths, threads)``."""
+    ``threshold_table = calibrate`` a checked true-null replay still to run
+    as ``replay(rng, n_paths, threads)``."""
     if not kind.calibrated:
         return None
     if "threshold" in node:
         return _as_float(node["threshold"], f"{prefix}.threshold")
     source, quantile = values["threshold_table"], values["quantile"]
     if source == "calibrate":
-        # a probe exponent with no spec value (selfsimilarity h, stability beta) would calibrate itself
-        for name, _, default in kind.fields:
-            if name not in kind.key_fields and default is not _SPEC_EXPONENT:
-                raise ConfigError(
-                    f"field '{prefix}.{name}': threshold_table = calibrate would replay the null at this probe "
-                    f"value; set {prefix}.threshold, or use an idtlab calibrate entry at the spec's true {name}"
-                )
+        for name in kind.probes:
+            raise ConfigError(
+                f"field '{prefix}.{name}': threshold_table = calibrate would replay the null at this probe "
+                f"value; set {prefix}.threshold, or use an idtlab calibrate entry at the spec's true {name}"
+            )
         n_reps = values["calibration.n_reps"]
         _checked(["calibration.n_reps", "quantile"], _check_replays, n_reps, quantile)
-        return functools.partial(_null_threshold, kind, spec, params, n_reps, quantile)
-    key = threshold_key_for(kind.name, spec, values["n_paths"], quantile, params.get("grid"), params.get("times"), params)
+        return functools.partial(calibrate, spec, kind.name, n_reps, quantile, **kind.null(params, spec))
+    key = kind.key(spec, values["n_paths"], quantile, params)
     thresholds = table()  # outside the try: a malformed table is not a missing key
     try:
         return thresholds.lookup(key)
@@ -421,25 +404,23 @@ def cmd_run(args) -> int:
     table = functools.cache(lambda: _load_table(values["threshold_table"], config_dir))
     # every test section is parsed and checked before any directory or null replay
     jobs = []
-    for index, (name, node) in enumerate(sorted(values["test"].items())):
+    for name, node in sorted(values["test"].items()):
         prefix = f"test.{name}"
         kind = _test_kind(_required(node, "kind", f"{prefix}."), f"{prefix}.kind")
         # an uncalibrated test reports a p-value and takes no threshold
         params = _test_params(kind, node, prefix, spec, grid_list, ("kind",) + ("threshold",) * kind.calibrated)
-        threshold = _resolve_threshold(kind, node, prefix, spec, params, values, table)
-        jobs.append((name, kind, params, root.split(_STREAM_TESTS + index), threshold))
+        jobs.append((name, kind, params, _resolve_threshold(kind, node, prefix, spec, params, values, table)))
     _make_dir(out_dir)
-    for index, (name, kind, params, rng, threshold) in enumerate(jobs):
+
+    # in config order on this thread, each null replay (on --threads workers) just before its
+    # test: a pool overlapped little of the tests' work and held a second ECF block and ensemble
+    reports = {}
+    for index, (name, kind, params, threshold) in enumerate(jobs):
         if callable(threshold):
             threshold = threshold(root.split(_STREAM_CALIBRATE + index), n_paths, args.threads)
-            jobs[index] = (name, kind, params, rng, threshold)
+        reports[name] = kind.run(spec, params, n_paths, root.split(_STREAM_TESTS + index), threshold)
 
-    # in config order on this thread: a pool overlapped little of the tests'
-    # work and held a second ECF block and ensemble; --threads drives the replays
-    results = [(name, kind.run(spec, params, n_paths, rng, threshold)) for name, kind, params, rng, threshold in jobs]
-
-    reports = dict(results)
-    for number, (name, report) in enumerate(results, start=1):
+    for number, (name, report) in enumerate(reports.items(), start=1):
         print(report.to_tap(number))
         _write_json(
             os.path.join(out_dir, f"report_{name}.json"),
@@ -491,21 +472,22 @@ def cmd_calibrate(args) -> int:
         prefix = f"entry.{name}"
         # the entry's other keys are checked with its test's fields
         entry = _field_values(fields, node, prefix, keys=None)
-        kind, spec, quantile, n_reps = entry["test"], entry["spec"], entry["quantile"], entry["n_reps"]
+        kind, spec, n_paths = entry["test"], entry["spec"], entry["n_paths"]
+        quantile, n_reps = entry["quantile"], entry["n_reps"]
         if not kind.calibrated:
             raise ConfigError(f"{prefix}: {kind.name} uses p-values, not calibrated thresholds")
+        _at_least(n_paths, 1, f"{prefix}.n_paths")
         params = _test_params(kind, node, prefix, spec, entry["grid"], tuple(name for name, _, _ in fields))
         _checked([f"{prefix}.n_reps", f"{prefix}.quantile"], _check_replays, n_reps, quantile)
-        key = threshold_key_for(kind.name, spec, entry["n_paths"], quantile, entry["grid"], params.get("times"), params)
-        replay = functools.partial(_null_threshold, kind, spec, params, n_reps, quantile, n_paths=entry["n_paths"])
-        entries.append((name, key, replay))
+        replay = functools.partial(calibrate, spec, kind.name, n_reps, quantile, **kind.null(params, spec))
+        entries.append((name, kind.key(spec, n_paths, quantile, params), n_paths, replay))
     _make_dir(os.path.dirname(out_path))
 
     root = RngState(values["seed"])
     meta = {"seed": values["seed"], "n_reps": values["n_reps"], "quantile": values["quantile"], "tool": "idtlab calibrate"}
     table = ThresholdTable({}, meta=meta)
-    for index, (name, key, replay) in enumerate(entries):
-        threshold = replay(root.split(_STREAM_CALIBRATE + index), threads=args.threads)
+    for index, (name, key, n_paths, replay) in enumerate(entries):
+        threshold = replay(root.split(_STREAM_CALIBRATE + index), n_paths, args.threads)
         table.set(key, threshold)
         print(f"# calibrated {name}: {threshold:.6g}")
 

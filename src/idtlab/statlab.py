@@ -44,10 +44,11 @@ ECF vector before generating the next, which keeps one ensemble alive
 beside the block, and take the statistic over the whole vector at once.
 
 Each test kind has one ``TestKind`` entry in ``TEST_KINDS``: its config
-fields and defaults, its threshold-key fields, its preconditions and how
-to run it.  The CLI and ``calibrate`` read everything from the entry, so
-adding a kind takes one entry plus its public ``*_test`` function, which
-for a distance test is a thin wrapper over ``_spec_report``: the ensembles
+fields and defaults, its threshold key, its true null, its preconditions
+and how to run it.  The CLI and ``calibrate`` read everything from the
+entry, so adding a kind takes one entry plus its public ``*_test``
+function, which takes the kind's fields by name and for a distance test
+is a thin wrapper over ``_spec_report``: the ensembles
 to draw, each on its own ``rng.split`` index, and how to combine their
 ECF vectors elementwise.  ``calibrate``'s replays run through ``_map``,
 on a pool of worker threads when asked for more than one; ``idtlab run``
@@ -75,10 +76,10 @@ from .processes import (
 )
 from .randkit import RngState
 from .report import TestReport
+from .thresholds import DEFAULT_THETA_ID, entry_key
 from .transforms import lamperti_apply, scale_paths, sum_independent
 
 THETA_COMPONENTS = (0.25, 0.5, 1.0, 2.0)
-DEFAULT_THETA_ID = "m12:0.25-2"
 
 # The product kernel derives each magnitude from the previous one by a
 # complex squaring, so the components must double from the first.
@@ -379,7 +380,7 @@ def _check_replays(n_reps, quantile: float) -> int:
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile must be in (0, 1], got {quantile}")
     # 1/(1 - 0.9) is 10.000000000000002: a count within 1e-9 of the bound resolves it
-    if quantile < 1.0 and n_reps < math.ceil(1.0 / (1.0 - quantile) - 1e-9):
+    if n_reps < (1 if quantile == 1.0 else math.ceil(1.0 / (1.0 - quantile) - 1e-9)):
         raise ValueError(f"{n_reps} repetitions cannot resolve the {quantile} quantile")
     return n_reps
 
@@ -484,7 +485,7 @@ def selfsimilarity_test(
 
 def stability_test(
     spec,
-    beta_index: float,
+    beta: float,
     n: int,
     grid: TimeGrid,
     times,
@@ -496,9 +497,9 @@ def stability_test(
     n = _at_least_two(n)
     draws = [
         lambda g: sum_independent(spec, n, g, n_paths, rng.split(0)),
-        lambda g: scale_paths(generate(spec, g, n_paths, rng.split(1)), n ** (1.0 / beta_index)),
+        lambda g: scale_paths(generate(spec, g, n_paths, rng.split(1)), n ** (1.0 / beta)),
     ]
-    details = {"beta": float(beta_index), "n": n}
+    details = {"beta": float(beta), "n": n}
     return _spec_report(
         "stability", spec, grid, times, n_paths, rng, threshold, draws, sub, details
     )
@@ -632,6 +633,28 @@ class TestKind:
                 out[name] = spec.idt_exponent if default is _SPEC_EXPONENT else default
         return out
 
+    def null(self, params: dict, spec) -> dict:
+        """``params`` under the true null: each field that defaults to the spec's exponent at that exponent."""
+        return {**params, **{f: spec.idt_exponent for f, _, d in self.fields if d is _SPEC_EXPONENT}}
+
+    @property
+    def probes(self) -> tuple:
+        """The fields outside the key that ``null`` keeps: a replay would calibrate their probe value itself."""
+        return tuple(f for f, _, d in self.fields if f not in self.key_fields and d is not _SPEC_EXPONENT)
+
+    def key(self, spec, n_paths: int, quantile: float, params: dict) -> str:
+        """The table key of this test on filled ``params``.  The hypothesis exponents (``alpha``, ``h``,
+        ``beta``) stay out: under the null they do not shape the statistic, so a negative control
+        shares the threshold of its positive twin."""
+        names = self.key_fields + ("grid", "times") * self.uses_times
+        return entry_key(self.name, spec, n_paths, quantile, **{name: params[name] for name in names})
+
+
+def _by_name(function: str) -> Callable:
+    """``run`` for this module's test ``function``, with the kind's fields, ``grid`` and ``times`` by
+    name; it is looked up at each call, so a wrapper set on the module (a span tracer) is called."""
+    return lambda spec, p, paths, rng, thr: globals()[function](spec, n_paths=paths, rng=rng, threshold=thr, **p)
+
 
 def _run_stationarity(spec, p, n_paths, rng, threshold):
     y = np.asarray(p["y_grid"], dtype=np.float64)
@@ -658,36 +681,28 @@ TEST_KINDS = {
                 _ON_GRID,
                 (("times",), lambda p: _at_most_three(p["times"])),
             ),
-            run=lambda spec, p, n_paths, rng, threshold: idt_test(
-                spec, p["alpha"], p["n"], p["grid"], p["times"], n_paths, rng, threshold, mode=p["mode"]
-            ),
+            run=_by_name("idt_test"),
         ),
         TestKind(
             "selfsimilarity",
             fields=(("h", "float", None), ("a", "float", None)),
             key_fields=("a",),
             checks=((("a",), lambda p: _check_dilation(p["a"])), _ON_GRID),
-            run=lambda spec, p, n_paths, rng, threshold: selfsimilarity_test(
-                spec, p["h"], p["a"], p["grid"], p["times"], n_paths, rng, threshold
-            ),
+            run=_by_name("selfsimilarity_test"),
         ),
         TestKind(
             "stability",
             fields=(("beta", "float", None), ("n", "int", None)),
             key_fields=("n",),
             checks=(_N_AT_LEAST_TWO, _ON_GRID),
-            run=lambda spec, p, n_paths, rng, threshold: stability_test(
-                spec, p["beta"], p["n"], p["grid"], p["times"], n_paths, rng, threshold
-            ),
+            run=_by_name("stability_test"),
         ),
         TestKind(
             "temporal_sd",
             fields=(("b", "float", None), ("alpha", "float", _SPEC_EXPONENT)),
             key_fields=("b",),
             checks=((("b",), lambda p: _check_fraction(p["b"])), _EXPONENT, _ON_GRID),
-            run=lambda spec, p, n_paths, rng, threshold: temporal_sd_test(
-                spec, p["alpha"], p["b"], p["grid"], p["times"], n_paths, rng, threshold
-            ),
+            run=_by_name("temporal_sd_test"),
         ),
         TestKind(
             "stationarity",

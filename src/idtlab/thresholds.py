@@ -17,9 +17,10 @@ import numpy as np
 
 from .io import atomic_write_bytes
 from .processes import TimeGrid, spec_label
-from .statlab import DEFAULT_THETA_ID
 
 TABLE_VERSION = 1
+# names the frequency grid of statlab's distance tests in every key
+DEFAULT_THETA_ID = "m12:0.25-2"
 
 
 def _canon(value) -> str:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from idtlab.cli import threshold_key_for
 from idtlab.kernels import FBmKernel, SpectralKernel, SpectralMeasure, check_scaling, cov_matrix, fbm_cov, lamperti_cov, psd_check
 from idtlab.processes import (
     AdditiveTimeChange,
@@ -31,6 +30,7 @@ from idtlab.processes import (
 )
 from idtlab.randkit import RngState, StableParams, sample_stable
 from idtlab.statlab import (
+    TEST_KINDS,
     association_test,
     idt_test,
     ks_one_sample,
@@ -64,9 +64,14 @@ def _announce(number, ok, detail):
     assert ok, detail
 
 
+def _key(kind, spec, **params):
+    """The shipped table's key of a test on ``GRID`` at ``TIMES``, as ``idtlab run`` forms it."""
+    test = TEST_KINDS[kind]
+    return test.key(spec, N_PATHS, QUANTILE, test.fill({**params, "grid": GRID, "times": TIMES}, spec))
+
+
 def _idt_threshold(table, spec, n):
-    key = threshold_key_for("idt", spec, N_PATHS, QUANTILE, GRID, TIMES, {"n": n})
-    return table.lookup(key)
+    return table.lookup(_key("idt", spec, n=n))
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +265,8 @@ def test_criterion_7_association():
 def test_criterion_8_stability_selfsimilarity_equivalence(threshold_table):
     spec = AdditiveTimeChange(StableMotion(1.2), 0.8)
     h = 2.0 / 3.0  # 0.8 / 1.2
-    thr_stab = threshold_table.lookup(
-        threshold_key_for("stability", spec, N_PATHS, QUANTILE, GRID, TIMES, {"n": 2})
-    )
-    thr_ss = threshold_key_for("selfsimilarity", spec, N_PATHS, QUANTILE, GRID, TIMES, {"a": 2.0})
-    thr_ss = threshold_table.lookup(thr_ss)
+    thr_stab = threshold_table.lookup(_key("stability", spec, n=2))
+    thr_ss = threshold_table.lookup(_key("selfsimilarity", spec, a=2.0))
     stab_ok = ss_ok = 0
     ss_bad = 0
     for s in range(5):
@@ -289,25 +291,19 @@ def test_criterion_8_stability_selfsimilarity_equivalence(threshold_table):
 
 def test_criterion_9_temporal_factorization(threshold_table):
     cauchy = StableLine(1.0)
-    thr_c = threshold_table.lookup(
-        threshold_key_for("temporal_sd", cauchy, N_PATHS, QUANTILE, GRID, TIMES, {"b": 0.5})
-    )
+    thr_c = threshold_table.lookup(_key("temporal_sd", cauchy, b=0.5))
     cauchy_ok = sum(
         temporal_sd_test(cauchy, 1.0, 0.5, GRID, TIMES, N_PATHS, RngState(90000 + s), thr_c).passed
         for s in range(5)
     )
     fbm_ok = {}
     for b in (0.25, 0.5):
-        thr = threshold_table.lookup(
-            threshold_key_for("temporal_sd", FBM03, N_PATHS, QUANTILE, GRID, TIMES, {"b": b})
-        )
+        thr = threshold_table.lookup(_key("temporal_sd", FBM03, b=b))
         fbm_ok[b] = sum(
             temporal_sd_test(FBM03, 0.6, b, GRID, TIMES, N_PATHS, RngState(91000 + s), thr).passed
             for s in range(5)
         )
-    thr_50 = threshold_table.lookup(
-        threshold_key_for("temporal_sd", FBM03, N_PATHS, QUANTILE, GRID, TIMES, {"b": 0.5})
-    )
+    thr_50 = threshold_table.lookup(_key("temporal_sd", FBM03, b=0.5))
     wrong_fails = sum(
         not temporal_sd_test(FBM03, 1.0, 0.5, GRID, TIMES, N_PATHS, RngState(92000 + s), thr_50).passed
         for s in range(5)

@@ -437,17 +437,36 @@ def test_calibrate_writes_table_and_is_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "extra, field",
-    [("n_reps = 10\n", "'entry.high.n_reps'"), ("entry.high.n = 1\n", "'entry.high.n'")],
-    ids=["too_few_reps", "entry_n"],
+    "extra, flags, field",
+    [
+        ("n_reps = 10\n", [], "'entry.high.n_reps'"),
+        ("entry.high.n = 1\n", [], "'entry.high.n'"),
+        ("n_paths = 0\n", [], "'n_paths'"),
+        ("", ["--paths", "0"], "'n_paths'"),
+        ("entry.low.n_paths = 0\n", [], "'entry.low.n_paths'"),
+        # the maximum of no replays is undefined
+        ("n_reps = 0\nentry.low.quantile = 1\nentry.high.quantile = 1\n", [], "'entry.high.n_reps'"),
+        (
+            "entry.x.test = association\nentry.x.spec.kind = stable_line\nentry.x.spec.alpha = 1\n",
+            [],
+            "entry.x: association uses p-values, not calibrated thresholds",
+        ),
+    ],
+    ids=["too_few_reps", "entry_n", "n_paths", "paths_flag", "entry_n_paths", "no_reps_at_quantile_one", "p_value_test"],
 )
-def test_calibrate_config_error_exit_two(tmp_path, capsys, extra, field):
+def test_calibrate_config_error_exit_two(tmp_path, capsys, monkeypatch, extra, flags, field):
+    import idtlab.cli
+
+    replays = []
+    monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: replays.append(args) or 0.0)
     conf = _write(tmp_path, CALIBRATE_CONF.replace("n_reps = 25\n", "") + extra)
-    assert main(["calibrate", conf, "--threads", "1"]) == 2
+    out = tmp_path / "out"
+    assert main(["calibrate", conf, "--out", str(out), "--threads", "1", *flags]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:")
+    assert err.startswith("config error:") and err.count("\n") == 1
     assert field in err
-    assert not (tmp_path / "thresholds.json").exists()
+    assert replays == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("quantile, n_reps", [(0.9, 10), (0.95, 20), (0.99, 100)])
@@ -974,6 +993,43 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
     problem = f"must be at least 1, got {threads}" if threads in ("0", "-3") else f"invalid int value: {threads!r}"
     _assert_subcommand_usage_error(capsys.readouterr().err, command, f"argument --threads: {problem}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["run", "calibrate", "export"])
+def test_seed_out_of_range_exit_two_before_any_work(tmp_path, capsys, command, seed, source):
+    import re
+
+    text = {"run": RUN_OK, "calibrate": CALIBRATE_CONF, "export": EXPORT_CONF}[command]
+    out = tmp_path / "out"
+    if source == "config":
+        conf, flags = _write(tmp_path, re.sub(r"(?m)^seed = \d+$", f"seed = {seed}", text.format(out=out))), []
+    else:
+        conf, flags = _write(tmp_path, text.format(out=out)), ["--seed", str(seed)]
+    assert main([command, conf, "--out", str(out), "--threads", "1", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field 'seed': ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
+
+
+def test_run_calibrate_no_replay_at_quantile_one_exit_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    conf = RUN_OK.format(out=out).replace(
+        "test.pathline.threshold = 0.5\n", "threshold_table = calibrate\nquantile = 1\ncalibration.n_reps = -3\n"
+    )
+    assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fields 'calibration.n_reps', 'quantile': ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_report_on_a_directory_without_reports(tmp_path, capsys):
+    (tmp_path / "summary.json").write_text("{}")
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"# no report files in {tmp_path}\n"
 
 
 def test_readme_lists_each_command_key_as_declared():

@@ -473,6 +473,43 @@ def test_calibrate_insufficient_reps():
         calibrate(StableLine(1.0), "idt", 50, 0.99, RngState(36), 500, n=2, grid=GRID, times=TIMES)
     with pytest.raises(ValueError):
         calibrate(StableLine(1.0), "nonsense", 50, 0.9, RngState(36), 500, n=2, grid=GRID, times=TIMES)
+    # the maximum of no replays is undefined
+    with pytest.raises(ValueError, match="^0 repetitions cannot resolve the 1.0 quantile"):
+        calibrate(StableLine(1.0), "idt", 0, 1.0, RngState(36), 500, n=2, grid=GRID, times=TIMES)
+
+
+@pytest.mark.parametrize(
+    "function, params",
+    [
+        (idt_test, {"n": 2}),
+        (selfsimilarity_test, {"h": 0.5, "a": 2.0}),
+        (stability_test, {"beta": 2.0, "n": 2}),
+        (temporal_sd_test, {"b": 0.5}),
+    ],
+    ids=["idt", "selfsimilarity", "stability", "temporal_sd"],
+)
+def test_a_kind_calls_its_function_with_its_fields_by_name(function, params):
+    import inspect
+
+    kind = statlab.TEST_KINDS[function.__name__.removesuffix("_test")]
+    assert {name for name, _, _ in kind.fields} | {"grid", "times"} <= set(inspect.signature(function).parameters)
+    params = kind.fill({**params, "grid": GRID.times, "times": TIMES}, FBM)
+    direct = function(FBM, n_paths=200, rng=RngState(3), threshold=0.1, **params)
+    assert kind.run(FBM, params, 200, RngState(3), 0.1).to_json() == direct.to_json()
+    # a field that the function does not take is an error, never dropped
+    with pytest.raises(TypeError, match="'extra'"):
+        kind.run(FBM, {**params, "extra": 1.0}, 200, RngState(3), 0.1)
+
+
+def test_null_resets_the_spec_exponent_and_leaves_the_probes():
+    kinds = statlab.TEST_KINDS
+    assert kinds["idt"].null({"n": 2, "alpha": 1.0, "mode": "sum"}, FBM) == {"n": 2, "alpha": 0.6, "mode": "sum"}
+    assert kinds["temporal_sd"].null({"b": 0.5, "alpha": 0.9}, FBM) == {"b": 0.5, "alpha": 0.6}
+    assert kinds["selfsimilarity"].null({"h": 0.9, "a": 2.0}, FBM) == {"h": 0.9, "a": 2.0}
+    probes = {name: kind.probes for name, kind in kinds.items() if kind.calibrated}
+    assert probes == {
+        "idt": (), "selfsimilarity": ("h",), "stability": ("beta",), "temporal_sd": (), "stationarity": ()
+    }
 
 
 # the count that resolves the quantile exactly, although 1/(1 - q) rounds above it
