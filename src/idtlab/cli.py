@@ -16,19 +16,21 @@ default)`` row, and every key is checked before any work; integers are
 read in base 10, as ``--seed`` is, so ``010`` is 10.  ``export``
 streams the ensemble: each row block is written to every requested file
 and its buffer reused for the next, so the whole ensemble is never held.
-``--threads`` alone sets the worker count for null replays (``calibrate``,
-and ``run`` with ``threshold_table = calibrate``), by default the CPUs in
-the process's affinity mask; a count below 1 or not an integer is a
-usage error of the subcommand.  Above 1, an exported
-subordinated ensemble (``export``, and ``run`` with ``export_csv``) also
-draws the clock of its next row block on one helper thread, holding one
-more 256 KiB block (an export of 200,000 paths on 64 times peaks at
-about 39 MB of RSS).  ``run``'s tests run in config order on the calling
-thread at any count: a pool overlapped little of their work at the
-shipped 20,000 paths, and held a second ECF block and a second test's
-ensembles (peak RSS 45.2 MB against 41.3 MB).  Results are bit-identical
-for any thread count because every test and replay, and each of the
-clock and family streams, draws from its own substream in a fixed order.
+``--threads`` alone sets the worker count for ``calibrate``'s null
+replays, by default the CPUs in the process's affinity mask; a count
+below 1 or not an integer is a usage error of the subcommand.  Above 1,
+an exported subordinated ensemble (``export``, and ``run`` with
+``export_csv``) also draws the clock of its next row block on one helper
+thread, holding one more 256 KiB block (an export of 200,000 paths on 64
+times peaks at about 39 MB of RSS).  ``run`` replays no null: a test's
+threshold is its ``threshold`` key, or an entry of the shipped table or
+of a ``calibrate`` table at ``threshold_table = <path>``.  Its tests run
+in config order on the calling thread at any count: a pool overlapped
+little of their work at the shipped 20,000 paths, and held a second ECF
+block and a second test's ensembles (peak RSS 45.2 MB against 41.3 MB).
+Results are bit-identical for any thread count because every test and
+replay, and each of the clock and family streams, draws from its own
+substream in a fixed order.
 
 These workers do all the parallel work, so ``import idtlab`` loads
 numpy's OpenBLAS with one thread, whose calls here are small; a second
@@ -98,7 +100,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -277,7 +279,7 @@ _SEED, _N_PATHS, _GRID = ("seed", "seed", None), ("n_paths", "int", None), ("gri
 _QUANTILE, _N_REPS = ("quantile", "float", 0.99), ("n_reps", "int", 200)
 _RUN_FIELDS = (
     _SEED, _N_PATHS, _GRID, ("output_dir", "str", "out"), _QUANTILE, ("threshold_table", "str", "default"),
-    ("calibration.n_reps", *_N_REPS[1:]), ("export_csv", "bool", False),
+    ("export_csv", "bool", False),
 )
 _SPEC_AND_TESTS = (("spec", "spec", None), ("test", "sections", {}))
 _COMMAND_FIELDS = {
@@ -352,31 +354,19 @@ def _load_table(raw: str, config_dir: str):
 
 
 def _resolve_threshold(kind, node, prefix, spec, params, values, table):
-    """The test's threshold: ``None`` for a p-value test, a number from its
-    section or from the table that ``table()`` returns, or with
-    ``threshold_table = calibrate`` a checked true-null replay still to run
-    as ``replay(rng, n_paths, threads)``."""
+    """The test's threshold: ``None`` for a p-value test, else a number from
+    its section or from the table that ``table()`` returns."""
     if not kind.calibrated:
         return None
     if "threshold" in node:
         return _as_float(node["threshold"], f"{prefix}.threshold")
-    source, quantile = values["threshold_table"], values["quantile"]
-    if source == "calibrate":
-        for name in kind.probes:
-            raise ConfigError(
-                f"field '{prefix}.{name}': threshold_table = calibrate would replay the null at this probe "
-                f"value; set {prefix}.threshold, or use an idtlab calibrate entry at the spec's true {name}"
-            )
-        n_reps = values["calibration.n_reps"]
-        _checked(["calibration.n_reps", "quantile"], _check_replays, n_reps, quantile)
-        return functools.partial(calibrate, spec, kind.name, n_reps, quantile, **kind.null(params, spec))
-    key = kind.key(spec, values["n_paths"], quantile, params)
+    key = kind.key(spec, values["n_paths"], values["quantile"], params)
     thresholds = table()  # outside the try: a malformed table is not a missing key
     try:
         return thresholds.lookup(key)
     except KeyError:
         raise ConfigError(
-            f"{prefix}: threshold table {source!r} has no key {key}; "
+            f"{prefix}: threshold table {values['threshold_table']!r} has no key {key}; "
             f"set {prefix}.threshold or calibrate this configuration"
         ) from None
 
@@ -402,7 +392,7 @@ def cmd_run(args) -> int:
     resolved = _flatten(cfg)
     # read at the first test that looks a threshold up, then kept
     table = functools.cache(lambda: _load_table(values["threshold_table"], config_dir))
-    # every test section is parsed and checked before any directory or null replay
+    # every test section is parsed and checked before any directory or test
     jobs = []
     for name, node in sorted(values["test"].items()):
         prefix = f"test.{name}"
@@ -412,12 +402,10 @@ def cmd_run(args) -> int:
         jobs.append((name, kind, params, _resolve_threshold(kind, node, prefix, spec, params, values, table)))
     _make_dir(out_dir)
 
-    # in config order on this thread, each null replay (on --threads workers) just before its
-    # test: a pool overlapped little of the tests' work and held a second ECF block and ensemble
+    # in config order on this thread: a pool overlapped little of the tests' work and held a
+    # second ECF block and ensemble
     reports = {}
     for index, (name, kind, params, threshold) in enumerate(jobs):
-        if callable(threshold):
-            threshold = threshold(root.split(_STREAM_CALIBRATE + index), n_paths, args.threads)
         reports[name] = kind.run(spec, params, n_paths, root.split(_STREAM_TESTS + index), threshold)
 
     for number, (name, report) in enumerate(reports.items(), start=1):
@@ -456,9 +444,12 @@ def cmd_run(args) -> int:
 
 def cmd_calibrate(args) -> int:
     _, values = _command_config(args, "calibrate")
+    name = os.path.basename(values["output"])
+    if name in ("", ".", ".."):
+        raise ConfigError(f"field 'output': expected a file name, got {values['output']!r}")
     # --out names the directory itself; otherwise output is relative to the config
     if args.out is not None:
-        out_path = os.path.join(args.out, os.path.basename(values["output"]))
+        out_path = os.path.join(args.out, name)
     else:
         out_path = os.path.join(os.path.dirname(os.path.abspath(args.config)), values["output"])
 
@@ -571,9 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
             # the CPUs this process may run on, where the OS keeps an affinity mask
             default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
             help=(
-                "worker threads for null replays, at least 1 (default: the CPUs in this process's affinity "
-                "mask, here %(default)s); export also draws a subordinated clock on a helper thread, one more "
-                "256 KiB block; run's tests run in config order on the calling thread (never affects results)"
+                "worker threads for calibrate's null replays, at least 1 (default: the CPUs in this process's "
+                "affinity mask, here %(default)s); an exported subordinated spec also draws its clock on a "
+                "helper thread, one more 256 KiB block (never affects results)"
             ),
         )
 

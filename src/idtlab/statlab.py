@@ -637,11 +637,6 @@ class TestKind:
         """``params`` under the true null: each field that defaults to the spec's exponent at that exponent."""
         return {**params, **{f: spec.idt_exponent for f, _, d in self.fields if d is _SPEC_EXPONENT}}
 
-    @property
-    def probes(self) -> tuple:
-        """The fields outside the key that ``null`` keeps: a replay would calibrate their probe value itself."""
-        return tuple(f for f, _, d in self.fields if f not in self.key_fields and d is not _SPEC_EXPONENT)
-
     def key(self, spec, n_paths: int, quantile: float, params: dict) -> str:
         """The table key of this test on filled ``params``.  The hypothesis exponents (``alpha``, ``h``,
         ``beta``) stay out: under the null they do not shape the statistic, so a negative control

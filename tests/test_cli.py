@@ -192,41 +192,14 @@ def test_run_unordered_grid_exit_two(tmp_path, capsys):
     assert "'grid'" in capsys.readouterr().err
 
 
-def test_run_calibrate_too_few_reps_exit_two(tmp_path, capsys):
-    conf = RUN_OK.format(out=tmp_path / "out").replace(
-        "test.pathline.threshold = 0.5\n", "threshold_table = calibrate\ncalibration.n_reps = 10\n"
-    )
-    assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert "'calibration.n_reps'" in err
-
-
-@pytest.mark.parametrize(
-    "test_lines, field",
-    [
-        ("test.x.kind = selfsimilarity\ntest.x.h = 0.3\ntest.x.a = 2\n", "test.x.h"),
-        ("test.x.kind = stability\ntest.x.beta = 0.7\ntest.x.n = 2\n", "test.x.beta"),
-    ],
-    ids=["selfsimilarity_h", "stability_beta"],
-)
-def test_run_calibrate_refuses_a_probe_exponent(tmp_path, capsys, monkeypatch, test_lines, field):
-    """A wrong h or beta would be replayed as the null and calibrate its own threshold."""
-    import idtlab.cli
-
-    replays = []
-    monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: replays.append(args) or 0.0)
+def test_run_threshold_table_calibrate_exit_two(tmp_path, capsys):
+    """``run`` replays no null: ``calibrate`` is read as a table path, which does not exist."""
     out = tmp_path / "out"
-    conf = (
-        f"seed = 5\nn_paths = 2000\ngrid = 0.5 1 2\nquantile = 0.95\noutput_dir = {out}\n"
-        "threshold_table = calibrate\ncalibration.n_reps = 40\nspec.kind = stable_line\nspec.alpha = 1.5\n" + test_lines
-    )
+    conf = RUN_OK.format(out=out).replace("test.pathline.threshold = 0.5\n", "threshold_table = calibrate\n")
     assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: field '{field}': threshold_table = calibrate ")
-    assert "test.x.threshold" in err and "idtlab calibrate" in err
+    assert err.startswith(f"config error: cannot read threshold table {tmp_path / 'calibrate'}: ")
     assert err.count("\n") == 1
-    assert replays == []
     assert not out.exists()
 
 
@@ -378,27 +351,6 @@ def test_run_tests_start_no_thread(tmp_path, monkeypatch):
     assert len(json.loads((tmp_path / "out" / "summary.json").read_text())["reports"]) == 3
 
 
-def test_run_replays_take_the_thread_count(tmp_path, monkeypatch):
-    import idtlab.statlab
-
-    calls = []
-    pooled = idtlab.statlab._map
-
-    def recorded(fn, items, threads):
-        calls.append((len(items), threads))
-        return pooled(fn, items, threads)
-
-    monkeypatch.setattr(idtlab.statlab, "_map", recorded)
-    # tests a and b replay 10 nulls each; test c keeps its explicit threshold
-    text = FBM_THREE_TESTS.replace("test.a.threshold = 0.5\n", "").replace("test.b.threshold = 0.5\n", "").replace(
-        "n_paths = 500", "n_paths = 100\nthreshold_table = calibrate\nquantile = 0.9\ncalibration.n_reps = 10"
-    )
-    conf = _write(tmp_path, text.format(out=tmp_path / "out"))
-    assert main(["run", conf, "--threads", "4"]) in (0, 1)
-    # one replay set per calibrated test, and nothing else reaches the pool
-    assert calls == [(10, 4), (10, 4)]
-
-
 CALIBRATE_CONF = """
 seed = 11
 n_paths = 300
@@ -451,8 +403,15 @@ def test_calibrate_writes_table_and_is_deterministic(tmp_path):
             [],
             "entry.x: association uses p-values, not calibrated thresholds",
         ),
+        # the table needs a file name, under the config's directory or under --out
+        ("output =\n", [], "field 'output': expected a file name, got ''"),
+        ("output = sub/\n", [], "field 'output': expected a file name, got 'sub/'"),
+        ("output = sub/..\n", [], "field 'output': expected a file name, got 'sub/..'"),
     ],
-    ids=["too_few_reps", "entry_n", "n_paths", "paths_flag", "entry_n_paths", "no_reps_at_quantile_one", "p_value_test"],
+    ids=[
+        "too_few_reps", "entry_n", "n_paths", "paths_flag", "entry_n_paths", "no_reps_at_quantile_one", "p_value_test",
+        "empty_output", "output_without_file_name", "output_parent_dir",
+    ],
 )
 def test_calibrate_config_error_exit_two(tmp_path, capsys, monkeypatch, extra, flags, field):
     import idtlab.cli
@@ -538,6 +497,46 @@ def test_shipped_calibration_config_gives_the_shipped_keys(tmp_path, monkeypatch
     shipped = ThresholdTable.default().entries
     assert len(shipped) == 22
     assert sorted(keys) == sorted(shipped)
+
+
+def test_shipped_probe_exponents_are_the_specs_own_indices():
+    """``calibrate`` replays a ``selfsimilarity`` or ``stability`` entry at its own ``h`` or ``beta``, so
+    each shipped entry must state its spec's index, or its threshold is that of a wrong exponent."""
+    import math
+    import pathlib
+
+    from idtlab.processes import AdditiveTimeChange, StableMotion
+
+    conf = pathlib.Path(__file__).parent.parent / "calibration" / "calibration.conf"
+    checked = []
+    for name, node in sorted(parse_config_text(conf.read_text())["entry"].items()):
+        if node["test"] not in ("selfsimilarity", "stability"):
+            continue
+        spec = build_spec(node["spec"], f"entry.{name}.spec")
+        # a stable motion of index b on the clock t**alpha is self-similar with h = alpha/b and stable
+        # with index b; an entry on any other spec needs its indices worked out here
+        assert isinstance(spec, AdditiveTimeChange) and isinstance(spec.family, StableMotion), name
+        index = spec.family.index
+        field, value = ("h", spec.alpha / index) if node["test"] == "selfsimilarity" else ("beta", index)
+        # rel_tol allows the last digit of a decimal h such as 0.8/1.2
+        assert math.isclose(float(node[field]), value, rel_tol=1e-15), f"entry.{name}.{field}"
+        checked.append(name)
+    assert checked == ["selfsim_addstable", "stab_addstable"]
+
+
+def test_run_reads_the_threshold_that_calibrate_wrote(tmp_path):
+    """A table from an ``idtlab calibrate`` entry that matches a test's fields gives ``run`` its threshold."""
+    spec = "spec.kind = additive\nspec.alpha = 0.8\nspec.family.kind = stable_motion\nspec.family.index = 1.2\n"
+    common = "seed = 7\nn_paths = 200\ngrid = 0.5 1 2\nquantile = 0.9\n"
+    entry = "test = stability\nbeta = 1.2\nn = 2\n" + spec
+    calibrate_conf = common + "n_reps = 20\n" + "".join(f"entry.x.{line}\n" for line in entry.splitlines())
+    out = tmp_path / "cal"
+    assert main(["calibrate", _write(tmp_path, calibrate_conf, "cal.conf"), "--out", str(out), "--threads", "1"]) == 0
+    (threshold,) = json.loads((out / "thresholds.json").read_text())["entries"].values()
+    test = "test.x.kind = stability\ntest.x.beta = 1.2\ntest.x.n = 2\n"
+    run_conf = common + f"threshold_table = cal/thresholds.json\noutput_dir = {tmp_path / 'out'}\n" + test + spec
+    assert main(["run", _write(tmp_path, run_conf, "run.conf"), "--threads", "1"]) in (0, 1)
+    assert json.loads((tmp_path / "out" / "report_x.json").read_text())["report"]["threshold"] == threshold
 
 
 def test_run_with_calibrated_table(tmp_path):
@@ -650,13 +649,15 @@ def test_undeclared_key_exit_two(tmp_path, capsys, monkeypatch, command, text, k
 
 @pytest.mark.parametrize("command", ["run", "calibrate"])
 def test_every_section_is_checked_before_the_first_replay(tmp_path, capsys, monkeypatch, command):
+    """No null replay (``calibrate``) or test (``run``) starts before the last section is checked."""
     import idtlab.cli
+    import idtlab.statlab
 
     replays = []
     monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: replays.append(args) or 0.0)
+    monkeypatch.setattr(idtlab.statlab, "idt_test", lambda *args, **kwargs: replays.append(args))
     if command == "run":
-        text = RUN_OK.replace("test.pathline.threshold = 0.5\n", "threshold_table = calibrate\ncalibration.n_reps = 100\n")
-        text += "test.zlast.kind = idt\n"  # sorted last, and missing its n
+        text = RUN_OK + "test.zlast.kind = idt\n"  # sorted last, and missing its n
         field = "'test.zlast.n'"
     else:
         text = CALIBRATE_CONF + "entry.zlast.test = idt\nentry.zlast.n = 2\nentry.zlast.spec.kind = stable_line\nentry.zlast.spec.alpha = 3\n"
@@ -666,6 +667,7 @@ def test_every_section_is_checked_before_the_first_replay(tmp_path, capsys, monk
     assert field in capsys.readouterr().err
     assert replays == []
     assert not (tmp_path / "thresholds.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -679,9 +681,13 @@ def test_every_section_is_checked_before_the_first_replay(tmp_path, capsys, monk
         ("export", EXPORT_CONF + "threshold_tabel = default\n", "threshold_tabel"),
         ("calibrate", CALIBRATE_CONF + "calibration.n_reps = 100\n", "calibration.n_reps"),
         ("calibrate", CALIBRATE_CONF + "output_dir = elsewhere\n", "output_dir"),
+        # run replays no null, so neither command takes a replay count
+        ("run", RUN_OK + "calibration.n_reps = 100\n", "calibration.n_reps"),
+        ("export", EXPORT_CONF + "calibration.n_reps = 100\n", "calibration.n_reps"),
     ],
     ids=["run_quantile", "run_export", "run_calibration", "run_calibration_scalar",
-         "export_formats", "export_top", "calibrate_calibration", "calibrate_output_dir"],
+         "export_formats", "export_top", "calibrate_calibration", "calibrate_output_dir",
+         "run_calibration_n_reps", "export_calibration_n_reps"],
 )
 def test_undeclared_command_key_exit_two(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
@@ -951,13 +957,12 @@ def test_prefixed_config_integer_exit_two(tmp_path, capsys, seed):
     "command, text, field",
     [
         ("run", RUN_OK + "export_csv = ture\n", "'export_csv'"),
-        ("run", RUN_OK + "calibration.n_reps = many\n", "'calibration.n_reps'"),
         ("export", EXPORT_CONF + "export_csv = ture\n", "'export_csv'"),
         ("export", EXPORT_CONF + "quantile = high\n", "'quantile'"),
         ("calibrate", CALIBRATE_CONF.replace("n_reps = 25", "n_reps = 2.5"), "'n_reps'"),
         ("calibrate", CALIBRATE_CONF + "quantile = high\n", "'quantile'"),
     ],
-    ids=["run_export_csv", "run_calibration_n_reps", "export_export_csv", "export_quantile",
+    ids=["run_export_csv", "export_export_csv", "export_quantile",
          "calibrate_n_reps", "calibrate_quantile"],
 )
 def test_malformed_top_level_key_exit_two_before_any_work(tmp_path, capsys, monkeypatch, command, text, field):
@@ -1014,16 +1019,15 @@ def test_seed_out_of_range_exit_two_before_any_work(tmp_path, capsys, command, s
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
 
 
-def test_run_calibrate_no_replay_at_quantile_one_exit_two(tmp_path, capsys):
-    out = tmp_path / "out"
-    conf = RUN_OK.format(out=out).replace(
-        "test.pathline.threshold = 0.5\n", "threshold_table = calibrate\nquantile = 1\ncalibration.n_reps = -3\n"
-    )
-    assert main(["run", _write(tmp_path, conf), "--threads", "1"]) == 2
+@pytest.mark.parametrize("command", ["run", "calibrate", "export"])
+def test_config_that_is_not_utf8_exit_two_before_any_work(tmp_path, capsys, command):
+    conf, out = tmp_path / "exp.conf", tmp_path / "out"
+    conf.write_bytes(b"seed = 1\n\xff\n")
+    assert main([command, str(conf), "--out", str(out), "--threads", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: fields 'calibration.n_reps', 'quantile': ")
+    assert err.startswith(f"config error: cannot read config {conf}: 'utf-8' codec can't decode byte 0xff ")
     assert err.count("\n") == 1
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
 
 
 def test_report_on_a_directory_without_reports(tmp_path, capsys):

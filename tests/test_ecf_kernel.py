@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idtlab.kernels import FBmKernel
@@ -287,13 +287,18 @@ def test_ecf_invariants(ens, cols, data):
 
 @settings(max_examples=25, deadline=None)
 @given(ensembles, st.sampled_from([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]))
+@example(generate(StableLine(0.8), GRID, 191, RngState(905)), (0, 1))  # values up to 1.5e7, 4.87e-12 apart
 def test_default_grid_invariants(ens, cols):
     thetas = SINGLE if len(cols) == 1 else PAIR
     value = ecf(ens, cols, thetas)
     assert np.all(np.abs(value) <= 1.0 + 1e-12)
-    assert np.abs(value - direct_ecf(ens.values, cols, thetas)).max() <= 1e-12
+    # the direct kernel rounds each phase theta.x by about eps*sum|theta_i*x_i|, which heavy tails make
+    # large; the product kernel's error does not grow with |x|, so unit-scale values keep about 1e-12
+    phase_size = (np.abs(ens.values[:, list(cols)]) @ np.abs(thetas).T).mean(axis=0)
+    bound = 1e-12 + 4 * np.finfo(np.float64).eps * phase_size
+    assert np.all(np.abs(value - direct_ecf(ens.values, cols, thetas)) <= bound)
     # -thetas is not the default grid, so this also crosses the two kernels
-    assert np.abs(ecf(ens, cols, -thetas) - np.conj(value)).max() <= 1e-12
+    assert np.all(np.abs(ecf(ens, cols, -thetas) - np.conj(value)) <= bound)
 
 
 # ---------------------------------------------------------------------------

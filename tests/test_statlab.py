@@ -506,10 +506,7 @@ def test_null_resets_the_spec_exponent_and_leaves_the_probes():
     assert kinds["idt"].null({"n": 2, "alpha": 1.0, "mode": "sum"}, FBM) == {"n": 2, "alpha": 0.6, "mode": "sum"}
     assert kinds["temporal_sd"].null({"b": 0.5, "alpha": 0.9}, FBM) == {"b": 0.5, "alpha": 0.6}
     assert kinds["selfsimilarity"].null({"h": 0.9, "a": 2.0}, FBM) == {"h": 0.9, "a": 2.0}
-    probes = {name: kind.probes for name, kind in kinds.items() if kind.calibrated}
-    assert probes == {
-        "idt": (), "selfsimilarity": ("h",), "stability": ("beta",), "temporal_sd": (), "stationarity": ()
-    }
+    assert kinds["stability"].null({"beta": 0.7, "n": 2}, FBM) == {"beta": 0.7, "n": 2}
 
 
 # the count that resolves the quantile exactly, although 1/(1 - q) rounds above it
