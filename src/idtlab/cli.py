@@ -274,7 +274,7 @@ _PARSERS = {
 
 # One (name, type, default) row per key, as in the kind tables; a default of
 # None marks a required key.  export also takes run's keys, so one config
-# serves both; a calibrate entry may override _ENTRY_OVERRIDES.
+# serves both; a calibrate entry takes only its test, spec and test fields.
 _SEED, _N_PATHS, _GRID = ("seed", "seed", None), ("n_paths", "int", None), ("grid", "grid", None)
 _QUANTILE, _N_REPS = ("quantile", "float", 0.99), ("n_reps", "int", 200)
 _RUN_FIELDS = (
@@ -290,7 +290,6 @@ _COMMAND_FIELDS = {
     ),
     "export": (_RUN_FIELDS + (("export.formats", "formats", ["csv"]),), _SPEC_AND_TESTS),
 }
-_ENTRY_OVERRIDES = (_N_PATHS, _QUANTILE, _N_REPS, _GRID)
 
 
 def _command_config(args, command: str):
@@ -453,32 +452,32 @@ def cmd_calibrate(args) -> int:
     else:
         out_path = os.path.join(os.path.dirname(os.path.abspath(args.config)), values["output"])
 
-    # an entry names its test and spec, and may override the command's values
-    fields = (("test", "test", None), ("spec", "spec", None)) + tuple(
-        (name, parse, values[name]) for name, parse, _ in _ENTRY_OVERRIDES
-    )
-    # every entry is parsed and checked before any directory or replay
-    entries = []
+    n_paths, quantile, n_reps = values["n_paths"], values["quantile"], values["n_reps"]
+    _checked(["n_reps", "quantile"], _check_replays, n_reps, quantile)
+
+    # an entry names its test and spec; every entry is parsed and checked before any directory or replay
+    entries = {}  # threshold key -> the entry's name, test kind, spec and fields, in name order
     for name, node in sorted(values["entry"].items()):
         prefix = f"entry.{name}"
-        # the entry's other keys are checked with its test's fields
-        entry = _field_values(fields, node, prefix, keys=None)
-        kind, spec, n_paths = entry["test"], entry["spec"], entry["n_paths"]
-        quantile, n_reps = entry["quantile"], entry["n_reps"]
+        kind = _test_kind(_required(node, "test", f"{prefix}."), f"{prefix}.test")
+        spec = build_spec(_required(node, "spec", f"{prefix}."), f"{prefix}.spec")
         if not kind.calibrated:
             raise ConfigError(f"{prefix}: {kind.name} uses p-values, not calibrated thresholds")
-        _at_least(n_paths, 1, f"{prefix}.n_paths")
-        params = _test_params(kind, node, prefix, spec, entry["grid"], tuple(name for name, _, _ in fields))
-        _checked([f"{prefix}.n_reps", f"{prefix}.quantile"], _check_replays, n_reps, quantile)
-        replay = functools.partial(calibrate, spec, kind.name, n_reps, quantile, **kind.null(params, spec))
-        entries.append((name, kind.key(spec, n_paths, quantile, params), n_paths, replay))
+        # the entry's other keys are checked with its test's fields
+        params = _test_params(kind, node, prefix, spec, values["grid"], ("test", "spec"))
+        key = kind.key(spec, n_paths, quantile, params)
+        # the key leaves the hypothesis exponents out, so two entries can share it
+        if key in entries:
+            raise ConfigError(f"entries 'entry.{entries[key][0]}' and {prefix!r} have the same threshold key {key}")
+        entries[key] = (name, kind, spec, params)
     _make_dir(os.path.dirname(out_path))
 
     root = RngState(values["seed"])
-    meta = {"seed": values["seed"], "n_reps": values["n_reps"], "quantile": values["quantile"], "tool": "idtlab calibrate"}
+    meta = {"seed": values["seed"], "n_reps": n_reps, "quantile": quantile, "tool": "idtlab calibrate"}
     table = ThresholdTable({}, meta=meta)
-    for index, (name, key, n_paths, replay) in enumerate(entries):
-        threshold = replay(root.split(_STREAM_CALIBRATE + index), n_paths, args.threads)
+    for index, (key, (name, kind, spec, params)) in enumerate(entries.items()):
+        rng = root.split(_STREAM_CALIBRATE + index)
+        threshold = calibrate(spec, kind.name, n_reps, quantile, rng, n_paths, args.threads, **params)
         table.set(key, threshold)
         print(f"# calibrated {name}: {threshold:.6g}")
 

@@ -131,18 +131,9 @@ class PathEnsemble:
     def n_times(self) -> int:
         return self.values.shape[1]
 
-    def with_values(self, values, grid=None, meta_update=None) -> "PathEnsemble":
-        meta = dict(self.meta)
-        if meta_update:
-            meta.update(meta_update)
-        return PathEnsemble(
-            grid if grid is not None else self.grid,
-            values,
-            self.spec,
-            self.seed,
-            self.stream,
-            meta,
-        )
+    def with_values(self, values) -> "PathEnsemble":
+        """This ensemble's grid, spec, seed, stream and a copy of its meta, holding ``values``."""
+        return PathEnsemble(self.grid, values, self.spec, self.seed, self.stream, self.meta)
 
 
 # ---------------------------------------------------------------------------

@@ -758,16 +758,17 @@ def calibrate(
 ) -> float:
     """Empirical null quantile of a test statistic, used as its threshold.
 
-    Replays the named test ``n_reps`` times under the true-null
-    configuration with fresh substreams and returns the requested
-    empirical quantile (``method="higher"``: never below the nominal
-    coverage, monotone in the quantile).
+    Replays the named test ``n_reps`` times on ``rng.split(rep)`` under the
+    true null of ``params`` (``TestKind.null``: each field that defaults to
+    the spec's exponent is set to it, whatever value was passed) and returns
+    the requested empirical quantile (``method="higher"``: never below the
+    nominal coverage, monotone in the quantile).
     """
     n_reps = _check_replays(n_reps, quantile)
     test = TEST_KINDS.get(kind)
     if test is None or not test.calibrated:
         raise ValueError(f"unknown test kind {kind!r}")
-    params = test.fill(params, null_spec)
+    params = test.null(test.fill(params, null_spec), null_spec)
 
     def one(rep: int) -> float:
         return test.run(null_spec, params, n_paths, rng.split(rep), float("inf")).statistic

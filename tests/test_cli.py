@@ -355,20 +355,19 @@ CALIBRATE_CONF = """
 seed = 11
 n_paths = 300
 grid = 0.5 1 2
+quantile = 0.96
 n_reps = 25
 output = thresholds.json
 
-entry.low.test = idt
-entry.low.n = 2
-entry.low.quantile = 0.8
-entry.low.spec.kind = stable_line
-entry.low.spec.alpha = 1
+entry.two.test = idt
+entry.two.n = 2
+entry.two.spec.kind = stable_line
+entry.two.spec.alpha = 1
 
-entry.high.test = idt
-entry.high.n = 2
-entry.high.quantile = 0.96
-entry.high.spec.kind = stable_line
-entry.high.spec.alpha = 1
+entry.three.test = idt
+entry.three.n = 3
+entry.three.spec.kind = stable_line
+entry.three.spec.alpha = 1
 """
 
 
@@ -381,9 +380,8 @@ def test_calibrate_writes_table_and_is_deterministic(tmp_path):
     entries = doc["entries"]
     assert len(entries) == 2
     assert all(v > 0 for v in entries.values())
-    lo = next(v for k, v in entries.items() if "q=0.8" in k)
-    hi = next(v for k, v in entries.items() if "q=0.96" in k)
-    assert lo <= hi
+    # every entry ran with the command's replay count and quantile, which the table records
+    assert doc["meta"] == {"seed": 11, "n_reps": 25, "quantile": 0.96, "tool": "idtlab calibrate"}
     assert main(["calibrate", conf, "--threads", "4"]) == 0
     assert table_path.read_text() == first  # bit-identical rerun
 
@@ -391,13 +389,24 @@ def test_calibrate_writes_table_and_is_deterministic(tmp_path):
 @pytest.mark.parametrize(
     "extra, flags, field",
     [
-        ("n_reps = 10\n", [], "'entry.high.n_reps'"),
-        ("entry.high.n = 1\n", [], "'entry.high.n'"),
+        ("n_reps = 10\n", [], "fields 'n_reps', 'quantile': 10 repetitions cannot resolve the 0.96 quantile"),
+        ("entry.three.n = 1\n", [], "'entry.three.n'"),
         ("n_paths = 0\n", [], "'n_paths'"),
         ("", ["--paths", "0"], "'n_paths'"),
-        ("entry.low.n_paths = 0\n", [], "'entry.low.n_paths'"),
+        # one table is one calibration: an entry overrides none of the command's values
+        ("entry.two.n_paths = 300\n", [], "unknown config field 'entry.two.n_paths'"),
+        ("entry.two.quantile = 0.9\n", [], "unknown config field 'entry.two.quantile'"),
+        ("entry.two.n_reps = 40\n", [], "unknown config field 'entry.two.n_reps'"),
+        ("entry.two.grid = 0.5 1 2\n", [], "unknown config field 'entry.two.grid'"),
         # the maximum of no replays is undefined
-        ("n_reps = 0\nentry.low.quantile = 1\nentry.high.quantile = 1\n", [], "'entry.high.n_reps'"),
+        ("n_reps = 0\nquantile = 1\n", [], "fields 'n_reps', 'quantile': 0 repetitions cannot resolve the 1.0 quantile"),
+        # the key leaves alpha out, so this entry would overwrite entry.two's threshold
+        (
+            "entry.x.test = idt\nentry.x.n = 2\nentry.x.alpha = 1.3\nentry.x.spec.kind = stable_line\n"
+            "entry.x.spec.alpha = 1\n",
+            [],
+            "entries 'entry.two' and 'entry.x' have the same threshold key ",
+        ),
         (
             "entry.x.test = association\nentry.x.spec.kind = stable_line\nentry.x.spec.alpha = 1\n",
             [],
@@ -409,8 +418,9 @@ def test_calibrate_writes_table_and_is_deterministic(tmp_path):
         ("output = sub/..\n", [], "field 'output': expected a file name, got 'sub/..'"),
     ],
     ids=[
-        "too_few_reps", "entry_n", "n_paths", "paths_flag", "entry_n_paths", "no_reps_at_quantile_one", "p_value_test",
-        "empty_output", "output_without_file_name", "output_parent_dir",
+        "too_few_reps", "entry_n", "n_paths", "paths_flag", "entry_n_paths", "entry_quantile", "entry_n_reps",
+        "entry_grid", "no_reps_at_quantile_one", "same_key", "p_value_test", "empty_output", "output_without_file_name",
+        "output_parent_dir",
     ],
 )
 def test_calibrate_config_error_exit_two(tmp_path, capsys, monkeypatch, extra, flags, field):
@@ -433,8 +443,8 @@ def test_calibrate_config_error_exit_two(tmp_path, capsys, monkeypatch, extra, f
 def test_calibrate_replay_count_boundary(tmp_path, capsys, quantile, n_reps, short):
     # n_reps = 1/(1 - quantile) resolves the quantile; one fewer does not
     conf = (
-        f"seed = 3\nn_paths = 50\ngrid = 0.5 1 2\nn_reps = {n_reps - short}\n"
-        f"entry.x.test = idt\nentry.x.n = 2\nentry.x.quantile = {quantile}\n"
+        f"seed = 3\nn_paths = 50\ngrid = 0.5 1 2\nquantile = {quantile}\nn_reps = {n_reps - short}\n"
+        "entry.x.test = idt\nentry.x.n = 2\n"
         "entry.x.spec.kind = stable_line\nentry.x.spec.alpha = 1\n"
     )
     code = main(["calibrate", _write(tmp_path, conf), "--threads", "1"])
@@ -442,7 +452,7 @@ def test_calibrate_replay_count_boundary(tmp_path, capsys, quantile, n_reps, sho
     if short:
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "'entry.x.n_reps'" in err
+        assert err.startswith("config error: fields 'n_reps', 'quantile': ")
         assert not table.exists()
     else:
         assert code == 0
@@ -627,9 +637,9 @@ def test_missing_field_is_named_by_its_dotted_path(tmp_path, capsys, command, te
         ),
         (
             "calibrate",
-            CALIBRATE_CONF + "entry.low.nreps = 30\n",
-            "entry.low.nreps",
-            "test, spec, n_paths, quantile, n_reps, grid, times, n, alpha, mode",
+            CALIBRATE_CONF + "entry.two.nreps = 30\n",
+            "entry.two.nreps",
+            "test, spec, times, n, alpha, mode",
         ),
     ],
     ids=["family", "spec", "test", "association_threshold", "entry"],

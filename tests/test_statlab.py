@@ -468,6 +468,12 @@ def test_calibrate_deterministic_and_thread_independent():
     assert a == b
 
 
+def test_calibrate_replays_the_true_null_whatever_alpha_is_passed():
+    kw = dict(n=2, grid=GRID, times=TIMES)
+    null = calibrate(StableLine(1.0), "idt", 20, 0.9, RngState(39), 200, **kw)
+    assert calibrate(StableLine(1.0), "idt", 20, 0.9, RngState(39), 200, alpha=1.7, **kw) == null
+
+
 def test_calibrate_insufficient_reps():
     with pytest.raises(ValueError):
         calibrate(StableLine(1.0), "idt", 50, 0.99, RngState(36), 500, n=2, grid=GRID, times=TIMES)
