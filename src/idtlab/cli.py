@@ -73,6 +73,7 @@ class ConfigError(Exception):
 
 def parse_config_text(text: str) -> dict:
     tree: dict = {}
+    first_line: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -84,6 +85,9 @@ def parse_config_text(text: str) -> dict:
         value = value.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
         node = tree
         parts = key.split(".")
         for part in parts[:-1]:
@@ -524,7 +528,7 @@ def cmd_report(args) -> int:
             line = report.to_tap(number)
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: not a report file ({exc!r})") from None
-        n_pass += bool(report.passed)
+        n_pass += report.passed
         print(line)
     print(f"# {n_pass}/{len(names)} tests passed")
     return 0
@@ -550,11 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="idtlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_out=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--paths", type=int, default=None, help="override n_paths")
-        if with_out:
-            p.add_argument("--out", default=None, help="override the output directory")
+        p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument(
             "--threads",
             type=_thread_count,

@@ -10,11 +10,14 @@ from dataclasses import dataclass, field
 class TestReport:
     """Result of one check: a statistic compared against a threshold.
 
-    Two conventions exist, recorded in ``details["convention"]``:
+    The verdict ``passed`` is not stored: it is computed from the statistic,
+    the threshold and the convention recorded in ``details["convention"]``:
 
     * ``"distance"`` -- passes iff ``statistic <= threshold``;
     * ``"p-value"``  -- passes iff ``statistic >= threshold`` (the
       statistic is a p-value, the threshold a significance level).
+
+    A NaN statistic fails under both.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -22,25 +25,20 @@ class TestReport:
     name: str
     statistic: float
     threshold: float
-    passed: bool
     n_samples: int
     seed: int
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         convention = self.details.get("convention", "distance")
-        if convention == "distance":
-            expected = self.statistic <= self.threshold
-        elif convention == "p-value":
-            expected = self.statistic >= self.threshold
-        else:
+        if convention not in ("distance", "p-value"):
             raise ValueError(f"unknown report convention {convention!r}")
-        if bool(self.passed) != bool(expected):
-            raise ValueError(
-                f"inconsistent report: statistic={self.statistic}, "
-                f"threshold={self.threshold}, passed={self.passed} "
-                f"under convention {convention!r}"
-            )
+
+    @property
+    def passed(self) -> bool:
+        if self.details.get("convention", "distance") == "distance":
+            return bool(self.statistic <= self.threshold)
+        return bool(self.statistic >= self.threshold)
 
     def to_dict(self) -> dict:
         return {
@@ -59,19 +57,14 @@ class TestReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TestReport":
-        return cls(
-            name=d["name"],
-            statistic=d["statistic"],
-            threshold=d["threshold"],
-            passed=d["pass"],
-            n_samples=d["n_samples"],
-            seed=d["seed"],
-            details=dict(d.get("details", {})),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TestReport":
-        return cls.from_dict(json.loads(text))
+        """The report a file's fields describe; its ``pass`` must agree with the computed verdict."""
+        report = cls(d["name"], d["statistic"], d["threshold"], d["n_samples"], d["seed"], dict(d.get("details", {})))
+        if bool(d["pass"]) != report.passed:
+            raise ValueError(
+                f"inconsistent report: statistic={report.statistic}, threshold={report.threshold}, "
+                f"passed={d['pass']} under convention {report.details.get('convention', 'distance')!r}"
+            )
+        return report
 
     def to_tap(self, number: int = 1) -> str:
         """One-line TAP record, e.g. ``ok 3 - idt[fbm] stat=... thr=...``."""
@@ -84,28 +77,10 @@ class TestReport:
 
     @staticmethod
     def from_distance(name, statistic, threshold, n_samples, seed, details=None) -> "TestReport":
-        details = dict(details or {})
-        details["convention"] = "distance"
-        return TestReport(
-            name=name,
-            statistic=float(statistic),
-            threshold=float(threshold),
-            passed=bool(statistic <= threshold),
-            n_samples=int(n_samples),
-            seed=int(seed),
-            details=details,
-        )
+        details = {**(details or {}), "convention": "distance"}
+        return TestReport(name, float(statistic), float(threshold), int(n_samples), int(seed), details)
 
     @staticmethod
     def from_pvalue(name, p_value, level, n_samples, seed, details=None) -> "TestReport":
-        details = dict(details or {})
-        details["convention"] = "p-value"
-        return TestReport(
-            name=name,
-            statistic=float(p_value),
-            threshold=float(level),
-            passed=bool(p_value >= level),
-            n_samples=int(n_samples),
-            seed=int(seed),
-            details=details,
-        )
+        details = {**(details or {}), "convention": "p-value"}
+        return TestReport(name, float(p_value), float(level), int(n_samples), int(seed), details)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -44,6 +45,16 @@ def _write(tmp_path, text, name="exp.conf"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _set_lines(text, lines):
+    """``text`` with each ``key = value`` of ``lines`` in place of that key's line, or appended."""
+    for line in lines.splitlines():
+        key = line.split("=", 1)[0].strip()
+        text, found = re.subn(rf"(?m)^{re.escape(key)} =.*$", line, text)
+        if not found:
+            text += line + "\n"
+    return text
 
 
 def test_config_parser_sections_and_comments():
@@ -428,7 +439,7 @@ def test_calibrate_config_error_exit_two(tmp_path, capsys, monkeypatch, extra, f
 
     replays = []
     monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: replays.append(args) or 0.0)
-    conf = _write(tmp_path, CALIBRATE_CONF.replace("n_reps = 25\n", "") + extra)
+    conf = _write(tmp_path, _set_lines(CALIBRATE_CONF.replace("n_reps = 25\n", ""), extra))
     out = tmp_path / "out"
     assert main(["calibrate", conf, "--out", str(out), "--threads", "1", *flags]) == 2
     err = capsys.readouterr().err
@@ -874,9 +885,11 @@ def test_export_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch):
         assert list(out.iterdir()) == []
 
 
-def test_export_unknown_format_exit_two(tmp_path):
-    conf = _write(tmp_path, EXPORT_CONF.format(out=tmp_path / "o") + "export.formats = parquet\n")
+def test_export_unknown_format_exit_two(tmp_path, capsys):
+    text = EXPORT_CONF.replace("export.formats = csv bin", "export.formats = parquet")
+    conf = _write(tmp_path, text.format(out=tmp_path / "o"))
     assert main(["export", conf]) == 2
+    assert "unknown format 'parquet'" in capsys.readouterr().err
 
 
 def test_report_command(tmp_path, capsys):
@@ -970,7 +983,7 @@ def test_prefixed_config_integer_exit_two(tmp_path, capsys, seed):
         ("export", EXPORT_CONF + "export_csv = ture\n", "'export_csv'"),
         ("export", EXPORT_CONF + "quantile = high\n", "'quantile'"),
         ("calibrate", CALIBRATE_CONF.replace("n_reps = 25", "n_reps = 2.5"), "'n_reps'"),
-        ("calibrate", CALIBRATE_CONF + "quantile = high\n", "'quantile'"),
+        ("calibrate", CALIBRATE_CONF.replace("quantile = 0.96", "quantile = high"), "'quantile'"),
     ],
     ids=["run_export_csv", "export_export_csv", "export_quantile",
          "calibrate_n_reps", "calibrate_quantile"],
@@ -993,6 +1006,33 @@ def test_malformed_top_level_key_exit_two_before_any_work(tmp_path, capsys, monk
     assert err.count("\n") == 1
     assert work == []
     assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("run", RUN_OK + "seed = 8\n", "line 13: key 'seed' already set on line 2"),
+        ("calibrate", CALIBRATE_CONF + "quantile = 0.5\n", "line 18: key 'quantile' already set on line 5"),
+        ("export", EXPORT_CONF + "n_paths = 5\n", "line 10: key 'n_paths' already set on line 3"),
+        ("calibrate", CALIBRATE_CONF + "entry.two.n = 4\n", "line 18: key 'entry.two.n' already set on line 10"),
+    ],
+    ids=["run", "calibrate", "export", "calibrate_section_key"],
+)
+def test_repeated_key_exit_two_before_any_work(tmp_path, capsys, monkeypatch, command, text, message):
+    """A key set twice is an error, not a silent choice of its last value."""
+    import idtlab.cli
+    import idtlab.statlab
+
+    work = []
+    monkeypatch.setattr(idtlab.statlab, "idt_test", lambda *args, **kwargs: work.append("test"))
+    monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: work.append("replay") or 0.0)
+    monkeypatch.setattr(idtlab.cli, "sample_blocks", lambda *args, **kwargs: work.append("export"))
+    out = tmp_path / "out"
+    conf = _write(tmp_path, text.format(out=out))
+    assert main([command, conf, "--out", str(out), "--threads", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert work == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -18,18 +19,34 @@ def test_pvalue_convention_pass_logic():
 
 
 def test_inconsistent_report_rejected():
-    with pytest.raises(ValueError):
-        TestReport("x", 0.6, 0.5, True, 10, 0, {"convention": "distance"})
-    with pytest.raises(ValueError):
-        TestReport("x", 0.6, 0.5, False, 10, 0, {"convention": "p-value"})
-    with pytest.raises(ValueError):
-        TestReport("x", 0.4, 0.5, True, 10, 0, {"convention": "bogus"})
+    doc = {"name": "x", "statistic": 0.6, "threshold": 0.5, "n_samples": 10, "seed": 0}
+    with pytest.raises(ValueError, match="inconsistent report"):
+        TestReport.from_dict({**doc, "pass": True, "details": {"convention": "distance"}})
+    with pytest.raises(ValueError, match="inconsistent report"):
+        TestReport.from_dict({**doc, "pass": False, "details": {"convention": "p-value"}})
+    with pytest.raises(ValueError, match="unknown report convention 'bogus'"):
+        TestReport("x", 0.4, 0.5, 10, 0, {"convention": "bogus"})
+
+
+def test_replace_recomputes_the_verdict():
+    rep = TestReport.from_distance("idt[x]", 0.03, 0.05, 20000, 1)
+    stricter = dataclasses.replace(rep, threshold=0.02)
+    assert rep.passed and not stricter.passed
+    assert stricter.to_dict()["pass"] is False
+    level = TestReport.from_pvalue("ks[x]", 0.03, 0.01, 20000, 1)
+    assert level.passed and not dataclasses.replace(level, threshold=0.05).passed
+
+
+@pytest.mark.parametrize("make", [TestReport.from_distance, TestReport.from_pvalue], ids=["distance", "p-value"])
+def test_nan_fails_and_a_tie_passes_under_both_conventions(make):
+    assert make("x", float("nan"), 0.05, 100, 7).passed is False
+    assert make("x", 0.05, 0.05, 100, 7).passed is True
 
 
 def test_json_round_trip_and_stable_key_order():
     rep = TestReport.from_distance("idt[x]", 0.0123, 0.05, 2000, 42, {"n": 2})
     text = rep.to_json()
-    assert text == TestReport.from_json(text).to_json()
+    assert text == TestReport.from_dict(json.loads(text)).to_json()
     doc = json.loads(text)
     assert doc["pass"] is True
     assert list(doc) == sorted(doc)
