@@ -47,6 +47,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import os
 import sys
 
@@ -362,7 +363,11 @@ def _resolve_threshold(kind, node, prefix, spec, params, values, table):
     if not kind.calibrated:
         return None
     if "threshold" in node:
-        return _as_float(node["threshold"], f"{prefix}.threshold")
+        field = f"{prefix}.threshold"
+        threshold = _as_float(node["threshold"], field)
+        if not math.isfinite(threshold):  # as a table entry must be
+            raise ConfigError(f"field {field!r}: expected a finite number, got {node['threshold']!r}")
+        return threshold
     key = kind.key(spec, values["n_paths"], values["quantile"], params)
     thresholds = table()  # outside the try: a malformed table is not a missing key
     try:

@@ -3,7 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+
+
+def _null_nan(value):
+    """``value`` with a NaN, alone or in a list, as ``None``."""
+    if isinstance(value, list):
+        return [_null_nan(v) for v in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
+def _nan_null(value):
+    """``value`` with a ``None``, alone or in a list, as NaN: the inverse of ``_null_nan``."""
+    if isinstance(value, list):
+        return [_nan_null(v) for v in value]
+    return math.nan if value is None else value
 
 
 @dataclass(frozen=True)
@@ -17,7 +32,10 @@ class TestReport:
     * ``"p-value"``  -- passes iff ``statistic >= threshold`` (the
       statistic is a p-value, the threshold a significance level).
 
-    A NaN statistic fails under both.
+    A NaN statistic fails under both.  ``to_dict`` writes a NaN statistic,
+    threshold or detail, alone or in a list, as ``None`` (JSON ``null``,
+    since strict JSON has no NaN), and ``from_dict`` reads ``None`` there
+    back as NaN.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -43,12 +61,12 @@ class TestReport:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
+            "statistic": _null_nan(self.statistic),
+            "threshold": _null_nan(self.threshold),
             "pass": self.passed,
             "n_samples": self.n_samples,
             "seed": self.seed,
-            "details": self.details,
+            "details": {k: _null_nan(v) for k, v in self.details.items()},
         }
 
     def to_json(self) -> str:
@@ -58,7 +76,8 @@ class TestReport:
     @classmethod
     def from_dict(cls, d: dict) -> "TestReport":
         """The report a file's fields describe; its ``pass`` must agree with the computed verdict."""
-        report = cls(d["name"], d["statistic"], d["threshold"], d["n_samples"], d["seed"], dict(d.get("details", {})))
+        details = {k: _nan_null(v) for k, v in dict(d.get("details", {})).items()}
+        report = cls(d["name"], _nan_null(d["statistic"]), _nan_null(d["threshold"]), d["n_samples"], d["seed"], details)
         if bool(d["pass"]) != report.passed:
             raise ValueError(
                 f"inconsistent report: statistic={report.statistic}, threshold={report.threshold}, "

@@ -45,15 +45,16 @@ beside the block, and take the statistic over the whole vector at once.
 
 Each test kind has one ``TestKind`` entry in ``TEST_KINDS``: its config
 fields and defaults, its threshold key, its true null, its preconditions
-and how to run it.  The CLI and ``calibrate`` read everything from the
-entry, so adding a kind takes one entry plus its public ``*_test``
-function, which takes the kind's fields by name and for a distance test
-is a thin wrapper over ``_spec_report``: the ensembles
-to draw, each on its own ``rng.split`` index, and how to combine their
-ECF vectors elementwise.  ``calibrate``'s replays run through ``_map``,
-on a pool of worker threads when asked for more than one; ``idtlab run``
-runs its tests in config order on the calling thread, since a pool
-overlapped little of their work and held a second ECF block.
+and how to run it.  A kind that compares ensembles of its spec also
+states their ``views`` (each a substream, grid dilation, value scale and
+count of summed copies) and the ``combine`` of their ECF vectors
+(``got - ref``, ``got - ref**n`` or ``whole - part*rest``), and its
+public ``*_test`` function is one call of ``_distance_test``.  The CLI
+and ``calibrate`` read everything from the entry.  ``calibrate``'s
+replays run through ``_map``, on a pool of worker threads when asked for
+more than one; ``idtlab run`` runs its tests in config order on the
+calling thread, since a pool overlapped little of their work and held a
+second ECF block.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from operator import sub
 
 import numpy as np
 
@@ -77,7 +77,7 @@ from .processes import (
 from .randkit import RngState
 from .report import TestReport
 from .thresholds import DEFAULT_THETA_ID, entry_key
-from .transforms import lamperti_apply, scale_paths, sum_independent
+from .transforms import lamperti_apply, sum_independent
 
 THETA_COMPONENTS = (0.25, 0.5, 1.0, 2.0)
 
@@ -358,9 +358,9 @@ def _check_dilation(a) -> None:
         raise ValueError(f"dilation must be positive and != 1, got {a}")
 
 
-def _check_fraction(b) -> None:
-    if not 0.0 < b < 1.0:
-        raise ValueError(f"b must be inside (0, 1), got {b}")
+def _check_fraction(value, name: str) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be inside (0, 1), got {value}")
 
 
 def _check_window(window, shift, n_times: int) -> tuple:
@@ -390,40 +390,47 @@ def _check_replays(n_reps, quantile: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _distance_report(name, views, combine, threshold, n_samples, seed, details):
-    """Report of the largest ``|combine(ECF_0, ECF_1, ...)|`` over the default grid.
+def _distance_report(name, discrepancy, threshold, n_samples, seed, details):
+    """Report of the largest modulus of an ECF ``discrepancy`` vector on the default grid."""
+    # NaN anywhere gives NaN
+    statistic = float(np.abs(discrepancy).max())
+    details = {**details, "theta_grid": DEFAULT_THETA_ID}
+    return TestReport.from_distance(name, statistic, threshold, n_samples, seed, details)
 
-    ``views`` are ``(draw, idx)`` pairs: ``draw()`` returns a value matrix
-    and ``idx`` the columns compared.  Each view is reduced to its ECF
-    vector before the next is drawn, so at most one ensemble is alive at a
-    time.  ``combine`` acts elementwise on the vectors.
+
+def _view_values(spec, grid: TimeGrid, n_paths: int, rng: RngState, view) -> np.ndarray:
+    """The values of one view ``(split, dilation, scale, copies)``: ``copies``
+    independent ensembles on ``grid`` dilated by ``dilation``, summed, drawn
+    on ``rng.split(split)`` and multiplied by ``scale``."""
+    split, dilation, scale, copies = view
+    grid = grid if dilation == 1 else grid.scale(dilation)
+    if copies > 1:
+        values = sum_independent(spec, copies, grid, n_paths, rng.split(split)).values
+    else:
+        values = generate(spec, grid, n_paths, rng.split(split)).values
+    return values if scale == 1 else values * scale
+
+
+_FIELD_TYPES = {"int": int, "float": float, "str": str}
+
+
+def _distance_test(kind: str, spec, n_paths: int, rng: RngState, threshold: float, **params) -> TestReport:
+    """The distance test of ``TEST_KINDS[kind]`` on ``params``, its fields and ``grid`` and ``times``.
+
+    The kind's checks run first.  Each view is reduced to its ECF vector
+    before the next is drawn, so at most one ensemble is alive at a time.
     """
-    vectors = [_ecf_vector(draw(), idx) for draw, idx in views]
-    # the largest modulus over the whole discrepancy vector; NaN anywhere gives NaN
-    statistic = float(np.abs(combine(*vectors)).max())
-    return TestReport.from_distance(
-        name=name,
-        statistic=statistic,
-        threshold=threshold,
-        n_samples=n_samples,
-        seed=seed,
-        details={**details, "theta_grid": DEFAULT_THETA_ID},
-    )
-
-
-def _spec_report(kind, spec, grid, times, n_paths, rng, threshold, draws, combine, details):
-    """``_distance_report`` over ensembles ``draw(grid)`` of ``spec`` at ``times``.
-
-    Each draw takes its own ``rng.split`` index, so the order in which
-    they run does not change the result.
-    """
-    if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(grid)
-    idx = _time_indices(grid, times)
-    views = [(lambda draw=draw: draw(grid).values, idx) for draw in draws]
-    details = {**details, "times": [float(t) for t in times], "stream": rng.stream}
+    test = TEST_KINDS[kind]
+    grid = params["grid"] if isinstance(params["grid"], TimeGrid) else TimeGrid(params["grid"])
+    params = {**params, "grid": grid.times}
+    for _, rule in test.checks:
+        rule(params)
+    fields = {name: _FIELD_TYPES[parse](params[name]) for name, parse, _ in test.fields}
+    idx = _time_indices(grid, params["times"])
+    vectors = [_ecf_vector(_view_values(spec, grid, n_paths, rng, view), idx) for view in test.views(fields)]
+    details = {**fields, "times": [float(t) for t in params["times"]], "stream": rng.stream}
     return _distance_report(
-        f"{kind}[{spec_label(spec)}]", views, combine, threshold, n_paths, rng.seed, details,
+        f"{kind}[{spec_label(spec)}]", test.combine(fields, *vectors), threshold, n_paths, rng.seed, details
     )
 
 
@@ -446,19 +453,7 @@ def idt_test(
     ``mode="sum"`` replaces the power by the ECF of an actual pointwise
     sum of ``n`` independent ensembles, as a cross-check.
     """
-    n = _at_least_two(n)
-    _check_exponent(alpha)
-    _check_mode(mode)
-    _at_most_three(times)
-    if mode == "power":
-        reference = lambda g: generate(spec, g, n_paths, rng.split(0))
-        combine = lambda got, ref: got - ref**n
-    else:
-        reference = lambda g: sum_independent(spec, n, g, n_paths, rng.split(0))
-        combine = sub
-    draws = [lambda g: generate(spec, g.scale(n ** (1.0 / alpha)), n_paths, rng.split(1)), reference]
-    details = {"alpha": float(alpha), "n": n, "mode": mode}
-    return _spec_report("idt", spec, grid, times, n_paths, rng, threshold, draws, combine, details)
+    return _distance_test("idt", spec, n_paths, rng, threshold, alpha=alpha, n=n, grid=grid, times=times, mode=mode)
 
 
 def selfsimilarity_test(
@@ -472,15 +467,7 @@ def selfsimilarity_test(
     threshold: float,
 ) -> TestReport:
     """Check ``X(a*t) = a**h * X(t)`` in law via ECF distance."""
-    _check_dilation(a)
-    draws = [
-        lambda g: generate(spec, g.scale(a), n_paths, rng.split(0)),
-        lambda g: scale_paths(generate(spec, g, n_paths, rng.split(1)), a**h),
-    ]
-    details = {"h": float(h), "a": float(a)}
-    return _spec_report(
-        "selfsimilarity", spec, grid, times, n_paths, rng, threshold, draws, sub, details
-    )
+    return _distance_test("selfsimilarity", spec, n_paths, rng, threshold, h=h, a=a, grid=grid, times=times)
 
 
 def stability_test(
@@ -494,15 +481,7 @@ def stability_test(
     threshold: float,
 ) -> TestReport:
     """Check strict stability: n-fold sum matches ``n**(1/beta) * X`` in law."""
-    n = _at_least_two(n)
-    draws = [
-        lambda g: sum_independent(spec, n, g, n_paths, rng.split(0)),
-        lambda g: scale_paths(generate(spec, g, n_paths, rng.split(1)), n ** (1.0 / beta)),
-    ]
-    details = {"beta": float(beta), "n": n}
-    return _spec_report(
-        "stability", spec, grid, times, n_paths, rng, threshold, draws, sub, details
-    )
+    return _distance_test("stability", spec, n_paths, rng, threshold, beta=beta, n=n, grid=grid, times=times)
 
 
 def stationarity_test(
@@ -513,9 +492,9 @@ def stationarity_test(
 ) -> TestReport:
     """Compare ECFs over two windows of a (log-time transformed) ensemble."""
     window, shift = _check_window(window, shift, ensemble.n_times)
-    views = [(lambda: ensemble.values, [i + s for i in range(window)]) for s in (0, shift)]
+    first, second = (_ecf_vector(ensemble.values, [i + s for i in range(window)]) for s in (0, shift))
     return _distance_report(
-        "stationarity", views, sub, threshold,
+        "stationarity", first - second, threshold,
         ensemble.n_paths, ensemble.seed, {"window": window, "shift": shift},
     )
 
@@ -538,18 +517,7 @@ def temporal_sd_test(
     three factors; passing exhibits the scaled-copy-plus-residual
     decomposition with ratio ``b**(1/alpha)``.
     """
-    _check_fraction(b)
-    _check_exponent(alpha)
-    draws = [
-        lambda g: generate(spec, g, n_paths, rng.split(0)),
-        lambda g: generate(spec, g.scale(b ** (1.0 / alpha)), n_paths, rng.split(1)),
-        lambda g: generate(spec, g.scale((1.0 - b) ** (1.0 / alpha)), n_paths, rng.split(2)),
-    ]
-    details = {"alpha": float(alpha), "b": float(b)}
-    return _spec_report(
-        "temporal_sd", spec, grid, times, n_paths, rng, threshold, draws,
-        lambda whole, part, rest: whole - part * rest, details,
-    )
+    return _distance_test("temporal_sd", spec, n_paths, rng, threshold, alpha=alpha, b=b, grid=grid, times=times)
 
 
 def association_test(
@@ -568,6 +536,7 @@ def association_test(
     infinity in either ensemble makes that time's p-value NaN, and a NaN
     p-value at any time makes the reported one NaN, which fails.
     """
+    _check_fraction(level, "level")
     grid = TimeGrid(t_list)
     left = generate(spec, grid, n_paths, rng.split(0))
     right = generate(AdditiveTimeChange(family, alpha), grid, n_paths, rng.split(1))
@@ -613,6 +582,12 @@ class TestKind:
     fields break the test's precondition.  ``run(spec, params, n_paths, rng,
     threshold)`` calls the public test function.  Only ``calibrated`` kinds
     have null-replay thresholds.
+
+    A kind with ``views`` is a distance test between ensembles of its spec
+    (``_distance_test``): ``views(fields)`` gives one row ``(split,
+    dilation, scale, copies)`` per ensemble, in drawing order, and
+    ``combine(fields, *vectors)`` the elementwise discrepancy of their ECF
+    vectors, both on the fields converted by their types.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -624,6 +599,8 @@ class TestKind:
     checks: tuple = ()
     uses_times: bool = True
     calibrated: bool = True
+    views: Callable | None = None
+    combine: Callable | None = None
 
     def fill(self, params: dict, spec) -> dict:
         """``params`` with each missing optional field at its default."""
@@ -661,6 +638,7 @@ def _run_stationarity(spec, p, n_paths, rng, threshold):
 _ON_GRID = (("times",), lambda p: _time_indices(TimeGrid(p["grid"]), p["times"]))
 _N_AT_LEAST_TWO = (("n",), lambda p: _at_least_two(p["n"]))
 _EXPONENT = (("alpha",), lambda p: _check_exponent(p["alpha"]))
+_DIFFERENCE = lambda f, got, ref: got - ref
 
 TEST_KINDS = {
     kind.name: kind
@@ -677,6 +655,8 @@ TEST_KINDS = {
                 (("times",), lambda p: _at_most_three(p["times"])),
             ),
             run=_by_name("idt_test"),
+            views=lambda f: ((1, f["n"] ** (1.0 / f["alpha"]), 1, 1), (0, 1, 1, f["n"] if f["mode"] == "sum" else 1)),
+            combine=lambda f, got, ref: (got - ref ** f["n"]) if f["mode"] == "power" else got - ref,
         ),
         TestKind(
             "selfsimilarity",
@@ -684,6 +664,8 @@ TEST_KINDS = {
             key_fields=("a",),
             checks=((("a",), lambda p: _check_dilation(p["a"])), _ON_GRID),
             run=_by_name("selfsimilarity_test"),
+            views=lambda f: ((0, f["a"], 1, 1), (1, 1, f["a"] ** f["h"], 1)),
+            combine=_DIFFERENCE,
         ),
         TestKind(
             "stability",
@@ -691,13 +673,21 @@ TEST_KINDS = {
             key_fields=("n",),
             checks=(_N_AT_LEAST_TWO, _ON_GRID),
             run=_by_name("stability_test"),
+            views=lambda f: ((0, 1, 1, f["n"]), (1, 1, f["n"] ** (1.0 / f["beta"]), 1)),
+            combine=_DIFFERENCE,
         ),
         TestKind(
             "temporal_sd",
             fields=(("b", "float", None), ("alpha", "float", _SPEC_EXPONENT)),
             key_fields=("b",),
-            checks=((("b",), lambda p: _check_fraction(p["b"])), _EXPONENT, _ON_GRID),
+            checks=((("b",), lambda p: _check_fraction(p["b"], "b")), _EXPONENT, _ON_GRID),
             run=_by_name("temporal_sd_test"),
+            views=lambda f: (
+                (0, 1, 1, 1),
+                (1, f["b"] ** (1.0 / f["alpha"]), 1, 1),
+                (2, (1.0 - f["b"]) ** (1.0 / f["alpha"]), 1, 1),
+            ),
+            combine=lambda f, whole, part, rest: whole - part * rest,
         ),
         TestKind(
             "stationarity",
@@ -719,7 +709,11 @@ TEST_KINDS = {
         TestKind(
             "association",
             fields=(("alpha", "float", None), ("level", "float", 0.01), ("family", "family", None)),
-            checks=((("times",), lambda p: TimeGrid(p["times"])), _EXPONENT),
+            checks=(
+                (("times",), lambda p: TimeGrid(p["times"])),
+                _EXPONENT,
+                (("level",), lambda p: _check_fraction(p["level"], "level")),
+            ),
             run=lambda spec, p, n_paths, rng, threshold: association_test(
                 spec, p["family"], p["alpha"], p["times"], n_paths, rng, level=p["level"]
             ),

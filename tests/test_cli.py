@@ -1036,6 +1036,68 @@ def test_repeated_key_exit_two_before_any_work(tmp_path, capsys, monkeypatch, co
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
 
 
+STABLE_RUN = "seed = 1\nn_paths = 500\ngrid = 0.5 1 2\nspec.kind = stable_line\nspec.alpha = 1.5\n"
+IDT_AT = "test.x.kind = idt\ntest.x.n = 2\ntest.x.alpha = 0.7\n"
+ASSOCIATION_AT = "test.y.kind = association\ntest.y.alpha = 1.5\ntest.y.family.kind = stable_motion\ntest.y.family.index = 1.5\n"
+
+
+@pytest.mark.parametrize(
+    "test_lines, message",
+    [
+        (IDT_AT + "test.x.threshold = inf\n", "field 'test.x.threshold': expected a finite number, got 'inf'"),
+        (IDT_AT + "test.x.threshold = -inf\n", "field 'test.x.threshold': expected a finite number, got '-inf'"),
+        (IDT_AT + "test.x.threshold = nan\n", "field 'test.x.threshold': expected a finite number, got 'nan'"),
+        (ASSOCIATION_AT + "test.y.level = 0\n", "field 'test.y.level': level must be inside (0, 1), got 0.0"),
+        (ASSOCIATION_AT + "test.y.level = 1\n", "field 'test.y.level': level must be inside (0, 1), got 1.0"),
+        (ASSOCIATION_AT + "test.y.level = nan\n", "field 'test.y.level': level must be inside (0, 1), got nan"),
+    ],
+    ids=["threshold_inf", "threshold_minus_inf", "threshold_nan", "level_zero", "level_one", "level_nan"],
+)
+def test_non_finite_threshold_or_level_outside_unit_exit_two_before_any_work(
+    tmp_path, capsys, monkeypatch, test_lines, message
+):
+    """An infinite threshold would pass any statistic, a level of 0 any p-value."""
+    import idtlab.statlab
+
+    work = []
+    monkeypatch.setattr(idtlab.statlab, "idt_test", lambda *args, **kwargs: work.append("test"))
+    monkeypatch.setattr(idtlab.statlab, "association_test", lambda *args, **kwargs: work.append("test"))
+    out = tmp_path / "out"
+    conf = _write(tmp_path, STABLE_RUN + test_lines)
+    assert main(["run", conf, "--out", str(out), "--threads", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert work == []
+    assert not out.exists()
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_nan_p_value_is_written_as_null_and_read_back(tmp_path, capsys, monkeypatch):
+    """A NaN p-value makes strict JSON, and ``idtlab report`` reads it, and an old bare ``NaN``, as NaN."""
+    import idtlab.statlab
+
+    monkeypatch.setattr(idtlab.statlab, "ks_two_sample", lambda a, b: (float("nan"), float("nan")))
+    out = tmp_path / "out"
+    conf = _write(tmp_path, STABLE_RUN + ASSOCIATION_AT)
+    assert main(["run", conf, "--out", str(out), "--threads", "1"]) == 1
+    text = (out / "report_y.json").read_text()
+    report = _strict_json(text)["report"]
+    assert report["statistic"] is None and report["details"]["p_values"] == [None, None, None]
+    assert report["pass"] is False
+    assert _strict_json((out / "summary.json").read_text())["reports"]["y"] == report
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("not ok 1 - association[stable_line(alpha=1.5)] statistic=nan ")
+    (out / "report_y.json").write_text(text.replace('"statistic": null', '"statistic": NaN'))
+    assert main(["report", str(out)]) == 0
+    assert "not ok 1 - association" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("threads", ["0", "-3", "abc", "2.5"])
 @pytest.mark.parametrize("command", ["run", "calibrate", "export"])
 def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):

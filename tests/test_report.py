@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -57,3 +58,24 @@ def test_tap_lines():
     bad = TestReport.from_distance("idt[x]", 0.9, 0.05, 2000, 42)
     assert ok.to_tap(3).startswith("ok 3 - idt[x] ")
     assert bad.to_tap(4).startswith("not ok 4 - idt[x] ")
+
+
+def test_nan_is_written_as_null_and_read_back_as_nan():
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    nan = float("nan")
+    rep = TestReport.from_pvalue("assoc[x]", nan, nan, 100, 7, {"p_values": [0.5, nan], "alpha": nan})
+    doc = json.loads(rep.to_json(), parse_constant=reject)
+    assert doc["statistic"] is None and doc["threshold"] is None
+    assert doc["details"]["p_values"] == [0.5, None] and doc["details"]["alpha"] is None
+    back = TestReport.from_dict(doc)
+    assert math.isnan(back.statistic) and math.isnan(back.threshold) and not back.passed
+    assert back.details["p_values"][0] == 0.5 and math.isnan(back.details["p_values"][1])
+    assert back.to_json() == rep.to_json()
+    # a file written before NaN became null still reads
+    old = TestReport.from_dict(json.loads(rep.to_json().replace("null", "NaN")))
+    assert old.to_json() == rep.to_json()
+    # a finite report keeps its bytes
+    finite = TestReport.from_distance("idt[x]", 0.01, 0.05, 100, 7, {"p_values": [0.5]})
+    assert "null" not in finite.to_json()

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -423,6 +424,12 @@ def test_association_mismatched_tails_fail():
     assert not report.passed
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.5, math.nan])
+def test_association_level_outside_the_unit_interval_raises(level):
+    with pytest.raises(ValueError, match=re.escape(f"level must be inside (0, 1), got {level}")):
+        association_test(StableLine(1.5), StableMotion(1.5), 1.5, TIMES, 100, RngState(26), level=level)
+
+
 def test_association_nan_p_value_in_a_later_column_fails(monkeypatch):
     """The matched pair of ``test_association_matched_stable_pair_passes``
     with one NaN at the third time: its p-value, and so the report's, is NaN."""
@@ -505,6 +512,68 @@ def test_a_kind_calls_its_function_with_its_fields_by_name(function, params):
     # a field that the function does not take is an error, never dropped
     with pytest.raises(TypeError, match="'extra'"):
         kind.run(FBM, {**params, "extra": 1.0}, 200, RngState(3), 0.1)
+
+
+# one case per precondition of the four spec tests, with its message
+SPEC_TEST_PRECONDITIONS = [
+    (idt_test, {"alpha": 0.6, "n": 1}, GRID, "n must be at least 2, got 1"),
+    (idt_test, {"alpha": 0, "n": 2}, GRID, "exponent must be finite and > 0, got 0"),
+    (idt_test, {"alpha": 0.6, "n": 2, "mode": "x"}, GRID, "unknown mode 'x'"),
+    (idt_test, {"alpha": 0.6, "n": 2}, TimeGrid([0.5, 1.0, 2.0, 4.0]), "at most three comparison times"),
+    (idt_test, {"alpha": 0.6, "n": 2, "times": [0.5, 0.75]}, GRID, "time 0.75 is not on the grid [0.5, 1.0, 2.0]"),
+    (selfsimilarity_test, {"h": 0.5, "a": 1}, GRID, "dilation must be positive and != 1, got 1"),
+    (selfsimilarity_test, {"h": 0.5, "a": 2.0, "times": [3.0]}, GRID, "time 3.0 is not on the grid [0.5, 1.0, 2.0]"),
+    (stability_test, {"beta": 2.0, "n": 1}, GRID, "n must be at least 2, got 1"),
+    (stability_test, {"beta": 2.0, "n": 2, "times": [0.25]}, GRID, "time 0.25 is not on the grid [0.5, 1.0, 2.0]"),
+    (temporal_sd_test, {"alpha": 0.6, "b": 1.5}, GRID, "b must be inside (0, 1), got 1.5"),
+    (temporal_sd_test, {"alpha": 0, "b": 0.5}, GRID, "exponent must be finite and > 0, got 0"),
+    (temporal_sd_test, {"alpha": 0.6, "b": 0.5, "times": [1.5]}, GRID, "time 1.5 is not on the grid [0.5, 1.0, 2.0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, params, grid, message",
+    SPEC_TEST_PRECONDITIONS,
+    ids=[
+        "idt_n", "idt_alpha", "idt_mode", "idt_four_times", "idt_off_grid", "selfsim_a", "selfsim_off_grid",
+        "stability_n", "stability_off_grid", "tsd_b", "tsd_alpha", "tsd_off_grid",
+    ],
+)
+def test_spec_test_preconditions_raise_their_message(monkeypatch, function, params, grid, message):
+    draws = []
+    monkeypatch.setattr(statlab, "generate", lambda *args, **kwargs: draws.append(args))
+    params = {"times": grid.times.tolist(), **params}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(FBM, grid=grid, n_paths=100, rng=RngState(1), threshold=1.0, **params)
+    assert draws == []  # checked before any draw
+
+
+# each view's row (split, dilation, scale, copies) in drawing order; the split
+# indices are the RNG substream layout, and the factors keep their exact expressions
+VIEWS = [
+    ("idt", {"n": 3, "alpha": 0.6, "mode": "power"}, ((1, 3 ** (1.0 / 0.6), 1, 1), (0, 1, 1, 1))),
+    ("idt", {"n": 3, "alpha": 0.6, "mode": "sum"}, ((1, 3 ** (1.0 / 0.6), 1, 1), (0, 1, 1, 3))),
+    ("selfsimilarity", {"h": 0.5, "a": 2.0}, ((0, 2.0, 1, 1), (1, 1, 2.0**0.5, 1))),
+    ("stability", {"beta": 1.5, "n": 2}, ((0, 1, 1, 2), (1, 1, 2 ** (1.0 / 1.5), 1))),
+    (
+        "temporal_sd",
+        {"b": 0.3, "alpha": 0.6},
+        ((0, 1, 1, 1), (1, 0.3 ** (1.0 / 0.6), 1, 1), (2, (1.0 - 0.3) ** (1.0 / 0.6), 1, 1)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, fields, rows", VIEWS, ids=["idt_power", "idt_sum", "selfsimilarity", "stability", "temporal_sd"]
+)
+def test_views_keep_the_split_layout_and_exact_factors(kind, fields, rows):
+    assert statlab.TEST_KINDS[kind].views(fields) == rows
+
+
+def test_details_are_the_declared_fields_by_their_types():
+    report = idt_test(StableLine(1.5), 1.5, 2.0, GRID, TIMES, 100, RngState(2), 1.0)
+    assert report.details["n"] == 2 and type(report.details["n"]) is int
+    assert set(report.details) == {"alpha", "n", "mode", "times", "stream", "theta_grid", "convention"}
 
 
 def test_null_resets_the_spec_exponent_and_leaves_the_probes():
