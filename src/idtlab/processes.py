@@ -11,21 +11,23 @@ are immutable: an N-by-m value matrix over a shared time grid plus the
 metadata needed to reproduce it bit for bit.
 
 Memory: lines and Gaussian kernels ``sample`` the whole ensemble.  The
-other specs run one ``blocks`` loop over row blocks of ``_BLOCK_BYTES``
-(256 KiB): ``generate`` fills the rows of one ``8*N*m``-byte output with
-it; ``sample_blocks`` fills one block buffer that each block reuses, so
-an export streamed block by block holds a few blocks, never the
-ensemble.  A subordinated loop reuses its other blocks too: one
-continuing loop of the clock spec fills a ring of one clock block (two
-with a helper thread), and ``drift*dt`` and the Brownian scale, or the
-gamma shape, go into two scratch blocks.  So a streamed subordinated
-export holds five blocks (1.25 MiB) at two threads.  Only
-``per_element`` families (Brownian, gamma) are drawn in blocks: they
-take one variate per element in C order, so blocks drawn from one
-continuing stream give the whole-array bytes.  Stable motion (all
-``u``, then all ``w``), compound Poisson (all counts, then normals),
-mixtures and chronometers that split their own streams again are drawn
-as one block.
+other specs run one ``blocks`` loop, in row blocks of ``_BLOCK_BYTES``
+(256 KiB) exactly when the spec is ``per_element``: it takes one variate
+per element in C order from each stream it continues, so blocks give the
+whole-array bytes.  Brownian and gamma families are; stable motion (all
+``u``, then all ``w``) and compound Poisson (all counts, then normals)
+are not.  Additive specs and weighted subordinators follow their family,
+a subordinated spec its family and clock together, and a mixture, which
+draws its base on a split of its stream, is never drawn in blocks.
+``generate`` fills the rows of one ``8*N*m``-byte output with the loop;
+``sample_blocks`` fills one block buffer that each block reuses, so an
+export streamed block by block holds a few blocks, never the ensemble.
+A subordinated loop reuses its other blocks too: one continuing loop of
+its clock, of any kind, fills a ring of one clock block (two with a
+helper thread) in the loop's blocks, and ``drift*dt`` and the Brownian
+scale, or the gamma shape, go into one scratch pair.  So a streamed
+subordinated export on an additive clock holds five blocks (1.25 MiB)
+at two threads.
 
 Threads: ``generate(..., threads=n)`` with ``n > 1`` lets a subordinated
 ensemble of more than one block draw the clock of the next block on one
@@ -139,7 +141,8 @@ class PathEnsemble:
 # ---------------------------------------------------------------------------
 # Levy families: building blocks with independent stationary increments.
 # ``increments(dt, rng, out, scratch)`` fills ``out`` (see ``levy_increments``);
-# it checks nothing, so ``dt`` must be nonnegative.
+# it checks nothing, so ``dt`` must be nonnegative.  ``scratch``, two arrays of
+# ``dt``'s shape or ``None``, takes ``drift*dt`` and the scale, or the gamma shape.
 # ---------------------------------------------------------------------------
 
 
@@ -262,22 +265,19 @@ class CompoundPoisson:
 LevyFamily = Union[Brownian, StableMotion, GammaSubordinator, CompoundPoisson]
 
 
-def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None, scratch=(None, None)):
+def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None):
     """Independent increments of the family over the given time lengths.
 
     ``dt`` broadcasts to ``size`` (or to ``out``, which receives the
     increments and may be ``dt`` itself); an entry of 0 yields an
-    increment of exactly 0.  ``scratch`` holds two arrays of ``dt``'s
-    shape (or ``None`` for a new array) that receive the Brownian
-    ``drift*dt`` and ``sqrt(dt)*volatility``, or the gamma shape in the
-    first.
+    increment of exactly 0.
     """
     dt = np.asarray(dt, dtype=np.float64)
     if np.any(dt < 0):
         raise ValueError("increment durations must be nonnegative")
     if out is None:
         out = np.empty(dt.shape if size is None else size)
-    return family.increments(dt, rng, out, scratch)
+    return family.increments(dt, rng, out)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +292,14 @@ def _row_blocks(n_paths: int, n_times: int, blocked: bool, out=None):
 
     ``rows`` views ``out``, the whole output array, or else the next of the
     block buffers in the list ``out`` (by default one new buffer), which
-    the blocks take in turn.
+    the blocks take in turn and whose rows set the block size: so a
+    subordinated loop's clock ring gives the clock the loop's blocks.
     """
     step = max(1, _BLOCK_BYTES // (8 * n_times)) if blocked else n_paths
     if out is None:
         out = [np.empty((min(step, n_paths), n_times))]
+    if isinstance(out, list):
+        step = len(out[0])
     for block, first in enumerate(range(0, n_paths, step)):
         rows = min(step, n_paths - first)
         yield first, out[block % len(out)][:rows] if isinstance(out, list) else out[first : first + rows]
@@ -361,20 +364,16 @@ def _chronometer_increments(chrono_values: np.ndarray, out=None, first: int = 0)
     raise ContractViolation(f"chronometer path {path} is decreasing")
 
 
-def _prefetched(items, threads: int):
-    """The items of the iterator ``items``, in order.
+def _prefetched(items):
+    """The items of the iterator ``items``, in order, which one helper
+    thread advances up to two items ahead.
 
-    With ``threads > 1`` one helper thread advances ``items`` up to two
-    items ahead: the next is asked for once the caller has taken the
-    current one, the one after once the caller is done with the current
-    one (so two reused buffers suffice), and the helper need not wait for
-    the caller between items.  Otherwise each item is made inline when it
-    is asked for.  One thread at a time advances ``items``, in order, so
-    the items are the same either way.
+    The next is asked for once the caller has taken the current one, the
+    one after once the caller is done with the current one (so two reused
+    buffers suffice), and the helper need not wait for the caller between
+    items.  One thread at a time advances ``items``, in order, so the
+    items are those of ``items`` itself.
     """
-    if threads < 2:
-        yield from items
-        return
     with ThreadPoolExecutor(max_workers=1) as helper:
         pending = deque(helper.submit(next, items, None) for _ in range(2))
         while (item := pending.popleft().result()) is not None:
@@ -419,9 +418,12 @@ class _RowBlocked:
     """A spec whose ``blocks(grid, n_paths, rng, threads, out)`` loop yields
     its rows block by block, in ``out`` or in one buffer that every block
     reuses.  ``per_element``: the loop draws one variate per element in C
-    order from the one stream it is given, so it can be drawn in blocks."""
+    order from each stream it continues, so it draws in blocks; by default
+    it is the family's."""
 
-    per_element = False
+    @property
+    def per_element(self) -> bool:
+        return self.family.per_element
 
     def sample(self, grid, n_paths, rng, threads=1):
         values = np.empty((n_paths, len(grid)))
@@ -516,10 +518,6 @@ class AdditiveTimeChange(_RowBlocked):
     def nondecreasing(self) -> bool:
         return self.family.nondecreasing
 
-    @property
-    def per_element(self) -> bool:
-        return self.family.per_element
-
     def blocks(self, grid, n_paths, rng, threads=1, out=None):
         dts = np.diff(grid.times**self.alpha, prepend=0.0)
         for _, rows in _row_blocks(n_paths, len(grid), self.per_element, out):
@@ -548,30 +546,27 @@ class Subordinated(_RowBlocked):
     def nondecreasing(self) -> bool:
         return self.family.nondecreasing and self.chrono.nondecreasing
 
+    @property
+    def per_element(self) -> bool:
+        return self.family.per_element and self.chrono.per_element
+
     def blocks(self, grid, n_paths, rng, threads=1, out=None):
-        """Both streams are split once and continue from block to block, so
-        only a clock that does not split its stream again can be drawn in
-        blocks."""
-        family, chrono = self.family, self.chrono
-        chrono_rng, family_rng = rng.split(0), rng.split(1)
-        row_blocks = list(_row_blocks(n_paths, len(grid), family.per_element and chrono.per_element, out))
+        """Both streams are split once and continue from block to block: one
+        clock loop, of any clock, fills a ring of one reused block, or two
+        when a helper fills the next while the caller reads this one."""
+        family_rng = rng.split(1)
+        row_blocks = list(_row_blocks(n_paths, len(grid), self.per_element, out))
         shape = row_blocks[0][1].shape
-        if len(row_blocks) > 1:
-            # one continuing clock loop fills a ring of reused buffers: two
-            # when the helper fills the next while the caller reads this one
-            ring = [np.empty(shape) for _ in range(2 if threads > 1 else 1)]
-            clocks = _prefetched(chrono.blocks(grid, n_paths, chrono_rng, out=ring), threads)
-            # drift*dt and the Brownian scale, or the gamma shape
-            scratch = np.empty((2,) + shape)
-        else:
-            clocks = (generate(chrono, grid, n_paths, chrono_rng).values for _ in row_blocks)
-            scratch = None
-        with closing(clocks):
+        helper = threads > 1 and len(row_blocks) > 1
+        clocks = self.chrono.blocks(grid, n_paths, rng.split(0), out=[np.empty(shape) for _ in range(1 + helper)])
+        scratch = np.empty((2,) + shape)  # drift*dt and the Brownian scale, or the gamma shape
+        with closing(_prefetched(clocks) if helper else clocks) as clocks:
             for first, rows in row_blocks:
                 # checks the clock, so the increments need no second check
                 _chronometer_increments(next(clocks), rows, first)
-                block_scratch = (None, None) if scratch is None else scratch[:, : rows.shape[0]]
-                family.increments(rows, family_rng, rows, block_scratch)
+                if first + len(rows) == n_paths:  # the clock loop ends, and frees its ring, before the family draw
+                    clocks.close()
+                self.family.increments(rows, family_rng, rows, scratch[:, : rows.shape[0]])
                 _cumsum_rows(rows)
                 yield rows
 
@@ -581,6 +576,7 @@ class Mixture(_RowBlocked):
     """Weighted combination ``sum_i w_i X(u_i * t)`` of one underlying path."""
 
     label_name = "mixture"
+    per_element = False
     base: "ProcessSpec"
     atoms: tuple
 
@@ -642,7 +638,7 @@ class WeightedSubordinator(_RowBlocked):
             path = levy_increments(self.family, np.diff(epochs, prepend=0.0), rng, size=(rows, epochs.size))
             return _cumsum_rows(path)
 
-        return _blend_blocks(self.atoms, grid, n_paths, subordinator, self.alpha, self.family.per_element, out)
+        return _blend_blocks(self.atoms, grid, n_paths, subordinator, self.alpha, self.per_element, out)
 
 
 ProcessSpec = Union[

@@ -356,6 +356,8 @@ def _at_most_three(times) -> None:
 def _check_dilation(a) -> None:
     if not a > 0 or a == 1.0:
         raise ValueError(f"dilation must be positive and != 1, got {a}")
+    if not math.isfinite(a):
+        raise ValueError(f"dilation must be finite, got {a}")
 
 
 def _check_fraction(value, name: str) -> None:
@@ -671,7 +673,7 @@ TEST_KINDS = {
             "stability",
             fields=(("beta", "float", None), ("n", "int", None)),
             key_fields=("n",),
-            checks=(_N_AT_LEAST_TWO, _ON_GRID),
+            checks=(_N_AT_LEAST_TWO, (("beta",), lambda p: _check_exponent(p["beta"])), _ON_GRID),
             run=_by_name("stability_test"),
             views=lambda f: ((0, 1, 1, f["n"]), (1, 1, f["n"] ** (1.0 / f["beta"]), 1)),
             combine=_DIFFERENCE,

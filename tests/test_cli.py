@@ -427,11 +427,24 @@ def test_calibrate_writes_table_and_is_deterministic(tmp_path):
         ("output =\n", [], "field 'output': expected a file name, got ''"),
         ("output = sub/\n", [], "field 'output': expected a file name, got 'sub/'"),
         ("output = sub/..\n", [], "field 'output': expected a file name, got 'sub/..'"),
+        # a stability index of 0 divides by zero, an infinite dilation scales the grid to inf
+        (
+            "entry.x.test = stability\nentry.x.n = 2\nentry.x.beta = 0\nentry.x.spec.kind = stable_line\n"
+            "entry.x.spec.alpha = 1\n",
+            [],
+            "field 'entry.x.beta': exponent must be finite and > 0, got 0.0",
+        ),
+        (
+            "entry.x.test = selfsimilarity\nentry.x.h = 1\nentry.x.a = inf\nentry.x.spec.kind = stable_line\n"
+            "entry.x.spec.alpha = 1\n",
+            [],
+            "field 'entry.x.a': dilation must be finite, got inf",
+        ),
     ],
     ids=[
         "too_few_reps", "entry_n", "n_paths", "paths_flag", "entry_n_paths", "entry_quantile", "entry_n_reps",
         "entry_grid", "no_reps_at_quantile_one", "same_key", "p_value_test", "empty_output", "output_without_file_name",
-        "output_parent_dir",
+        "output_parent_dir", "stability_beta_zero", "selfsim_a_inf",
     ],
 )
 def test_calibrate_config_error_exit_two(tmp_path, capsys, monkeypatch, extra, flags, field):
@@ -1038,6 +1051,8 @@ def test_repeated_key_exit_two_before_any_work(tmp_path, capsys, monkeypatch, co
 
 STABLE_RUN = "seed = 1\nn_paths = 500\ngrid = 0.5 1 2\nspec.kind = stable_line\nspec.alpha = 1.5\n"
 IDT_AT = "test.x.kind = idt\ntest.x.n = 2\ntest.x.alpha = 0.7\n"
+STABILITY_AT = "test.x.kind = stability\ntest.x.n = 2\ntest.x.threshold = 0.5\n"
+SELFSIM_AT = "test.x.kind = selfsimilarity\ntest.x.h = 0.5\ntest.x.threshold = 0.5\n"
 ASSOCIATION_AT = "test.y.kind = association\ntest.y.alpha = 1.5\ntest.y.family.kind = stable_motion\ntest.y.family.index = 1.5\n"
 
 
@@ -1050,13 +1065,20 @@ ASSOCIATION_AT = "test.y.kind = association\ntest.y.alpha = 1.5\ntest.y.family.k
         (ASSOCIATION_AT + "test.y.level = 0\n", "field 'test.y.level': level must be inside (0, 1), got 0.0"),
         (ASSOCIATION_AT + "test.y.level = 1\n", "field 'test.y.level': level must be inside (0, 1), got 1.0"),
         (ASSOCIATION_AT + "test.y.level = nan\n", "field 'test.y.level': level must be inside (0, 1), got nan"),
+        (STABILITY_AT + "test.x.beta = 0\n", "field 'test.x.beta': exponent must be finite and > 0, got 0.0"),
+        (STABILITY_AT + "test.x.beta = inf\n", "field 'test.x.beta': exponent must be finite and > 0, got inf"),
+        (SELFSIM_AT + "test.x.a = inf\n", "field 'test.x.a': dilation must be finite, got inf"),
     ],
-    ids=["threshold_inf", "threshold_minus_inf", "threshold_nan", "level_zero", "level_one", "level_nan"],
+    ids=[
+        "threshold_inf", "threshold_minus_inf", "threshold_nan", "level_zero", "level_one", "level_nan",
+        "beta_zero", "beta_inf", "a_inf",
+    ],
 )
 def test_non_finite_threshold_or_level_outside_unit_exit_two_before_any_work(
     tmp_path, capsys, monkeypatch, test_lines, message
 ):
-    """An infinite threshold would pass any statistic, a level of 0 any p-value."""
+    """An infinite threshold would pass any statistic, a level of 0 any p-value; a stability index of
+    0 or an infinite dilation would end the run in a traceback after its output directory is made."""
     import idtlab.statlab
 
     work = []

@@ -1,15 +1,15 @@
 """Memory bounds of generation, export and the tests, measured with tracemalloc.
 
 Levy-based generators fill the output array a row block at a time, so a
-subordinated ensemble costs its own bytes plus a few reused 256 KiB
-blocks (clock, scratch), also when a helper thread draws the next clock
-block; ``idtlab export`` streams the same blocks through one reused
-buffer, so it holds a few blocks and never the ensemble.  The bounds sit
-below what 1 MiB blocks took (2.2-3.2 MiB beyond the output for
-``generate``, 3.2-4.3 MiB for ``export``).  The binary writer sends
-the value buffer to the file as is, the binary reader reads the payload
-straight into the value array, and the CSV writer formats and writes a
-few thousand values at a time.
+subordinated ensemble, on an additive or a weighted subordinator clock,
+costs its own bytes plus a few reused 256 KiB blocks (clock, scratch),
+also when a helper thread draws the next clock block; ``idtlab export``
+streams the same blocks through one reused buffer, so it holds a few
+blocks and never the ensemble.  The bounds sit below what 1 MiB blocks
+took (2.2-3.2 MiB beyond the output for ``generate``, 3.2-4.3 MiB for
+``export``).  The binary writer sends the value buffer to the file as
+is, the binary reader reads the payload straight into the value array,
+and the CSV writer formats and writes a few thousand values at a time.
 
 On the test path each array holds at most one ensemble's worth of data.
 A Gaussian draw holds the normals and the output, the stationarity test
@@ -104,19 +104,32 @@ grid = {grid}
 export.formats = {formats}
 spec.kind = subordinated
 spec.family.kind = brownian
-spec.chrono.kind = additive
 spec.chrono.alpha = 0.7
 spec.chrono.family.kind = gamma
+spec.chrono.kind = {chrono}
 """
+# the weighted clock adds dilations and weights to the additive clock's keys
+WEIGHTED = "weighted_subordinator\nspec.chrono.dilations = 1 3\nspec.chrono.weights = 0.5 0.5"
 
 
 @pytest.mark.parametrize(
-    "formats, threads, bound", [("csv bin", 1, 2 * MB), ("bin", 2, 2 * MB)], ids=["csv bin-1", "bin-2"]
+    "formats, threads, chrono, bound",
+    [
+        ("csv bin", 1, "additive", 2 * MB),
+        ("bin", 2, "additive", 2 * MB),
+        ("bin", 1, WEIGHTED, 3 * MB),
+        ("bin", 2, WEIGHTED, 3 * MB),
+    ],
+    ids=["csv bin-1", "bin-2", "weighted bin-1", "weighted bin-2"],
 )
-def test_streamed_export_holds_blocks_not_the_ensemble(tmp_path, formats, threads, bound):
-    # 25.6 MB of values; at two threads the clock ring holds one more block
+def test_streamed_export_holds_blocks_not_the_ensemble(tmp_path, formats, threads, chrono, bound):
+    # 25.6 MB of values; at two threads the clock ring holds one more block.
+    # The weighted clock draws its gamma path at the merged points of both
+    # dilations, 2.1-2.5 MiB in all; drawn as one block of every path it
+    # took 73 MiB
     conf = tmp_path / "export.conf"
-    conf.write_text(EXPORT_CONF.format(grid=" ".join(map(repr, GRID64.times.tolist())), formats=formats))
+    grid = " ".join(map(repr, GRID64.times.tolist()))
+    conf.write_text(EXPORT_CONF.format(grid=grid, formats=formats, chrono=chrono))
     args = ["export", str(conf), "--out", str(tmp_path / "out"), "--threads", str(threads)]
     assert main(args + ["--paths", "100"]) == 0  # first-call set-up stays out of the bound
     code, peak = _peak_beyond_start(lambda: main(args))

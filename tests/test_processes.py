@@ -224,8 +224,13 @@ def test_subordinated_runtime_recheck_catches_bad_samples(monkeypatch):
     import idtlab.processes as proc
 
     chrono = AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7)
-    broken = PathEnsemble(GRID, np.array([[0.0, 1.0, 0.5]]), chrono, 0)
-    monkeypatch.setattr(proc, "generate", lambda *a, **k: broken)
+
+    def broken(spec, grid, n_paths, rng, threads=1, out=None):  # the clock's block loop
+        for _, rows in proc._row_blocks(n_paths, len(grid), True, out):
+            rows[...] = [0.0, 1.0, 0.5]
+            yield rows
+
+    monkeypatch.setattr(AdditiveTimeChange, "blocks", broken)
     with pytest.raises(ContractViolation, match="path 0"):
         Subordinated(Brownian(1.0, 0.0), chrono).sample(GRID, 1, RngState(1))
 
@@ -295,6 +300,34 @@ def test_concurrent_clock_prefetch_under_fast_switching(monkeypatch):
         sys.setswitchinterval(interval)
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
+
+
+def test_per_element_follows_the_parts():
+    gamma, stable = GammaSubordinator(1.0, 1.0), StableMotion(0.5, 1.0)
+    gamma_clock = AdditiveTimeChange(gamma, 0.7)
+    weighted = WeightedSubordinator(gamma, ((1.0, 0.5), (3.0, 0.5)), 0.7)
+    mixture = Mixture(gamma_clock, ((1.0, 0.5), (2.0, 0.5)))
+    assert weighted.per_element
+    assert not WeightedSubordinator(stable, ((1.0, 0.5),), 0.6).per_element
+    assert not mixture.per_element
+    for clock in (gamma_clock, weighted, Subordinated(gamma, gamma_clock)):
+        assert Subordinated(Brownian(), clock).per_element
+        assert not Subordinated(StableMotion(1.5), clock).per_element
+    assert not Subordinated(Brownian(), mixture).per_element
+    assert not Subordinated(Brownian(), AdditiveTimeChange(stable, 0.5)).per_element
+
+
+@pytest.mark.parametrize("family", [StableMotion(1.5), CompoundPoisson(2.0, 0.5, 0.3)], ids=["stable", "poisson"])
+def test_one_block_subordinated_gives_its_clock_the_one_block(monkeypatch, family):
+    # the family is drawn as one block, so the blocked gamma clock must fill
+    # all 20 rows of it; with 7-row blocks it would otherwise give 7
+    import idtlab.processes as proc
+
+    spec = Subordinated(family, AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7))
+    whole = generate(spec, GRID, 20, RngState(1)).values
+    monkeypatch.setattr(proc, "_BLOCK_BYTES", 8 * len(GRID) * 7)
+    for threads in (1, 2):
+        assert np.array_equal(generate(spec, GRID, 20, RngState(1), threads).values, whole)
 
 
 def test_nondecreasing_spec_classifier():

@@ -522,8 +522,11 @@ SPEC_TEST_PRECONDITIONS = [
     (idt_test, {"alpha": 0.6, "n": 2}, TimeGrid([0.5, 1.0, 2.0, 4.0]), "at most three comparison times"),
     (idt_test, {"alpha": 0.6, "n": 2, "times": [0.5, 0.75]}, GRID, "time 0.75 is not on the grid [0.5, 1.0, 2.0]"),
     (selfsimilarity_test, {"h": 0.5, "a": 1}, GRID, "dilation must be positive and != 1, got 1"),
+    (selfsimilarity_test, {"h": 0.5, "a": math.inf}, GRID, "dilation must be finite, got inf"),
     (selfsimilarity_test, {"h": 0.5, "a": 2.0, "times": [3.0]}, GRID, "time 3.0 is not on the grid [0.5, 1.0, 2.0]"),
     (stability_test, {"beta": 2.0, "n": 1}, GRID, "n must be at least 2, got 1"),
+    (stability_test, {"beta": 0.0, "n": 2}, GRID, "exponent must be finite and > 0, got 0.0"),
+    (stability_test, {"beta": math.nan, "n": 2}, GRID, "exponent must be finite and > 0, got nan"),
     (stability_test, {"beta": 2.0, "n": 2, "times": [0.25]}, GRID, "time 0.25 is not on the grid [0.5, 1.0, 2.0]"),
     (temporal_sd_test, {"alpha": 0.6, "b": 1.5}, GRID, "b must be inside (0, 1), got 1.5"),
     (temporal_sd_test, {"alpha": 0, "b": 0.5}, GRID, "exponent must be finite and > 0, got 0"),
@@ -535,8 +538,9 @@ SPEC_TEST_PRECONDITIONS = [
     "function, params, grid, message",
     SPEC_TEST_PRECONDITIONS,
     ids=[
-        "idt_n", "idt_alpha", "idt_mode", "idt_four_times", "idt_off_grid", "selfsim_a", "selfsim_off_grid",
-        "stability_n", "stability_off_grid", "tsd_b", "tsd_alpha", "tsd_off_grid",
+        "idt_n", "idt_alpha", "idt_mode", "idt_four_times", "idt_off_grid", "selfsim_a", "selfsim_a_inf",
+        "selfsim_off_grid", "stability_n", "stability_beta_zero", "stability_beta_nan", "stability_off_grid",
+        "tsd_b", "tsd_alpha", "tsd_off_grid",
     ],
 )
 def test_spec_test_preconditions_raise_their_message(monkeypatch, function, params, grid, message):
