@@ -24,10 +24,11 @@ an exported subordinated ensemble (``export``, and ``run`` with
 thread, holding one more 256 KiB block (an export of 200,000 paths on 64
 times peaks at about 39 MB of RSS).  ``run`` replays no null: a test's
 threshold is its ``threshold`` key, or an entry of the shipped table or
-of a ``calibrate`` table at ``threshold_table = <path>``.  Its tests run
-in config order on the calling thread at any count: a pool overlapped
-little of their work at the shipped 20,000 paths, and held a second ECF
-block and a second test's ensembles (peak RSS 45.2 MB against 41.3 MB).
+of a ``calibrate`` table at ``threshold_table = <path>``, at the quantile
+the table records.  Its tests run in config order on the calling thread
+at any count: a pool overlapped little of their work at the shipped
+20,000 paths, and held a second ECF block and a second test's ensembles
+(peak RSS 45.2 MB against 41.3 MB).
 Results are bit-identical for any thread count because every test and
 replay, and each of the clock and family streams, draws from its own
 substream in a fixed order.
@@ -281,16 +282,15 @@ _PARSERS = {
 # None marks a required key.  export also takes run's keys, so one config
 # serves both; a calibrate entry takes only its test, spec and test fields.
 _SEED, _N_PATHS, _GRID = ("seed", "seed", None), ("n_paths", "int", None), ("grid", "grid", None)
-_QUANTILE, _N_REPS = ("quantile", "float", 0.99), ("n_reps", "int", 200)
 _RUN_FIELDS = (
-    _SEED, _N_PATHS, _GRID, ("output_dir", "str", "out"), _QUANTILE, ("threshold_table", "str", "default"),
+    _SEED, _N_PATHS, _GRID, ("output_dir", "str", "out"), ("threshold_table", "str", "default"),
     ("export_csv", "bool", False),
 )
 _SPEC_AND_TESTS = (("spec", "spec", None), ("test", "sections", {}))
 _COMMAND_FIELDS = {
     "run": (_RUN_FIELDS, _SPEC_AND_TESTS),
     "calibrate": (
-        (_SEED, _N_PATHS, _GRID, _QUANTILE, _N_REPS, ("output", "str", "thresholds.json")),
+        (_SEED, _N_PATHS, _GRID, ("quantile", "float", 0.99), ("n_reps", "int", 200), ("output", "str", "thresholds.json")),
         (("entry", "sections", None),),
     ),
     "export": (_RUN_FIELDS + (("export.formats", "formats", ["csv"]),), _SPEC_AND_TESTS),
@@ -358,8 +358,8 @@ def _load_table(raw: str, config_dir: str):
 
 
 def _resolve_threshold(kind, node, prefix, spec, params, values, table):
-    """The test's threshold: ``None`` for a p-value test, else a number from
-    its section or from the table that ``table()`` returns."""
+    """The test's threshold: ``None`` for a p-value test, else a number from its
+    section or from the table that ``table()`` returns, keyed at the table's quantile."""
     if not kind.calibrated:
         return None
     if "threshold" in node:
@@ -368,8 +368,8 @@ def _resolve_threshold(kind, node, prefix, spec, params, values, table):
         if not math.isfinite(threshold):  # as a table entry must be
             raise ConfigError(f"field {field!r}: expected a finite number, got {node['threshold']!r}")
         return threshold
-    key = kind.key(spec, values["n_paths"], values["quantile"], params)
     thresholds = table()  # outside the try: a malformed table is not a missing key
+    key = kind.key(spec, values["n_paths"], thresholds.meta["quantile"], params)
     try:
         return thresholds.lookup(key)
     except KeyError:

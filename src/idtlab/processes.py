@@ -726,14 +726,15 @@ def gaussian_paths(kernel, grid: TimeGrid, n_paths: int, rng: RngState) -> PathE
 
     The factorization is attempted plain first, then with diagonal jitter
     ``1e-12 * trace/n`` escalated tenfold up to three times; the jitter
-    actually used is recorded in the ensemble metadata.  Times equal to 0
-    are allowed for the fBm kernel only (the value there is exactly 0).
+    actually used is recorded in the ensemble metadata.  A time equal to 0
+    gives a column of exact zeros, for every kernel: each covariance is 0
+    there, and the identity itself forces X(0) = 0.
     The product of the normals and the factor is written straight into
     the output, so a draw holds the normals and the output only.
     """
     times = grid.times
-    if isinstance(kernel, SpectralKernel) and times[0] <= 0:
-        raise ValueError("spectral kernels require strictly positive times")
+    if isinstance(kernel, SpectralKernel) and times[0] < 0:
+        raise ValueError("spectral kernels require nonnegative times")
     positive = times > 0
     tpos = times[positive]
     if tpos.size == 0:

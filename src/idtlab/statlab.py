@@ -427,7 +427,7 @@ def _distance_test(kind: str, spec, n_paths: int, rng: RngState, threshold: floa
     params = {**params, "grid": grid.times}
     for _, rule in test.checks:
         rule(params)
-    fields = {name: _FIELD_TYPES[parse](params[name]) for name, parse, _ in test.fields}
+    fields = test.typed(params)
     idx = _time_indices(grid, params["times"])
     vectors = [_ecf_vector(_view_values(spec, grid, n_paths, rng, view), idx) for view in test.views(fields)]
     details = {**fields, "times": [float(t) for t in params["times"]], "stream": rng.stream}
@@ -589,7 +589,9 @@ class TestKind:
     (``_distance_test``): ``views(fields)`` gives one row ``(split,
     dilation, scale, copies)`` per ensemble, in drawing order, and
     ``combine(fields, *vectors)`` the elementwise discrepancy of their ECF
-    vectors, both on the fields converted by their types.
+    vectors, both on the fields converted by their types.  Its checks end
+    with one more rule, named by all its fields: every view's dilation and
+    scale is finite and > 0.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -603,6 +605,16 @@ class TestKind:
     calibrated: bool = True
     views: Callable | None = None
     combine: Callable | None = None
+
+    def __post_init__(self):
+        # the views read every field, so their rule is named by all of them, and runs after the kind's checks
+        if self.views is not None:
+            rule = (tuple(name for name, _, _ in self.fields), lambda params: _check_views(self, params))
+            object.__setattr__(self, "checks", self.checks + (rule,))
+
+    def typed(self, params: dict) -> dict:
+        """The kind's fields in ``params``, converted by their types, as ``views`` and ``combine`` read them."""
+        return {name: _FIELD_TYPES[parse](params[name]) for name, parse, _ in self.fields}
 
     def fill(self, params: dict, spec) -> dict:
         """``params`` with each missing optional field at its default."""
@@ -622,6 +634,20 @@ class TestKind:
         shares the threshold of its positive twin."""
         names = self.key_fields + ("grid", "times") * self.uses_times
         return entry_key(self.name, spec, n_paths, quantile, **{name: params[name] for name in names})
+
+
+def _check_views(kind: TestKind, params: dict) -> None:
+    """Every view of ``kind`` on ``params`` has a finite dilation and scale > 0, and its dilated grid
+    stays finite; a power that overflows breaks the rule too."""
+    try:
+        views = kind.views(kind.typed(params))
+    except OverflowError:
+        raise ValueError("view dilation and scale must be finite and > 0, got an overflow") from None
+    for _, dilation, scale, _ in views:
+        if not (0 < dilation < math.inf and 0 < scale < math.inf):
+            raise ValueError(f"view dilation and scale must be finite and > 0, got {dilation} and {scale}")
+        if dilation * float(params["grid"][-1]) == math.inf:
+            raise ValueError(f"view dilation {dilation} takes the last grid time beyond the float range")
 
 
 def _by_name(function: str) -> Callable:

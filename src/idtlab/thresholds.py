@@ -1,10 +1,10 @@
 """Versioned table of calibrated acceptance thresholds.
 
-Thresholds for the ECF distance tests come exclusively from replaying a
-test under a true-null configuration (``statlab.calibrate``); the
-resulting quantiles are stored in a JSON table shipped with the package
-and keyed by the full test configuration, so a lookup can never silently
-mismatch the test it gates.
+Thresholds for the ECF distance tests come only from replaying a test
+under a true-null configuration (``statlab.calibrate``).  A table is one
+calibration: its ``meta`` records the quantile of every entry, and each
+entry is keyed by the full test configuration at that quantile, so a
+lookup can never silently mismatch the test it gates.
 """
 
 from __future__ import annotations
@@ -77,12 +77,6 @@ class ThresholdTable:
         self.meta = dict(meta or {})
 
     def lookup(self, key: str) -> float:
-        if key not in self.entries:
-            raise KeyError(
-                f"no calibrated threshold for key:\n  {key}\n"
-                f"available: {len(self.entries)} entries; run the calibrate "
-                "command to add this configuration"
-            )
         return float(self.entries[key])
 
     def set(self, key: str, threshold: float) -> None:
@@ -102,8 +96,8 @@ class ThresholdTable:
     @classmethod
     def _read(cls, text: str) -> "ThresholdTable":
         """The table in ``text``: a JSON object with ``version`` 1, ``entries``
-        an object of finite numbers and, when present, ``meta`` an object;
-        anything else raises a ``ValueError`` naming the field."""
+        an object of finite numbers and ``meta`` an object whose ``quantile``
+        is a finite number in (0, 1]; anything else raises a ``ValueError`` naming the field."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON object, got {_shown(doc)}")
@@ -120,6 +114,9 @@ class ThresholdTable:
                 raise ValueError(f"field 'entries', key {key!r}: expected a finite number, got {_shown(value)}")
         if not isinstance(meta, dict):
             raise ValueError(f"field 'meta': expected an object, got {_shown(meta)}")
+        quantile = meta.get("quantile")
+        if not (_finite_number(quantile) and 0 < quantile <= 1):
+            raise ValueError(f"field 'meta', key 'quantile': expected a number in (0, 1], got {_shown(quantile)}")
         return cls(entries, meta)
 
     @classmethod

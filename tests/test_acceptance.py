@@ -356,7 +356,6 @@ GOLDEN_CONFIG = """
 seed = 123
 n_paths = 20000
 grid = 0.5 1 2
-quantile = 0.99
 threshold_table = default
 output_dir = {out}
 

@@ -230,6 +230,8 @@ def test_run_reads_the_threshold_table_once(tmp_path, monkeypatch, source):
     reads = []
 
     class Table:
+        meta = {"quantile": 0.99}
+
         def lookup(self, key):
             return 0.5
 
@@ -268,6 +270,17 @@ MALFORMED_TABLES = {
     "entry NaN": (f'{{"version": 1, "entries": {{"{_KEY}": NaN}}}}', "field 'entries', key"),
     "entries list": ('{"version": 1, "entries": []}', "field 'entries': expected an object"),
     "no entries": ('{"version": 1}', "field 'entries': missing"),
+    # run keys its tests at the quantile that the table records
+    "no meta": (f'{{"version": 1, "entries": {{"{_KEY}": 0.5}}}}', "field 'meta', key 'quantile'"),
+    **{
+        f"meta quantile {name}": (
+            f'{{"version": 1, "meta": {{"quantile": {value}}}, "entries": {{"{_KEY}": 0.5}}}}',
+            f"field 'meta', key 'quantile': expected a number in (0, 1], got {value}",
+        )
+        for name, value in (
+            ("null", "null"), ("string", '"0.99"'), ("0", "0"), ("1.5", "1.5"), ("NaN", "NaN"), ("true", "true")
+        )
+    },
 }
 
 
@@ -286,7 +299,7 @@ def test_run_malformed_threshold_table_exit_two(tmp_path, capsys, text, message)
 
 
 def test_well_formed_threshold_table_gates_the_test(tmp_path):
-    (tmp_path / "table.json").write_text(f'{{"version": 1, "meta": {{}}, "entries": {{"{_KEY}": 5}}}}')
+    (tmp_path / "table.json").write_text(f'{{"version": 1, "meta": {{"quantile": 0.99}}, "entries": {{"{_KEY}": 5}}}}')
     conf = RUN_OK.format(out=tmp_path / "out").replace(
         "test.pathline.threshold = 0.5\n", "threshold_table = table.json\n"
     )
@@ -397,6 +410,28 @@ def test_calibrate_writes_table_and_is_deterministic(tmp_path):
     assert table_path.read_text() == first  # bit-identical rerun
 
 
+# a view factor that leaves the float range: the power overflows, or underflows to 0
+OVERFLOW = "view dilation and scale must be finite and > 0, got an overflow"
+VIEW_FACTORS = {
+    "idt_alpha_tiny": ("kind = idt\nn = 2\nalpha = 0.0001\n", f"fields 'X.n', 'X.alpha', 'X.mode': {OVERFLOW}"),
+    "stability_beta_tiny": ("kind = stability\nn = 2\nbeta = 0.0001\n", f"fields 'X.beta', 'X.n': {OVERFLOW}"),
+    "selfsim_h_huge": ("kind = selfsimilarity\nh = 2000\na = 2\n", f"fields 'X.h', 'X.a': {OVERFLOW}"),
+    "tsd_alpha_tiny": (
+        "kind = temporal_sd\nb = 0.5\nalpha = 0.0001\n",
+        "fields 'X.b', 'X.alpha': view dilation and scale must be finite and > 0, got 0.0 and 1",
+    ),
+}
+
+
+def _view_factor_cases(section, kind_key, extra):
+    """Each case of ``VIEW_FACTORS`` as the lines of ``section``, whose kind ``kind_key`` names, and its message."""
+    cases = []
+    for lines, message in VIEW_FACTORS.values():
+        lines = lines.replace("kind =", f"{kind_key} =") + extra
+        cases.append(("".join(f"{section}.{line}\n" for line in lines.splitlines()), message.replace("X.", f"{section}.")))
+    return cases
+
+
 @pytest.mark.parametrize(
     "extra, flags, field",
     [
@@ -440,11 +475,15 @@ def test_calibrate_writes_table_and_is_deterministic(tmp_path):
             [],
             "field 'entry.x.a': dilation must be finite, got inf",
         ),
+        *(
+            (lines, [], message)
+            for lines, message in _view_factor_cases("entry.x", "test", "spec.kind = stable_line\nspec.alpha = 1.5\n")
+        ),
     ],
     ids=[
         "too_few_reps", "entry_n", "n_paths", "paths_flag", "entry_n_paths", "entry_quantile", "entry_n_reps",
         "entry_grid", "no_reps_at_quantile_one", "same_key", "p_value_test", "empty_output", "output_without_file_name",
-        "output_parent_dir", "stability_beta_zero", "selfsim_a_inf",
+        "output_parent_dir", "stability_beta_zero", "selfsim_a_inf", *VIEW_FACTORS,
     ],
 )
 def test_calibrate_config_error_exit_two(tmp_path, capsys, monkeypatch, extra, flags, field):
@@ -561,9 +600,10 @@ def test_shipped_probe_exponents_are_the_specs_own_indices():
 def test_run_reads_the_threshold_that_calibrate_wrote(tmp_path):
     """A table from an ``idtlab calibrate`` entry that matches a test's fields gives ``run`` its threshold."""
     spec = "spec.kind = additive\nspec.alpha = 0.8\nspec.family.kind = stable_motion\nspec.family.index = 1.2\n"
-    common = "seed = 7\nn_paths = 200\ngrid = 0.5 1 2\nquantile = 0.9\n"
+    common = "seed = 7\nn_paths = 200\ngrid = 0.5 1 2\n"
     entry = "test = stability\nbeta = 1.2\nn = 2\n" + spec
-    calibrate_conf = common + "n_reps = 20\n" + "".join(f"entry.x.{line}\n" for line in entry.splitlines())
+    # run takes no quantile: it keys the test at the 0.9 that the table records
+    calibrate_conf = common + "quantile = 0.9\nn_reps = 20\n" + "".join(f"entry.x.{line}\n" for line in entry.splitlines())
     out = tmp_path / "cal"
     assert main(["calibrate", _write(tmp_path, calibrate_conf, "cal.conf"), "--out", str(out), "--threads", "1"]) == 0
     (threshold,) = json.loads((out / "thresholds.json").read_text())["entries"].values()
@@ -582,7 +622,6 @@ def test_run_with_calibrated_table(tmp_path):
 seed = 3
 n_paths = 300
 grid = 0.5 1 2
-quantile = 0.96
 threshold_table = thresholds.json
 output_dir = {out}
 
@@ -595,6 +634,10 @@ test.main.n = 2
         name="run.conf",
     )
     assert main(["run", run_conf, "--threads", "1"]) == 0
+    # the threshold is the table's entry at the 0.96 it records
+    thresholds = json.loads((tmp_path / "thresholds.json").read_text())["entries"]
+    threshold = json.loads((tmp_path / "out" / "report_main.json").read_text())["report"]["threshold"]
+    assert threshold in thresholds.values()
 
 
 EXPORT_CONF = """
@@ -718,10 +761,13 @@ def test_every_section_is_checked_before_the_first_replay(tmp_path, capsys, monk
         # run replays no null, so neither command takes a replay count
         ("run", RUN_OK + "calibration.n_reps = 100\n", "calibration.n_reps"),
         ("export", EXPORT_CONF + "calibration.n_reps = 100\n", "calibration.n_reps"),
+        # run reads the quantile from its threshold table, so neither command takes one, even the table's
+        ("run", RUN_OK + "quantile = 0.99\n", "quantile"),
+        ("export", EXPORT_CONF + "quantile = high\n", "quantile"),
     ],
     ids=["run_quantile", "run_export", "run_calibration", "run_calibration_scalar",
          "export_formats", "export_top", "calibrate_calibration", "calibrate_output_dir",
-         "run_calibration_n_reps", "export_calibration_n_reps"],
+         "run_calibration_n_reps", "export_calibration_n_reps", "run_table_quantile", "export_quantile"],
 )
 def test_undeclared_command_key_exit_two(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
@@ -735,7 +781,7 @@ def test_undeclared_command_key_exit_two(tmp_path, capsys, command, text, key):
 
 
 def test_export_reads_a_run_config(tmp_path):
-    text = RUN_OK.replace("output_dir", "threshold_table = default\nquantile = 0.99\nexport_csv = true\noutput_dir")
+    text = RUN_OK.replace("output_dir", "threshold_table = default\nexport_csv = true\noutput_dir")
     conf = _write(tmp_path, text.format(out=tmp_path / "out"))
     assert main(["export", conf, "--threads", "1"]) == 0
     assert read_csv(tmp_path / "out" / "paths.csv").values.shape == (500, 3)
@@ -994,12 +1040,10 @@ def test_prefixed_config_integer_exit_two(tmp_path, capsys, seed):
     [
         ("run", RUN_OK + "export_csv = ture\n", "'export_csv'"),
         ("export", EXPORT_CONF + "export_csv = ture\n", "'export_csv'"),
-        ("export", EXPORT_CONF + "quantile = high\n", "'quantile'"),
         ("calibrate", CALIBRATE_CONF.replace("n_reps = 25", "n_reps = 2.5"), "'n_reps'"),
         ("calibrate", CALIBRATE_CONF.replace("quantile = 0.96", "quantile = high"), "'quantile'"),
     ],
-    ids=["run_export_csv", "export_export_csv", "export_quantile",
-         "calibrate_n_reps", "calibrate_quantile"],
+    ids=["run_export_csv", "export_export_csv", "calibrate_n_reps", "calibrate_quantile"],
 )
 def test_malformed_top_level_key_exit_two_before_any_work(tmp_path, capsys, monkeypatch, command, text, field):
     """A key that the command reads late, or not at all, is still checked first."""
@@ -1068,17 +1112,19 @@ ASSOCIATION_AT = "test.y.kind = association\ntest.y.alpha = 1.5\ntest.y.family.k
         (STABILITY_AT + "test.x.beta = 0\n", "field 'test.x.beta': exponent must be finite and > 0, got 0.0"),
         (STABILITY_AT + "test.x.beta = inf\n", "field 'test.x.beta': exponent must be finite and > 0, got inf"),
         (SELFSIM_AT + "test.x.a = inf\n", "field 'test.x.a': dilation must be finite, got inf"),
+        *_view_factor_cases("test.x", "kind", "threshold = 0.5\n"),
     ],
     ids=[
         "threshold_inf", "threshold_minus_inf", "threshold_nan", "level_zero", "level_one", "level_nan",
-        "beta_zero", "beta_inf", "a_inf",
+        "beta_zero", "beta_inf", "a_inf", *VIEW_FACTORS,
     ],
 )
 def test_non_finite_threshold_or_level_outside_unit_exit_two_before_any_work(
     tmp_path, capsys, monkeypatch, test_lines, message
 ):
     """An infinite threshold would pass any statistic, a level of 0 any p-value; a stability index of
-    0 or an infinite dilation would end the run in a traceback after its output directory is made."""
+    0, an infinite dilation or a view factor beyond the float range would end the run in a traceback
+    after its output directory is made."""
     import idtlab.statlab
 
     work = []

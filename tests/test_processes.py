@@ -414,14 +414,17 @@ def test_gaussian_paths_scaling_ratio():
 
 
 def test_gaussian_paths_zero_time_column_is_zero():
-    e = gaussian_paths(FBmKernel(0.3), TimeGrid([0.0, 1.0]), 100, RngState(24))
-    assert np.all(e.values[:, 0] == 0.0)
+    # every kernel's covariance is 0 at time 0, and the identity forces X(0) = 0
+    for kernel in (FBmKernel(0.3), SpectralKernel(1.0, SpectralMeasure.symmetric(((1.0, 1.0),)))):
+        e = gaussian_paths(kernel, TimeGrid([0.0, 1.0]), 100, RngState(24))
+        assert np.all(e.values[:, 0] == 0.0)
+        assert np.all(e.values[:, 1] != 0.0)
 
 
-def test_gaussian_spectral_rejects_nonpositive_times():
+def test_gaussian_spectral_rejects_negative_times():
     kernel = SpectralKernel(1.0, SpectralMeasure.symmetric(((1.0, 1.0),)))
-    with pytest.raises(ValueError):
-        gaussian_paths(kernel, TimeGrid([0.0, 1.0]), 10, RngState(25))
+    with pytest.raises(ValueError, match="^spectral kernels require nonnegative times$"):
+        gaussian_paths(kernel, TimeGrid([-1.0, 1.0], allow_negative=True), 10, RngState(25))
 
 
 def test_gaussian_paths_records_jitter():

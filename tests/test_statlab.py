@@ -515,6 +515,7 @@ def test_a_kind_calls_its_function_with_its_fields_by_name(function, params):
 
 
 # one case per precondition of the four spec tests, with its message
+VIEW_OVERFLOW = "view dilation and scale must be finite and > 0, got an overflow"
 SPEC_TEST_PRECONDITIONS = [
     (idt_test, {"alpha": 0.6, "n": 1}, GRID, "n must be at least 2, got 1"),
     (idt_test, {"alpha": 0, "n": 2}, GRID, "exponent must be finite and > 0, got 0"),
@@ -531,6 +532,16 @@ SPEC_TEST_PRECONDITIONS = [
     (temporal_sd_test, {"alpha": 0.6, "b": 1.5}, GRID, "b must be inside (0, 1), got 1.5"),
     (temporal_sd_test, {"alpha": 0, "b": 0.5}, GRID, "exponent must be finite and > 0, got 0"),
     (temporal_sd_test, {"alpha": 0.6, "b": 0.5, "times": [1.5]}, GRID, "time 1.5 is not on the grid [0.5, 1.0, 2.0]"),
+    # a view factor beyond the float range: the power overflows, or underflows to 0
+    (idt_test, {"alpha": 0.0001, "n": 2}, GRID, VIEW_OVERFLOW),
+    (
+        idt_test, {"alpha": 0.000977, "n": 2}, GRID,
+        "view dilation 1.3082154914488027e+308 takes the last grid time beyond the float range",
+    ),
+    (stability_test, {"beta": 0.0001, "n": 2}, GRID, VIEW_OVERFLOW),
+    (selfsimilarity_test, {"h": 2000.0, "a": 2.0}, GRID, VIEW_OVERFLOW),
+    (selfsimilarity_test, {"h": -2000.0, "a": 2.0}, GRID, "view dilation and scale must be finite and > 0, got 1 and 0.0"),
+    (temporal_sd_test, {"alpha": 0.0001, "b": 0.5}, GRID, "view dilation and scale must be finite and > 0, got 0.0 and 1"),
 ]
 
 
@@ -540,7 +551,8 @@ SPEC_TEST_PRECONDITIONS = [
     ids=[
         "idt_n", "idt_alpha", "idt_mode", "idt_four_times", "idt_off_grid", "selfsim_a", "selfsim_a_inf",
         "selfsim_off_grid", "stability_n", "stability_beta_zero", "stability_beta_nan", "stability_off_grid",
-        "tsd_b", "tsd_alpha", "tsd_off_grid",
+        "tsd_b", "tsd_alpha", "tsd_off_grid", "idt_alpha_tiny", "idt_grid_beyond_float", "stability_beta_tiny",
+        "selfsim_h_huge", "selfsim_h_very_negative", "tsd_alpha_tiny",
     ],
 )
 def test_spec_test_preconditions_raise_their_message(monkeypatch, function, params, grid, message):
