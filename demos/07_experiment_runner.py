@@ -3,7 +3,7 @@
 Writes a config, runs it through the CLI, and shows the report files.
 The same flow works from a shell:
 
-    idtlab run experiment.conf --threads 4
+    idtlab run experiment.conf
     idtlab report out/
     idtlab export experiment.conf
 """
@@ -42,7 +42,7 @@ with tempfile.TemporaryDirectory() as tmp:
     conf.write_text(CONFIG.format(out=out))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "idtlab", "run", str(conf), "--threads", "2"],
+        [sys.executable, "-m", "idtlab", "run", str(conf)],
         capture_output=True,
         text=True,
     )

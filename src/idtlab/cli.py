@@ -19,16 +19,16 @@ and its buffer reused for the next, so the whole ensemble is never held.
 ``--threads`` alone sets the worker count for ``calibrate``'s null
 replays, by default the CPUs in the process's affinity mask; a count
 below 1 or not an integer is a usage error of the subcommand.  Above 1,
-an exported subordinated ensemble (``export``, and ``run`` with
-``export_csv``) also draws the clock of its next row block on one helper
-thread, holding one more 256 KiB block (an export of 200,000 paths on 64
-times peaks at about 39 MB of RSS).  ``run`` replays no null: a test's
+``export`` of a subordinated ensemble also draws the clock of its next
+row block on one helper thread, holding one more 256 KiB block (an
+export of 200,000 paths on 64 times peaks at about 39 MB of RSS).  A
+``calibrate`` entry takes no ``alpha``: its true null is checked and
+replayed at the spec's exponent.  ``run`` replays no null: a test's
 threshold is its ``threshold`` key, or an entry of the shipped table or
 of a ``calibrate`` table at ``threshold_table = <path>``, at the quantile
-the table records.  Its tests run in config order on the calling thread
-at any count: a pool overlapped little of their work at the shipped
-20,000 paths, and held a second ECF block and a second test's ensembles
-(peak RSS 45.2 MB against 41.3 MB).
+the table records.  ``run`` starts no thread: its tests and ``export_csv``
+run in order on the calling thread; a pool overlapped little of the tests'
+work and held a second ECF block and ensemble (peak RSS 45.2 vs 41.3 MB).
 Results are bit-identical for any thread count because every test and
 replay, and each of the clock and family streams, draws from its own
 substream in a fixed order.
@@ -179,6 +179,8 @@ def _as_formats(raw, field: str) -> list:
     for fmt in formats:
         if fmt not in ("csv", "bin"):
             raise ConfigError(f"field {field!r}: unknown format {fmt!r}")
+    if not formats:
+        raise ConfigError(f"field {field!r}: expected a list of formats, csv or bin")
     return formats
 
 
@@ -280,7 +282,8 @@ _PARSERS = {
 
 # One (name, type, default) row per key, as in the kind tables; a default of
 # None marks a required key.  export also takes run's keys, so one config
-# serves both; a calibrate entry takes only its test, spec and test fields.
+# serves both; a calibrate entry takes its test, its spec and the test
+# fields that its true null leaves alone.
 _SEED, _N_PATHS, _GRID = ("seed", "seed", None), ("n_paths", "int", None), ("grid", "grid", None)
 _RUN_FIELDS = (
     _SEED, _N_PATHS, _GRID, ("output_dir", "str", "out"), ("threshold_table", "str", "default"),
@@ -329,10 +332,10 @@ def _at_least(count: int, minimum: int, field: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _test_params(kind: TestKind, node: dict, prefix: str, spec, grid_list, keys) -> dict:
-    """The test's fields under ``prefix``, parsed, defaulted and checked;
-    ``keys`` are the section's other keys."""
-    params = _parse_fields(kind.fields, node, prefix, keys + ("times",) * kind.uses_times)
+def _test_params(kind: TestKind, node: dict, prefix: str, spec, grid_list, keys, null=()) -> dict:
+    """The test's fields under ``prefix`` but those in ``null``, which ``fill`` sets to the spec's
+    exponent, parsed, defaulted and checked; ``keys`` are the section's other keys."""
+    params = _parse_fields([f for f in kind.fields if f[0] not in null], node, prefix, keys + ("times",) * kind.uses_times)
     if kind.uses_times:
         params["grid"] = grid_list
         params["times"] = _as_floats(node.get("times", grid_list), f"{prefix}.times")
@@ -428,7 +431,7 @@ def cmd_run(args) -> int:
         )
 
     if values["export_csv"]:
-        ensemble = generate(spec, TimeGrid(grid_list), n_paths, root.split(_STREAM_EXPORT), threads=args.threads)
+        ensemble = generate(spec, TimeGrid(grid_list), n_paths, root.split(_STREAM_EXPORT))
         ensio.write_csv(ensemble, os.path.join(out_dir, "paths.csv"))
 
     all_pass = all(r.passed for r in reports.values())
@@ -472,10 +475,10 @@ def cmd_calibrate(args) -> int:
         spec = build_spec(_required(node, "spec", f"{prefix}."), f"{prefix}.spec")
         if not kind.calibrated:
             raise ConfigError(f"{prefix}: {kind.name} uses p-values, not calibrated thresholds")
-        # the entry's other keys are checked with its test's fields
-        params = _test_params(kind, node, prefix, spec, values["grid"], ("test", "spec"))
+        # an entry takes its test's fields but those the true null sets: the checks see the replayed values
+        params = _test_params(kind, node, prefix, spec, values["grid"], ("test", "spec"), kind.null({}, spec))
         key = kind.key(spec, n_paths, quantile, params)
-        # the key leaves the hypothesis exponents out, so two entries can share it
+        # the key leaves the probes h and beta out, so two entries can share it
         if key in entries:
             raise ConfigError(f"entries 'entry.{entries[key][0]}' and {prefix!r} have the same threshold key {key}")
         entries[key] = (name, kind, spec, params)
@@ -570,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
             help=(
                 "worker threads for calibrate's null replays, at least 1 (default: the CPUs in this process's "
-                "affinity mask, here %(default)s); an exported subordinated spec also draws its clock on a "
+                "affinity mask, here %(default)s); export of a subordinated spec also draws its clock on a "
                 "helper thread, one more 256 KiB block (never affects results)"
             ),
         )

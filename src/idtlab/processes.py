@@ -29,14 +29,15 @@ scale, or the gamma shape, go into one scratch pair.  So a streamed
 subordinated export on an additive clock holds five blocks (1.25 MiB)
 at two threads.
 
-Threads: ``generate(..., threads=n)`` with ``n > 1`` lets a subordinated
-ensemble of more than one block draw the clock of the next block on one
-helper thread while the caller turns the current clock into increments,
-draws the family increments and sums them.  The clock and the family
-keep their own streams, each consumed in block order by one thread, so
-the values are the same at every thread count; the helper fills the
-second clock block of the ring while the caller reads the first.  Every
-other spec, and every nested generator call, runs on the calling thread.
+Threads: ``generate`` and every ``sample`` draw on the calling thread.
+Only ``sample_blocks(..., threads=n)`` with ``n > 1``, an export's path,
+lets a subordinated ensemble of more than one block draw the clock of
+the next block on one helper thread while the caller turns the current
+clock into increments, draws the family increments and sums them.  The
+clock and the family keep their own streams, each consumed in block
+order by one thread, so the values are the same at every thread count;
+the helper fills the second clock block of the ring while the caller
+reads the first; every nested generator call stays on its caller's thread.
 """
 
 from __future__ import annotations
@@ -402,15 +403,15 @@ def _blend_blocks(atoms, grid: TimeGrid, n_paths: int, sample, exponent: float =
             for j in range(rows.shape[1]):
                 for w, p in zip(weights, pos[:, j]):
                     rows[:, j] += w * drawn[:, p]
+        del drawn  # a subordinated loop reads a one-block clock while this loop waits here
         yield rows
 
 
 class _WholeDraw:
-    """A spec whose ``sample(grid, n_paths, rng, threads)`` draws the whole
-    ensemble at once; it streams as one block."""
+    """A spec whose ``sample(grid, n_paths, rng)`` draws the whole ensemble at once; it streams as one block."""
 
     def sample_blocks(self, grid, n_paths, rng, threads=1):
-        whole = self.sample(grid, n_paths, rng, threads)
+        whole = self.sample(grid, n_paths, rng)
         return whole.meta, iter([whole.values])
 
 
@@ -425,9 +426,9 @@ class _RowBlocked:
     def per_element(self) -> bool:
         return self.family.per_element
 
-    def sample(self, grid, n_paths, rng, threads=1):
+    def sample(self, grid, n_paths, rng):
         values = np.empty((n_paths, len(grid)))
-        for _ in self.blocks(grid, n_paths, rng, threads, values):
+        for _ in self.blocks(grid, n_paths, rng, out=values):
             pass
         return PathEnsemble(grid, values, self, rng.seed, rng.stream)
 
@@ -455,7 +456,7 @@ class StableLine(_WholeDraw):
     def idt_exponent(self) -> float:
         return self.alpha
 
-    def sample(self, grid, n_paths, rng, threads=1):
+    def sample(self, grid, n_paths, rng):
         draws = sample_stable(rng, StableParams(self.alpha, 0.0), n_paths)
         return PathEnsemble(grid, _by_columns(np.multiply, draws[:, None], grid.times), self, rng.seed, rng.stream)
 
@@ -476,7 +477,7 @@ class PowerLine(_WholeDraw):
     def idt_exponent(self) -> float:
         return self.alpha
 
-    def sample(self, grid, n_paths, rng, threads=1):
+    def sample(self, grid, n_paths, rng):
         draws = sample_stable(rng, StableParams(1.0, 0.0), n_paths)
         values = _by_columns(np.multiply, draws[:, None], grid.times**self.alpha)
         return PathEnsemble(grid, values, self, rng.seed, rng.stream)
@@ -494,7 +495,7 @@ class GaussianKernel(_WholeDraw):
     def idt_exponent(self) -> float:
         return self.kernel.idt_exponent
 
-    def sample(self, grid, n_paths, rng, threads=1):
+    def sample(self, grid, n_paths, rng):
         return gaussian_paths(self.kernel, grid, n_paths, rng)
 
 
@@ -782,20 +783,17 @@ def _checked_request(grid, n_paths):
     return grid, n_paths
 
 
-def generate(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1) -> PathEnsemble:
-    """The spec's ensemble; paths are mutually independent.
-
-    ``threads > 1`` lets a subordinated spec draw its clock on a helper
-    thread; the values are the same at every thread count.
-    """
+def generate(spec, grid: TimeGrid, n_paths: int, rng: RngState) -> PathEnsemble:
+    """The spec's ensemble, drawn on the calling thread; paths are mutually independent."""
     grid, n_paths = _checked_request(grid, n_paths)
-    return spec.sample(grid, n_paths, rng, threads)
+    return spec.sample(grid, n_paths, rng)
 
 
 def sample_blocks(spec, grid: TimeGrid, n_paths: int, rng: RngState, threads: int = 1):
-    """``(meta, blocks)``: the rows of ``generate(spec, grid, n_paths, rng, threads)``
+    """``(meta, blocks)``: the rows of ``generate(spec, grid, n_paths, rng)``
     as consecutive row blocks in one buffer that each block overwrites, and
     the ensemble's metadata.  Lines and Gaussian kernels yield one block.
+    ``threads > 1`` draws a subordinated clock of several blocks on a helper thread, with the same values.
     """
     grid, n_paths = _checked_request(grid, n_paths)
     return spec.sample_blocks(grid, n_paths, rng, threads)

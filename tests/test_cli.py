@@ -423,6 +423,33 @@ VIEW_FACTORS = {
 }
 
 
+# the true null replays an idt, temporal_sd or stationarity entry at its spec's exponent, so an entry that
+# sets alpha is refused, even one whose spec exponent would break the check that its own alpha passes
+_UNKNOWN_ALPHA = "unknown config field 'entry.x.alpha'; entry.x takes test, spec, "
+ENTRY_EXPONENTS = {
+    "idt_entry_alpha": (
+        "entry.x.test = idt\nentry.x.n = 2\nentry.x.alpha = 1.3\nentry.x.spec.kind = stable_line\n"
+        "entry.x.spec.alpha = 1\n",
+        _UNKNOWN_ALPHA + "times, n, mode\n",
+    ),
+    "idt_entry_alpha_tiny_spec": (
+        "entry.x.test = idt\nentry.x.n = 2\nentry.x.alpha = 0.7\nentry.x.spec.kind = power_line\n"
+        "entry.x.spec.alpha = 0.0001\n",
+        _UNKNOWN_ALPHA + "times, n, mode\n",
+    ),
+    "tsd_entry_alpha": (
+        "entry.x.test = temporal_sd\nentry.x.b = 0.5\nentry.x.alpha = 1\nentry.x.spec.kind = stable_line\n"
+        "entry.x.spec.alpha = 1\n",
+        _UNKNOWN_ALPHA + "times, b\n",
+    ),
+    "stationarity_entry_alpha": (
+        "entry.x.test = stationarity\nentry.x.y_grid = -0.5 0 0.5\nentry.x.alpha = 0.3\nentry.x.spec.kind = fbm\n"
+        "entry.x.spec.hurst = 0.3\n",
+        _UNKNOWN_ALPHA + "y_grid, window, shift\n",
+    ),
+}
+
+
 def _view_factor_cases(section, kind_key, extra):
     """Each case of ``VIEW_FACTORS`` as the lines of ``section``, whose kind ``kind_key`` names, and its message."""
     cases = []
@@ -446,10 +473,9 @@ def _view_factor_cases(section, kind_key, extra):
         ("entry.two.grid = 0.5 1 2\n", [], "unknown config field 'entry.two.grid'"),
         # the maximum of no replays is undefined
         ("n_reps = 0\nquantile = 1\n", [], "fields 'n_reps', 'quantile': 0 repetitions cannot resolve the 1.0 quantile"),
-        # the key leaves alpha out, so this entry would overwrite entry.two's threshold
+        # an entry with entry.two's test, spec and fields would overwrite its threshold
         (
-            "entry.x.test = idt\nentry.x.n = 2\nentry.x.alpha = 1.3\nentry.x.spec.kind = stable_line\n"
-            "entry.x.spec.alpha = 1\n",
+            "entry.x.test = idt\nentry.x.n = 2\nentry.x.spec.kind = stable_line\nentry.x.spec.alpha = 1\n",
             [],
             "entries 'entry.two' and 'entry.x' have the same threshold key ",
         ),
@@ -475,15 +501,17 @@ def _view_factor_cases(section, kind_key, extra):
             [],
             "field 'entry.x.a': dilation must be finite, got inf",
         ),
+        # an entry takes no alpha, so a tiny exponent comes from the spec, where it is checked as replayed
         *(
-            (lines, [], message)
-            for lines, message in _view_factor_cases("entry.x", "test", "spec.kind = stable_line\nspec.alpha = 1.5\n")
+            (lines.replace("entry.x.alpha = 0.0001\n", ""), [], message)
+            for lines, message in _view_factor_cases("entry.x", "test", "spec.kind = power_line\nspec.alpha = 0.0001\n")
         ),
+        *((lines, [], message) for lines, message in ENTRY_EXPONENTS.values()),
     ],
     ids=[
         "too_few_reps", "entry_n", "n_paths", "paths_flag", "entry_n_paths", "entry_quantile", "entry_n_reps",
         "entry_grid", "no_reps_at_quantile_one", "same_key", "p_value_test", "empty_output", "output_without_file_name",
-        "output_parent_dir", "stability_beta_zero", "selfsim_a_inf", *VIEW_FACTORS,
+        "output_parent_dir", "stability_beta_zero", "selfsim_a_inf", *VIEW_FACTORS, *ENTRY_EXPONENTS,
     ],
 )
 def test_calibrate_config_error_exit_two(tmp_path, capsys, monkeypatch, extra, flags, field):
@@ -706,7 +734,7 @@ def test_missing_field_is_named_by_its_dotted_path(tmp_path, capsys, command, te
             "calibrate",
             CALIBRATE_CONF + "entry.two.nreps = 30\n",
             "entry.two.nreps",
-            "test, spec, times, n, alpha, mode",
+            "test, spec, times, n, mode",  # no alpha: the true null sets it
         ),
     ],
     ids=["family", "spec", "test", "association_threshold", "entry"],
@@ -1042,8 +1070,14 @@ def test_prefixed_config_integer_exit_two(tmp_path, capsys, seed):
         ("export", EXPORT_CONF + "export_csv = ture\n", "'export_csv'"),
         ("calibrate", CALIBRATE_CONF.replace("n_reps = 25", "n_reps = 2.5"), "'n_reps'"),
         ("calibrate", CALIBRATE_CONF.replace("quantile = 0.96", "quantile = high"), "'quantile'"),
+        # no format would draw the ensemble and write nothing
+        ("export", EXPORT_CONF.replace("export.formats = csv bin", "export.formats ="), "'export.formats'"),
+        ("export", EXPORT_CONF.replace("export.formats = csv bin", "export.formats = ,"), "'export.formats'"),
     ],
-    ids=["run_export_csv", "export_export_csv", "calibrate_n_reps", "calibrate_quantile"],
+    ids=[
+        "run_export_csv", "export_export_csv", "calibrate_n_reps", "calibrate_quantile", "export_no_formats",
+        "export_formats_comma",
+    ],
 )
 def test_malformed_top_level_key_exit_two_before_any_work(tmp_path, capsys, monkeypatch, command, text, field):
     """A key that the command reads late, or not at all, is still checked first."""

@@ -6,9 +6,10 @@ order of the floating-point operations shows up here.  The sizes on the
 64-point grid straddle one block of 256 KiB (512 rows) and one of the
 earlier 1 MiB (2048 rows): below, exactly one and not a multiple of the
 block rows.  Those digests do not depend on the block size, so the
-256 KiB cases were recorded with 1 MiB blocks.  Every case is drawn at
-one and at two threads, where a subordinated ensemble draws its next
-clock block on a helper thread.
+256 KiB cases were recorded with 1 MiB blocks.  Every case is drawn by
+``generate``, on the calling thread, and streamed by ``sample_blocks``
+at one and at two threads, where a subordinated ensemble of several
+blocks draws its next clock block on a helper thread.
 """
 
 import hashlib
@@ -32,6 +33,7 @@ from idtlab.processes import (
     TimeGrid,
     WeightedSubordinator,
     generate,
+    sample_blocks,
 )
 from idtlab.randkit import RngState
 
@@ -159,9 +161,13 @@ BLOCKED = [
 ]
 
 
-def _values(case_id, threads=1):
+def _values(case_id, threads=None):
+    """The case's values from ``generate``, or from ``sample_blocks(..., threads)`` copied block by block."""
     spec, grid, n_paths = CASES[case_id]
-    return generate(spec, grid, n_paths, RngState(20261018, 7), threads=threads).values
+    if threads is None:
+        return generate(spec, grid, n_paths, RngState(20261018, 7)).values
+    _, blocks = sample_blocks(spec, grid, n_paths, RngState(20261018, 7), threads)
+    return np.concatenate([block.copy() for block in blocks])
 
 
 def _digest(values) -> str:
@@ -172,7 +178,7 @@ def _digest(values) -> str:
 
 @pytest.mark.parametrize("case_id", sorted(CASES))
 def test_generate_matches_pinned_digest(case_id):
-    for threads in (1, 2):
+    for threads in (None, 1, 2):
         assert _digest(_values(case_id, threads)) == DIGESTS[case_id]
 
 
@@ -189,6 +195,6 @@ def test_tiny_blocks_give_the_same_bytes(case_id, monkeypatch):
     whole = _values(case_id)
     _, grid, _ = CASES[case_id]
     monkeypatch.setattr(proc, "_BLOCK_BYTES", 8 * len(grid) * 7)  # 7 rows a block
-    for threads in (1, 2):
+    for threads in (None, 1, 2):
         assert np.array_equal(_values(case_id, threads), whole, equal_nan=True)
         assert _digest(_values(case_id, threads)) == DIGESTS[case_id]

@@ -33,9 +33,11 @@ from idtlab.processes import (
     Brownian,
     GammaSubordinator,
     GaussianKernel,
+    Mixture,
     Subordinated,
     TimeGrid,
     generate,
+    sample_blocks,
 )
 from idtlab.randkit import RngState
 from idtlab.statlab import TEST_KINDS, ks_two_sample
@@ -68,9 +70,38 @@ def ensemble():
 def test_subordinated_generation_peaks_at_output_plus_blocks(ensemble):
     e, peak = ensemble
     assert peak <= e.values.nbytes + 1.5 * MB
-    threaded, peak = _peak_beyond_start(lambda: generate(SPEC, GRID64, 50_000, RngState(3), threads=2))
-    assert peak <= e.values.nbytes + 1.5 * MB
-    assert np.array_equal(threaded.values, e.values)
+
+    def streamed():  # at two threads, block by block, as an export takes it
+        _, blocks = sample_blocks(SPEC, GRID64, 50_000, RngState(3), 2)
+        first, same = 0, []
+        for block in blocks:
+            same.append(np.array_equal(block, e.values[first : first + len(block)]))
+            first += len(block)
+        return first, same
+
+    (rows, same), peak = _peak_beyond_start(streamed)
+    assert peak <= 1.5 * MB
+    assert rows == 50_000 and len(same) > 1 and all(same)
+
+
+def test_mixture_block_holds_no_base_draw_at_its_yield():
+    # a subordinated loop on a one-block mixture clock reads the clock while
+    # the blend waits at its yield, so the base path that the blend drew at
+    # the 8 merged points, twice the block's bytes here, must be gone by then
+    spec = Mixture(AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7), ((1.0, 0.5), (3.0, 0.5)))
+    grid = TimeGrid([0.5, 1.0, 2.0, 4.0])
+    list(sample_blocks(spec, grid, 10, RngState(3))[1])  # first-call set-up stays out of the bound
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, blocks = sample_blocks(spec, grid, 50_000, RngState(3))
+        block = next(blocks)
+        held = tracemalloc.get_traced_memory()[0] - start
+        blocks.close()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (50_000, 4)
+    assert held <= block.nbytes + 64 * 1024
 
 
 def test_write_binary_adds_no_copy_of_the_values(ensemble, tmp_path):

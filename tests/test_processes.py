@@ -27,12 +27,19 @@ from idtlab.processes import (
     gaussian_paths,
     generate,
     levy_increments,
+    sample_blocks,
     spec_label,
 )
 from idtlab.randkit import RngState, StableParams, sample_stable
 from idtlab.statlab import ks_one_sample, ks_two_sample
 
 GRID = TimeGrid([0.5, 1.0, 2.0])
+
+
+def _streamed(spec, grid, n_paths, rng, threads):
+    """The rows of ``sample_blocks(spec, grid, n_paths, rng, threads)``, copied block by block."""
+    _, blocks = sample_blocks(spec, grid, n_paths, rng, threads)
+    return np.concatenate([block.copy() for block in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -255,32 +262,33 @@ def test_blocked_chronometer_check_names_the_global_path(monkeypatch):
     for threads, drawn in ((1, [7, 7]), (2, [7, 7, 6])):
         calls = []
         with pytest.raises(ContractViolation, match="path 10 is decreasing"):
-            Subordinated(Brownian(1.0, 0.0), chrono).sample(GRID, 20, RngState(1), threads)
+            _streamed(Subordinated(Brownian(1.0, 0.0), chrono), GRID, 20, RngState(1), threads)
         assert calls == drawn
 
 
 def test_clock_helper_thread_starts_only_for_threads_and_blocks(monkeypatch):
+    # generate draws on the calling thread, also over several blocks; only
+    # the streamed path at two threads starts the one clock helper
+    import threading
+
     import idtlab.processes as proc
 
     started = []
-
-    class Recording(proc.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs)
-            super().__init__(*args, **kwargs)
-
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self.name) or start(self))
     spec = Subordinated(Brownian(1.0, 0.0), AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7))
-    monkeypatch.setattr(proc, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(proc, "_BLOCK_BYTES", 8 * len(GRID) * 7)
-    whole = generate(spec, GRID, 20, RngState(1), threads=1).values
-    assert np.array_equal(generate(spec, GRID, 7, RngState(1), threads=2).values, whole[:7])
+    whole = generate(spec, GRID, 20, RngState(1)).values
     assert started == []
-    assert np.array_equal(generate(spec, GRID, 20, RngState(1), threads=2).values, whole)
-    assert started == [{"max_workers": 1}]
+    assert np.array_equal(_streamed(spec, GRID, 20, RngState(1), 1), whole)
+    assert np.array_equal(_streamed(spec, GRID, 7, RngState(1), 2), whole[:7])
+    assert started == []
+    assert np.array_equal(_streamed(spec, GRID, 20, RngState(1), 2), whole)
+    assert len(started) == 1
 
 
 def test_concurrent_clock_prefetch_under_fast_switching(monkeypatch):
-    # four generators at two threads each, so eight threads on fewer cores,
+    # four streamed ensembles at two threads each, so eight threads on fewer cores,
     # switching every microsecond: each must still give its one-thread values
     import sys
     from concurrent.futures import ThreadPoolExecutor
@@ -294,8 +302,8 @@ def test_concurrent_clock_prefetch_under_fast_switching(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(generate, spec, GRID, 300, RngState(seed), 2) for seed in range(4)]
-            got = [f.result(timeout=60).values for f in futures]
+            futures = [pool.submit(_streamed, spec, GRID, 300, RngState(seed), 2) for seed in range(4)]
+            got = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     for g, e in zip(got, expected):
@@ -326,8 +334,9 @@ def test_one_block_subordinated_gives_its_clock_the_one_block(monkeypatch, famil
     spec = Subordinated(family, AdditiveTimeChange(GammaSubordinator(1.0, 1.0), 0.7))
     whole = generate(spec, GRID, 20, RngState(1)).values
     monkeypatch.setattr(proc, "_BLOCK_BYTES", 8 * len(GRID) * 7)
+    assert np.array_equal(generate(spec, GRID, 20, RngState(1)).values, whole)
     for threads in (1, 2):
-        assert np.array_equal(generate(spec, GRID, 20, RngState(1), threads).values, whole)
+        assert np.array_equal(_streamed(spec, GRID, 20, RngState(1), threads), whole)
 
 
 def test_nondecreasing_spec_classifier():
