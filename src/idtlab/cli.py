@@ -48,11 +48,11 @@ import argparse
 import datetime
 import functools
 import json
-import math
 import os
 import sys
 
 from . import io as ensio
+from .domains import DOMAINS, check
 from .processes import FAMILY_KINDS, SPEC_KINDS, TimeGrid, generate, sample_blocks
 from .randkit import RngState
 from .report import TestReport
@@ -129,11 +129,14 @@ def _required(node: dict, name: str, prefix: str):
     return node[name]
 
 
-def _as_float(raw, field: str) -> float:
+def _as_float(raw, field: str, word: str = "float") -> float:
+    """``raw`` as a number in the domain ``word`` of ``DOMAINS``; text that is no number lies in none."""
     try:
-        return float(raw)
+        value = float(raw)
+        check(word, value, field)
     except (TypeError, ValueError):
-        raise ConfigError(f"field {field!r}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"field {field!r}: expected {DOMAINS[word][1]}, got {raw!r}") from None
+    return value
 
 
 def _as_int(raw, field: str) -> int:
@@ -147,13 +150,10 @@ def _as_seed(raw, field: str) -> int:
     return _checked([field], RngState, _as_int(raw, field)).seed
 
 
-def _as_floats(raw, field: str) -> list:
-    if isinstance(raw, (list, tuple)):
-        return [float(v) for v in raw]
-    text = str(raw).replace(",", " ")
-    out = []
-    for token in text.split():
-        out.append(_as_float(token, field))
+def _as_floats(raw, field: str, word: str = "float") -> list:
+    """``raw``, a list or numbers separated by spaces or commas, as a nonempty list in the domain ``word``."""
+    tokens = raw if isinstance(raw, (list, tuple)) else str(raw).replace(",", " ").split()
+    out = [_as_float(token, field, word) for token in tokens]
     if not out:
         raise ConfigError(f"field {field!r}: expected a list of numbers")
     return out
@@ -260,12 +260,13 @@ def _test_kind(raw, field: str) -> TestKind:
     return kind
 
 
+# a domain word is one number in its domain, its plural a list of them
 _PARSERS = {
+    **{word: functools.partial(_as_float, word=word) for word in DOMAINS},
+    **{word + "s": functools.partial(_as_floats, word=word) for word in DOMAINS},
     "int": _as_int,
     "seed": _as_seed,
-    "float": _as_float,
     "str": lambda raw, field: str(raw),
-    "floats": _as_floats,
     "grid": _as_grid,
     "bool": _as_bool,
     "formats": _as_formats,
@@ -332,16 +333,18 @@ def _at_least(count: int, minimum: int, field: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _test_params(kind: TestKind, node: dict, prefix: str, spec, grid_list, keys, null=()) -> dict:
+def _test_params(kind: TestKind, node: dict, prefix: str, spec, grid_list, keys, null=(), spec_at="spec") -> dict:
     """The test's fields under ``prefix`` but those in ``null``, which ``fill`` sets to the spec's
-    exponent, parsed, defaulted and checked; ``keys`` are the section's other keys."""
+    exponent, parsed, defaulted and checked; ``keys`` are the section's other keys.  A check is
+    named by its fields, each that ``fill`` takes from the spec by ``spec_at``, the spec's section."""
     params = _parse_fields([f for f in kind.fields if f[0] not in null], node, prefix, keys + ("times",) * kind.uses_times)
     if kind.uses_times:
         params["grid"] = grid_list
         params["times"] = _as_floats(node.get("times", grid_list), f"{prefix}.times")
+    names = {name: spec_at for name in kind.null({}, spec) if name not in params}
     params = kind.fill(params, spec)
     for fields, rule in kind.checks:
-        _checked([f"{prefix}.{f}" for f in fields], rule, params)
+        _checked(list(dict.fromkeys(names.get(f, f"{prefix}.{f}") for f in fields)), rule, params)
     return params
 
 
@@ -366,11 +369,7 @@ def _resolve_threshold(kind, node, prefix, spec, params, values, table):
     if not kind.calibrated:
         return None
     if "threshold" in node:
-        field = f"{prefix}.threshold"
-        threshold = _as_float(node["threshold"], field)
-        if not math.isfinite(threshold):  # as a table entry must be
-            raise ConfigError(f"field {field!r}: expected a finite number, got {node['threshold']!r}")
-        return threshold
+        return _as_float(node["threshold"], f"{prefix}.threshold")
     thresholds = table()  # outside the try: a malformed table is not a missing key
     key = kind.key(spec, values["n_paths"], thresholds.meta["quantile"], params)
     try:
@@ -476,7 +475,9 @@ def cmd_calibrate(args) -> int:
         if not kind.calibrated:
             raise ConfigError(f"{prefix}: {kind.name} uses p-values, not calibrated thresholds")
         # an entry takes its test's fields but those the true null sets: the checks see the replayed values
-        params = _test_params(kind, node, prefix, spec, values["grid"], ("test", "spec"), kind.null({}, spec))
+        params = _test_params(
+            kind, node, prefix, spec, values["grid"], ("test", "spec"), kind.null({}, spec), f"{prefix}.spec"
+        )
         key = kind.key(spec, n_paths, quantile, params)
         # the key leaves the probes h and beta out, so two entries can share it
         if key in entries:

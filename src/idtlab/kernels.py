@@ -16,7 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import Checked, check, checked_atoms, config_field
 from .report import TestReport
+
+# the config rows of a spectral measure's ``symmetric`` pairs
+SPECTRAL_ATOMS = (("locations", "nonnegatives", None), ("weights", "positives", None))
 
 
 @dataclass(frozen=True)
@@ -31,13 +35,8 @@ class SpectralMeasure:
     atoms: tuple
 
     def __post_init__(self):
-        atoms = tuple((float(a), float(w)) for a, w in self.atoms)
+        atoms = checked_atoms(self.atoms, (("locations", "floats", None), SPECTRAL_ATOMS[1]))
         object.__setattr__(self, "atoms", atoms)
-        if not atoms:
-            raise ValueError("spectral measure needs at least one atom")
-        for a, w in atoms:
-            if not w > 0:
-                raise ValueError(f"atom weight must be positive, got {w} at {a}")
         bag = {}
         for a, w in atoms:
             bag[a] = bag.get(a, 0.0) + w
@@ -50,17 +49,13 @@ class SpectralMeasure:
 
     @classmethod
     def symmetric(cls, pairs) -> "SpectralMeasure":
-        """Build from ``(location >= 0, total weight)`` pairs.
+        """Build from ``(location >= 0, total weight)`` pairs, in the domains of ``SPECTRAL_ATOMS``.
 
         The weight of an off-origin location is split evenly between the
         location and its mirror image.
         """
         atoms = []
-        for a, w in pairs:
-            a = float(a)
-            w = float(w)
-            if a < 0:
-                raise ValueError("symmetric() takes nonnegative locations")
+        for a, w in checked_atoms(pairs, SPECTRAL_ATOMS):
             if a == 0.0:
                 atoms.append((0.0, w))
             else:
@@ -87,8 +82,7 @@ def fbm_cov(hurst: float, s, t):
     ``(|t|^(2H) + |s|^(2H) - |t-s|^(2H)) / 2``; at ``H = 1/2`` this is
     exactly ``min(s, t)`` for nonnegative arguments.
     """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"Hurst index must be in (0, 1), got {hurst}")
+    check("unit", hurst, "hurst")
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     h2 = 2.0 * hurst
@@ -103,11 +97,10 @@ def spectral_cov(alpha: float, mu: SpectralMeasure, s, t):
     Negative times are a domain error; a zero time yields 0 by continuity
     of the ``(s*t)^(alpha/2)`` prefactor (convention).
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    check("positive", alpha, "alpha")
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    if np.any(s < 0) or np.any(t < 0):
+    if not (np.all(s >= 0) and np.all(t >= 0)):
         raise ValueError("spectral kernel times must be nonnegative")
     locs = mu.locations
     wts = mu.weights
@@ -123,16 +116,12 @@ def spectral_cov(alpha: float, mu: SpectralMeasure, s, t):
 
 
 @dataclass(frozen=True)
-class FBmKernel:
+class FBmKernel(Checked):
     """Fractional Brownian motion kernel; scales with exponent ``2 * hurst``."""
 
     label_name = "fbm"
 
-    hurst: float
-
-    def __post_init__(self):
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError(f"Hurst index must be in (0, 1), got {self.hurst}")
+    hurst: float = config_field("unit")
 
     @property
     def idt_exponent(self) -> float:
@@ -143,17 +132,13 @@ class FBmKernel:
 
 
 @dataclass(frozen=True)
-class SpectralKernel:
+class SpectralKernel(Checked):
     """Kernel from a finite symmetric spectral measure; scales with ``alpha``."""
 
     label_name = "spectral"
 
-    alpha: float
+    alpha: float = config_field("positive")
     measure: SpectralMeasure
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
     @property
     def idt_exponent(self) -> float:
@@ -168,7 +153,7 @@ def cov_matrix(kernel, grid) -> np.ndarray:
     times = np.asarray(getattr(grid, "times", grid), dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("grid must be a nonempty 1-d collection of times")
-    if np.any(np.diff(times) <= 0):
+    if not np.all(np.diff(times) > 0):
         raise ValueError("grid times must be strictly increasing")
     return kernel.cov(times[:, None], times[None, :])
 
@@ -180,10 +165,8 @@ def check_scaling(kernel, alpha: float, a: float, grid, tol: float) -> TestRepor
     normalized by ``max(1, |c(s, t)|)``; kernels vanish near the origin,
     so a pure relative error would blow up there.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if not a > 0:
-        raise ValueError("scale factor a must be positive")
+    check("positive", tol, "tol")  # an infinite tolerance would pass any kernel
+    check("positive", a, "a")
     times = np.asarray(getattr(grid, "times", grid), dtype=np.float64)
     base = kernel.cov(times[:, None], times[None, :])
     scaled = kernel.cov(a * times[:, None], a * times[None, :])

@@ -25,9 +25,9 @@ export streamed block by block holds a few blocks, never the ensemble.
 A subordinated loop reuses its other blocks too: one continuing loop of
 its clock, of any kind, fills a ring of one clock block (two with a
 helper thread) in the loop's blocks, and ``drift*dt`` and the Brownian
-scale, or the gamma shape, go into one scratch pair.  So a streamed
-subordinated export on an additive clock holds five blocks (1.25 MiB)
-at two threads.
+scale, or the gamma shape, go into one scratch pair, which only such a
+per-element family is given.  So a streamed subordinated export on an
+additive clock holds five blocks (1.25 MiB) at two threads.
 
 Threads: ``generate`` and every ``sample`` draw on the calling thread.
 Only ``sample_blocks(..., threads=n)`` with ``n > 1``, an export's path,
@@ -50,7 +50,8 @@ from typing import Union
 
 import numpy as np
 
-from .kernels import FBmKernel, SpectralKernel, SpectralMeasure, cov_matrix
+from .domains import Checked, checked_atoms, config_field, config_rows
+from .kernels import SPECTRAL_ATOMS, FBmKernel, SpectralKernel, SpectralMeasure, cov_matrix
 from .randkit import RngState, StableParams, sample_normal, sample_stable
 
 
@@ -148,7 +149,7 @@ class PathEnsemble:
 
 
 @dataclass(frozen=True)
-class Brownian:
+class Brownian(Checked):
     """Brownian motion with volatility and drift.
 
     ``volatility = 0`` degenerates to the deterministic line ``drift * t``,
@@ -157,12 +158,8 @@ class Brownian:
 
     label_name = "brownian"
     per_element = True
-    volatility: float = 1.0
-    drift: float = 0.0
-
-    def __post_init__(self):
-        if self.volatility < 0:
-            raise ValueError(f"volatility must be nonnegative, got {self.volatility}")
+    volatility: float = config_field("nonnegative", 1.0)
+    drift: float = config_field("float", 0.0)
 
     @property
     def nondecreasing(self) -> bool:
@@ -188,16 +185,17 @@ class Brownian:
 
 
 @dataclass(frozen=True)
-class StableMotion:
+class StableMotion(Checked):
     """Strictly stable motion; increment over dt is ``dt**(1/index)`` stable."""
 
     label_name = "stable_motion"
     per_element = False
-    index: float
-    skew: float = 0.0
+    index: float = config_field("positive")
+    skew: float = config_field("float", 0.0)
 
     def __post_init__(self):
-        StableParams(self.index, self.skew)  # validates the domain
+        super().__post_init__()
+        StableParams(self.index, self.skew)  # index in (0, 2], skew in [-1, 1], skew 0 at index 1
 
     @property
     def nondecreasing(self) -> bool:
@@ -209,20 +207,14 @@ class StableMotion:
 
 
 @dataclass(frozen=True)
-class GammaSubordinator:
+class GammaSubordinator(Checked):
     """Gamma process: increment over dt is Gamma(shape*dt, rate), nondecreasing."""
 
     label_name = "gamma"
     per_element = True
     nondecreasing = True
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        if not self.shape > 0:
-            raise ValueError(f"shape must be positive, got {self.shape}")
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+    shape: float = config_field("positive", 1.0)
+    rate: float = config_field("positive", 1.0)
 
     def increments(self, dt, rng, out, scratch=(None, None)):
         # a zero shape gives exactly 0 and draws nothing
@@ -233,20 +225,14 @@ class GammaSubordinator:
 
 
 @dataclass(frozen=True)
-class CompoundPoisson:
+class CompoundPoisson(Checked):
     """Compound Poisson with normal jumps."""
 
     label_name = "compound_poisson"
     per_element = False
-    intensity: float
-    jump_mean: float = 0.0
-    jump_sd: float = 1.0
-
-    def __post_init__(self):
-        if self.intensity < 0:
-            raise ValueError(f"intensity must be nonnegative, got {self.intensity}")
-        if self.jump_sd < 0:
-            raise ValueError(f"jump sd must be nonnegative, got {self.jump_sd}")
+    intensity: float = config_field("nonnegative")
+    jump_mean: float = config_field("float", 0.0)
+    jump_sd: float = config_field("nonnegative", 1.0)
 
     @property
     def nondecreasing(self) -> bool:
@@ -274,7 +260,7 @@ def levy_increments(family: LevyFamily, dt, rng: RngState, size=None, out=None):
     increment of exactly 0.
     """
     dt = np.asarray(dt, dtype=np.float64)
-    if np.any(dt < 0):
+    if not np.all(dt >= 0):
         raise ValueError("increment durations must be nonnegative")
     if out is None:
         out = np.empty(dt.shape if size is None else size)
@@ -442,15 +428,16 @@ class _RowBlocked:
 
 
 @dataclass(frozen=True)
-class StableLine(_WholeDraw):
+class StableLine(_WholeDraw, Checked):
     """Random line ``X_t = t * S`` with S strictly stable of the given index."""
 
     label_name = "stable_line"
     nondecreasing = False
-    alpha: float
+    alpha: float = config_field("positive")
 
     def __post_init__(self):
-        StableParams(self.alpha, 0.0)
+        super().__post_init__()
+        StableParams(self.alpha, 0.0)  # alpha in (0, 2]
 
     @property
     def idt_exponent(self) -> float:
@@ -462,16 +449,12 @@ class StableLine(_WholeDraw):
 
 
 @dataclass(frozen=True)
-class PowerLine(_WholeDraw):
+class PowerLine(_WholeDraw, Checked):
     """Power curve ``X_t = t**alpha * S`` with S standard Cauchy."""
 
     label_name = "power_line"
     nondecreasing = False
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+    alpha: float = config_field("positive")
 
     @property
     def idt_exponent(self) -> float:
@@ -500,16 +483,12 @@ class GaussianKernel(_WholeDraw):
 
 
 @dataclass(frozen=True)
-class AdditiveTimeChange(_RowBlocked):
+class AdditiveTimeChange(_RowBlocked, Checked):
     """Levy process run through the deterministic clock ``t -> t**alpha``."""
 
     label_name = "additive"
-    family: LevyFamily
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+    family: LevyFamily = config_field("family")
+    alpha: float = config_field("positive")
 
     @property
     def idt_exponent(self) -> float:
@@ -532,8 +511,8 @@ class Subordinated(_RowBlocked):
     """Levy process evaluated along an independent nondecreasing chronometer."""
 
     label_name = "subordinated"
-    family: LevyFamily
-    chrono: "ProcessSpec"
+    family: LevyFamily = config_field("family")
+    chrono: "ProcessSpec" = config_field("spec")
 
     def __post_init__(self):
         if not self.chrono.nondecreasing:
@@ -560,14 +539,16 @@ class Subordinated(_RowBlocked):
         shape = row_blocks[0][1].shape
         helper = threads > 1 and len(row_blocks) > 1
         clocks = self.chrono.blocks(grid, n_paths, rng.split(0), out=[np.empty(shape) for _ in range(1 + helper)])
-        scratch = np.empty((2,) + shape)  # drift*dt and the Brownian scale, or the gamma shape
+        # drift*dt and the Brownian scale, or the gamma shape: only a per-element family reads the pair
+        scratch = np.empty((2,) + shape) if self.family.per_element else None
         with closing(_prefetched(clocks) if helper else clocks) as clocks:
             for first, rows in row_blocks:
                 # checks the clock, so the increments need no second check
                 _chronometer_increments(next(clocks), rows, first)
                 if first + len(rows) == n_paths:  # the clock loop ends, and frees its ring, before the family draw
                     clocks.close()
-                self.family.increments(rows, family_rng, rows, scratch[:, : rows.shape[0]])
+                pair = (None, None) if scratch is None else scratch[:, : len(rows)]
+                self.family.increments(rows, family_rng, rows, pair)
                 _cumsum_rows(rows)
                 yield rows
 
@@ -578,17 +559,11 @@ class Mixture(_RowBlocked):
 
     label_name = "mixture"
     per_element = False
-    base: "ProcessSpec"
+    base: "ProcessSpec" = config_field("spec")
     atoms: tuple
 
     def __post_init__(self):
-        atoms = tuple((float(u), float(w)) for u, w in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        if not atoms:
-            raise ValueError("mixture needs at least one atom")
-        for u, _ in atoms:
-            if not u > 0:
-                raise ValueError(f"mixture dilation must be positive, got {u}")
+        object.__setattr__(self, "atoms", checked_atoms(self.atoms, _MIXTURE_ATOMS))
 
     @property
     def idt_exponent(self) -> float:
@@ -606,27 +581,18 @@ class Mixture(_RowBlocked):
 
 
 @dataclass(frozen=True)
-class WeightedSubordinator(_RowBlocked):
+class WeightedSubordinator(_RowBlocked, Checked):
     """Weighted sum ``sum_j w_j X((u_j * t)**alpha)`` of one subordinator path."""
 
     label_name = "weighted_subordinator"
     nondecreasing = True
-    family: LevyFamily
+    family: LevyFamily = config_field("family")
     atoms: tuple
-    alpha: float
+    alpha: float = config_field("positive")
 
     def __post_init__(self):
-        atoms = tuple((float(u), float(w)) for u, w in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        if not atoms:
-            raise ValueError("needs at least one atom")
-        for u, w in atoms:
-            if not u > 0:
-                raise ValueError(f"dilation must be positive, got {u}")
-            if w < 0:
-                raise ValueError(f"weight must be nonnegative, got {w}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        super().__post_init__()
+        object.__setattr__(self, "atoms", checked_atoms(self.atoms, _WEIGHTED_ATOMS))
         if not self.family.nondecreasing:
             raise ValueError("family must be a nondecreasing (subordinator) family")
 
@@ -672,9 +638,15 @@ def _label_parts(obj):
 
 # ---------------------------------------------------------------------------
 # Config kinds: each maps to ``(constructor, fields)``.  Fields are
-# ``(name, type, default)`` as in ``statlab.TestKind.fields``, where the
-# type may also be ``"spec"``; a default of ``None`` marks a required field.
+# ``(name, type, default)`` as in ``statlab.TestKind.fields``: the type is a
+# domain word (``float``, ``positive``, ``nonnegative``, ``unit``), its plural
+# for a list, or ``"family"`` or ``"spec"``; a default of ``None`` marks a
+# required field.  A class whose fields are its kind's owns the rows through
+# ``config_field``; a kind of atoms states its list rows once, for both paths.
 # ---------------------------------------------------------------------------
+
+_MIXTURE_ATOMS = (("dilations", "positives", None), ("weights", "floats", None))
+_WEIGHTED_ATOMS = (("dilations", "positives", None), ("weights", "nonnegatives", None))
 
 
 def _atoms(points, weights) -> tuple:
@@ -685,34 +657,30 @@ def _atoms(points, weights) -> tuple:
 
 
 FAMILY_KINDS = {
-    "brownian": (Brownian, (("volatility", "float", 1.0), ("drift", "float", 0.0))),
-    "stable_motion": (StableMotion, (("index", "float", None), ("skew", "float", 0.0))),
-    "gamma": (GammaSubordinator, (("shape", "float", 1.0), ("rate", "float", 1.0))),
-    "compound_poisson": (
-        CompoundPoisson,
-        (("intensity", "float", None), ("jump_mean", "float", 0.0), ("jump_sd", "float", 1.0)),
-    ),
+    "brownian": (Brownian, config_rows(Brownian)),
+    "stable_motion": (StableMotion, config_rows(StableMotion)),
+    "gamma": (GammaSubordinator, config_rows(GammaSubordinator)),
+    "compound_poisson": (CompoundPoisson, config_rows(CompoundPoisson)),
 }
-_ATOM_FIELDS = (("dilations", "floats", None), ("weights", "floats", None))
 SPEC_KINDS = {
-    "stable_line": (StableLine, (("alpha", "float", None),)),
-    "power_line": (PowerLine, (("alpha", "float", None),)),
-    "fbm": (lambda hurst: GaussianKernel(FBmKernel(hurst)), (("hurst", "float", None),)),
+    "stable_line": (StableLine, config_rows(StableLine)),
+    "power_line": (PowerLine, config_rows(PowerLine)),
+    "fbm": (lambda hurst: GaussianKernel(FBmKernel(hurst)), config_rows(FBmKernel)),
     "spectral": (
         lambda locations, weights, alpha: GaussianKernel(
             SpectralKernel(alpha, SpectralMeasure.symmetric(_atoms(locations, weights)))
         ),
-        (("locations", "floats", None), ("weights", "floats", None), ("alpha", "float", None)),
+        SPECTRAL_ATOMS + config_rows(SpectralKernel),
     ),
-    "additive": (AdditiveTimeChange, (("family", "family", None), ("alpha", "float", None))),
-    "subordinated": (Subordinated, (("family", "family", None), ("chrono", "spec", None))),
+    "additive": (AdditiveTimeChange, config_rows(AdditiveTimeChange)),
+    "subordinated": (Subordinated, config_rows(Subordinated)),
     "mixture": (
         lambda dilations, weights, base: Mixture(base, _atoms(dilations, weights)),
-        _ATOM_FIELDS + (("base", "spec", None),),
+        _MIXTURE_ATOMS + config_rows(Mixture),
     ),
     "weighted_subordinator": (
         lambda dilations, weights, family, alpha: WeightedSubordinator(family, _atoms(dilations, weights), alpha),
-        _ATOM_FIELDS + (("family", "family", None), ("alpha", "float", None)),
+        _WEIGHTED_ATOMS + config_rows(WeightedSubordinator),
     ),
 }
 

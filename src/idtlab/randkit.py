@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import check
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -156,9 +158,7 @@ def sample_stable(rng: RngState, params: StableParams, size=None):
 
 def sample_gamma(rng: RngState, shape: float, rate: float, size=None):
     """Gamma draw(s) with the given shape and rate (mean ``shape/rate``)."""
-    if not shape > 0:
-        raise ValueError(f"gamma shape must be positive, got {shape}")
-    if not rate > 0:
-        raise ValueError(f"gamma rate must be positive, got {rate}")
+    check("positive", shape, "shape")
+    check("positive", rate, "rate")  # an infinite rate would draw zeros
     out = rng.generator.gamma(shape, 1.0 / rate, size)
     return float(out) if size is None else out

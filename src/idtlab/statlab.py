@@ -67,6 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import DOMAINS, check
 from .processes import (
     AdditiveTimeChange,
     PathEnsemble,
@@ -338,11 +339,6 @@ def _at_least_two(n) -> int:
     return n
 
 
-def _check_exponent(alpha) -> None:
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"exponent must be finite and > 0, got {alpha}")
-
-
 def _check_mode(mode) -> None:
     if mode not in ("power", "sum"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -353,16 +349,9 @@ def _at_most_three(times) -> None:
         raise ValueError("at most three comparison times")
 
 
-def _check_dilation(a) -> None:
-    if not a > 0 or a == 1.0:
-        raise ValueError(f"dilation must be positive and != 1, got {a}")
-    if not math.isfinite(a):
-        raise ValueError(f"dilation must be finite, got {a}")
-
-
-def _check_fraction(value, name: str) -> None:
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must be inside (0, 1), got {value}")
+def _not_one(a) -> None:
+    if a == 1.0:
+        raise ValueError(f"dilation must be != 1, got {a}")
 
 
 def _check_window(window, shift, n_times: int) -> tuple:
@@ -413,7 +402,7 @@ def _view_values(spec, grid: TimeGrid, n_paths: int, rng: RngState, view) -> np.
     return values if scale == 1 else values * scale
 
 
-_FIELD_TYPES = {"int": int, "float": float, "str": str}
+_FIELD_TYPES = {"int": int, "str": str, **dict.fromkeys(DOMAINS, float)}
 
 
 def _distance_test(kind: str, spec, n_paths: int, rng: RngState, threshold: float, **params) -> TestReport:
@@ -538,7 +527,8 @@ def association_test(
     infinity in either ensemble makes that time's p-value NaN, and a NaN
     p-value at any time makes the reported one NaN, which fails.
     """
-    _check_fraction(level, "level")
+    for _, rule in TEST_KINDS["association"].checks:
+        rule({"alpha": alpha, "level": level, "times": t_list})
     grid = TimeGrid(t_list)
     left = generate(spec, grid, n_paths, rng.split(0))
     right = generate(AdditiveTimeChange(family, alpha), grid, n_paths, rng.split(1))
@@ -574,14 +564,17 @@ _SPEC_EXPONENT = object()  # field default: the spec's own ``idt_exponent``
 class TestKind:
     """One test kind: its config fields, threshold key and how to run it.
 
-    ``fields`` are ``(name, type, default)`` triples.  ``type`` is one of
-    ``"int"``, ``"float"``, ``"str"``, ``"floats"`` and ``"family"``;
-    ``default`` is ``None`` for a required field, ``_SPEC_EXPONENT`` for
-    the spec's ``idt_exponent``, or a literal.  A kind that ``uses_times``
-    also reads ``grid`` and ``times`` (by default the whole grid), and both
-    go into its threshold key next to ``key_fields``.  Each check
-    ``(fields, rule)`` raises ``ValueError`` from ``rule(params)`` when those
-    fields break the test's precondition.  ``run(spec, params, n_paths, rng,
+    ``fields`` are ``(name, type, default)`` triples.  ``type`` is
+    ``"int"``, ``"str"``, ``"family"``, a domain word of ``domains.DOMAINS``
+    (``"float"``, finite; ``"positive"``; ``"nonnegative"``; ``"unit"``, in
+    (0, 1)) or its plural for a list (``"floats"``); ``default`` is ``None``
+    for a required field, ``_SPEC_EXPONENT`` for the spec's
+    ``idt_exponent``, or a literal.  A kind that ``uses_times`` also reads
+    ``grid`` and ``times`` (by default the whole grid), and both go into its
+    threshold key next to ``key_fields``.  Each check ``(fields, rule)``
+    raises ``ValueError`` from ``rule(params)`` when those fields break the
+    test's precondition; the checks open with the domain rule of each
+    numeric field, named by that field.  ``run(spec, params, n_paths, rng,
     threshold)`` calls the public test function.  Only ``calibrated`` kinds
     have null-replay thresholds.
 
@@ -607,10 +600,10 @@ class TestKind:
     combine: Callable | None = None
 
     def __post_init__(self):
+        domains = [((f,), lambda p, f=f, w=w: check(w, p[f], f)) for f, w, _ in self.fields if w in DOMAINS]
         # the views read every field, so their rule is named by all of them, and runs after the kind's checks
-        if self.views is not None:
-            rule = (tuple(name for name, _, _ in self.fields), lambda params: _check_views(self, params))
-            object.__setattr__(self, "checks", self.checks + (rule,))
+        views = [(tuple(f for f, _, _ in self.fields), lambda p: _check_views(self, p))] if self.views else []
+        object.__setattr__(self, "checks", (*domains, *self.checks, *views))
 
     def typed(self, params: dict) -> dict:
         """The kind's fields in ``params``, converted by their types, as ``views`` and ``combine`` read them."""
@@ -665,7 +658,6 @@ def _run_stationarity(spec, p, n_paths, rng, threshold):
 
 _ON_GRID = (("times",), lambda p: _time_indices(TimeGrid(p["grid"]), p["times"]))
 _N_AT_LEAST_TWO = (("n",), lambda p: _at_least_two(p["n"]))
-_EXPONENT = (("alpha",), lambda p: _check_exponent(p["alpha"]))
 _DIFFERENCE = lambda f, got, ref: got - ref
 
 TEST_KINDS = {
@@ -673,11 +665,10 @@ TEST_KINDS = {
     for kind in (
         TestKind(
             "idt",
-            fields=(("n", "int", None), ("alpha", "float", _SPEC_EXPONENT), ("mode", "str", "power")),
+            fields=(("n", "int", None), ("alpha", "positive", _SPEC_EXPONENT), ("mode", "str", "power")),
             key_fields=("n", "mode"),
             checks=(
                 _N_AT_LEAST_TWO,
-                _EXPONENT,
                 (("mode",), lambda p: _check_mode(p["mode"])),
                 _ON_GRID,
                 (("times",), lambda p: _at_most_three(p["times"])),
@@ -688,27 +679,27 @@ TEST_KINDS = {
         ),
         TestKind(
             "selfsimilarity",
-            fields=(("h", "float", None), ("a", "float", None)),
+            fields=(("h", "float", None), ("a", "positive", None)),
             key_fields=("a",),
-            checks=((("a",), lambda p: _check_dilation(p["a"])), _ON_GRID),
+            checks=((("a",), lambda p: _not_one(p["a"])), _ON_GRID),
             run=_by_name("selfsimilarity_test"),
             views=lambda f: ((0, f["a"], 1, 1), (1, 1, f["a"] ** f["h"], 1)),
             combine=_DIFFERENCE,
         ),
         TestKind(
             "stability",
-            fields=(("beta", "float", None), ("n", "int", None)),
+            fields=(("beta", "positive", None), ("n", "int", None)),
             key_fields=("n",),
-            checks=(_N_AT_LEAST_TWO, (("beta",), lambda p: _check_exponent(p["beta"])), _ON_GRID),
+            checks=(_N_AT_LEAST_TWO, _ON_GRID),
             run=_by_name("stability_test"),
             views=lambda f: ((0, 1, 1, f["n"]), (1, 1, f["n"] ** (1.0 / f["beta"]), 1)),
             combine=_DIFFERENCE,
         ),
         TestKind(
             "temporal_sd",
-            fields=(("b", "float", None), ("alpha", "float", _SPEC_EXPONENT)),
+            fields=(("b", "unit", None), ("alpha", "positive", _SPEC_EXPONENT)),
             key_fields=("b",),
-            checks=((("b",), lambda p: _check_fraction(p["b"], "b")), _EXPONENT, _ON_GRID),
+            checks=(_ON_GRID,),
             run=_by_name("temporal_sd_test"),
             views=lambda f: (
                 (0, 1, 1, 1),
@@ -723,25 +714,20 @@ TEST_KINDS = {
                 ("y_grid", "floats", None),
                 ("window", "int", 2),
                 ("shift", "int", 1),
-                ("alpha", "float", _SPEC_EXPONENT),
+                ("alpha", "positive", _SPEC_EXPONENT),
             ),
             key_fields=("y_grid", "window", "shift"),
             checks=(
                 (("y_grid",), lambda p: TimeGrid(np.exp(p["y_grid"]))),
                 (("window", "shift"), lambda p: _check_window(p["window"], p["shift"], len(p["y_grid"]))),
-                _EXPONENT,
             ),
             run=_run_stationarity,
             uses_times=False,
         ),
         TestKind(
             "association",
-            fields=(("alpha", "float", None), ("level", "float", 0.01), ("family", "family", None)),
-            checks=(
-                (("times",), lambda p: TimeGrid(p["times"])),
-                _EXPONENT,
-                (("level",), lambda p: _check_fraction(p["level"], "level")),
-            ),
+            fields=(("alpha", "positive", None), ("level", "unit", 0.01), ("family", "family", None)),
+            checks=((("times",), lambda p: TimeGrid(p["times"])),),
             run=lambda spec, p, n_paths, rng, threshold: association_test(
                 spec, p["family"], p["alpha"], p["times"], n_paths, rng, level=p["level"]
             ),

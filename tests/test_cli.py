@@ -493,17 +493,18 @@ def _view_factor_cases(section, kind_key, extra):
             "entry.x.test = stability\nentry.x.n = 2\nentry.x.beta = 0\nentry.x.spec.kind = stable_line\n"
             "entry.x.spec.alpha = 1\n",
             [],
-            "field 'entry.x.beta': exponent must be finite and > 0, got 0.0",
+            "field 'entry.x.beta': expected a finite number > 0, got '0'",
         ),
         (
             "entry.x.test = selfsimilarity\nentry.x.h = 1\nentry.x.a = inf\nentry.x.spec.kind = stable_line\n"
             "entry.x.spec.alpha = 1\n",
             [],
-            "field 'entry.x.a': dilation must be finite, got inf",
+            "field 'entry.x.a': expected a finite number > 0, got 'inf'",
         ),
-        # an entry takes no alpha, so a tiny exponent comes from the spec, where it is checked as replayed
+        # an entry takes no alpha, so a tiny exponent comes from the spec, where it is checked as replayed,
+        # and the error names the spec section in place of the alpha that the entry does not set
         *(
-            (lines.replace("entry.x.alpha = 0.0001\n", ""), [], message)
+            (lines.replace("entry.x.alpha = 0.0001\n", ""), [], message.replace("'entry.x.alpha'", "'entry.x.spec'"))
             for lines, message in _view_factor_cases("entry.x", "test", "spec.kind = power_line\nspec.alpha = 0.0001\n")
         ),
         *((lines, [], message) for lines, message in ENTRY_EXPONENTS.values()),
@@ -1140,12 +1141,12 @@ ASSOCIATION_AT = "test.y.kind = association\ntest.y.alpha = 1.5\ntest.y.family.k
         (IDT_AT + "test.x.threshold = inf\n", "field 'test.x.threshold': expected a finite number, got 'inf'"),
         (IDT_AT + "test.x.threshold = -inf\n", "field 'test.x.threshold': expected a finite number, got '-inf'"),
         (IDT_AT + "test.x.threshold = nan\n", "field 'test.x.threshold': expected a finite number, got 'nan'"),
-        (ASSOCIATION_AT + "test.y.level = 0\n", "field 'test.y.level': level must be inside (0, 1), got 0.0"),
-        (ASSOCIATION_AT + "test.y.level = 1\n", "field 'test.y.level': level must be inside (0, 1), got 1.0"),
-        (ASSOCIATION_AT + "test.y.level = nan\n", "field 'test.y.level': level must be inside (0, 1), got nan"),
-        (STABILITY_AT + "test.x.beta = 0\n", "field 'test.x.beta': exponent must be finite and > 0, got 0.0"),
-        (STABILITY_AT + "test.x.beta = inf\n", "field 'test.x.beta': exponent must be finite and > 0, got inf"),
-        (SELFSIM_AT + "test.x.a = inf\n", "field 'test.x.a': dilation must be finite, got inf"),
+        (ASSOCIATION_AT + "test.y.level = 0\n", "field 'test.y.level': expected a number inside (0, 1), got '0'"),
+        (ASSOCIATION_AT + "test.y.level = 1\n", "field 'test.y.level': expected a number inside (0, 1), got '1'"),
+        (ASSOCIATION_AT + "test.y.level = nan\n", "field 'test.y.level': expected a number inside (0, 1), got 'nan'"),
+        (STABILITY_AT + "test.x.beta = 0\n", "field 'test.x.beta': expected a finite number > 0, got '0'"),
+        (STABILITY_AT + "test.x.beta = inf\n", "field 'test.x.beta': expected a finite number > 0, got 'inf'"),
+        (SELFSIM_AT + "test.x.a = inf\n", "field 'test.x.a': expected a finite number > 0, got 'inf'"),
         *_view_factor_cases("test.x", "kind", "threshold = 0.5\n"),
     ],
     ids=[
@@ -1169,6 +1170,18 @@ def test_non_finite_threshold_or_level_outside_unit_exit_two_before_any_work(
     assert main(["run", conf, "--out", str(out), "--threads", "1"]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert work == []
+    assert not out.exists()
+
+
+def test_view_factor_of_the_spec_exponent_names_the_spec_section(tmp_path, capsys):
+    """An ``idt`` test without ``alpha`` dilates by the spec's exponent, so its view-factor error names
+    the spec section in place of ``test.x.alpha``, which the config does not set."""
+    spec = "spec.kind = power_line\nspec.alpha = 0.0001\n"
+    test = "test.x.kind = idt\ntest.x.n = 2\ntest.x.threshold = 0.5\n"
+    out = tmp_path / "out"
+    conf = _write(tmp_path, STABLE_RUN.replace("spec.kind = stable_line\nspec.alpha = 1.5\n", spec) + test)
+    assert main(["run", conf, "--out", str(out), "--threads", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: fields 'test.x.n', 'spec', 'test.x.mode': {OVERFLOW}\n"
     assert not out.exists()
 
 

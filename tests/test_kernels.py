@@ -159,6 +159,13 @@ def test_scaling_negative_control():
     assert report.statistic > 1e-3
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+def test_scaling_tolerance_must_be_finite_and_positive(tol):
+    # an infinite tolerance would pass the negative control above
+    with pytest.raises(ValueError, match=f"^field 'tol': expected a finite number > 0, got {tol}$"):
+        check_scaling(FBmKernel(0.3), 1.0, 2.0, [0.25, 0.5, 1.0, 2.0, 4.0], tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # lamperti_cov
 # ---------------------------------------------------------------------------

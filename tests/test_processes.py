@@ -616,7 +616,7 @@ def _render(obj, prefix="spec"):
             value = values[name]
             if parse in ("spec", "family"):
                 lines.append(_render(value, f"{prefix}.{name}"))
-            elif parse == "floats":
+            elif isinstance(value, list):
                 lines.append(f"{prefix}.{name} = {' '.join(map(repr, value))}")
             else:
                 lines.append(f"{prefix}.{name} = {value!r}")
@@ -630,3 +630,107 @@ def test_config_round_trip(spec):
     from idtlab.cli import build_spec, parse_config_text
 
     assert build_spec(parse_config_text(_render(spec))["spec"], "spec") == spec
+
+
+# ---------------------------------------------------------------------------
+# Field domains: no NaN or Inf parameter reaches a sampler, by config or by library
+# ---------------------------------------------------------------------------
+
+def _marked(rendered):
+    """``(line, numeric)`` pairs of rendered spec or family lines: every line but a ``kind`` is a number."""
+    return [(line, not line.split(" = ")[0].endswith(".kind")) for line in rendered.splitlines()]
+
+
+def _test_section(kind, family):
+    """``(line, numeric)`` pairs of a valid ``test.x`` section of ``kind``: 0.5 for a number, ``0.5 1``
+    for a list, ``n = 2`` and ``family`` rendered; ``numeric`` marks the lines of domain rows."""
+    from idtlab.domains import DOMAINS
+
+    lines = [(f"test.x.kind = {kind.name}", False)]
+    for name, parse, default in kind.fields:
+        if parse in DOMAINS:
+            lines.append((f"test.x.{name} = 0.5", True))
+        elif parse.removesuffix("s") in DOMAINS:
+            lines.append((f"test.x.{name} = 0.5 1", True))
+        elif parse == "family":
+            lines += _marked(_render(family, "test.x.family"))
+        elif default is None:
+            lines.append((f"test.x.{name} = 2", False))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_non_finite_config_number_exits_two_naming_its_field(data):
+    """NaN, +inf or -inf in any one number of a spec, family or test row, nested sections included."""
+    import tempfile
+    from contextlib import redirect_stderr
+    from io import StringIO
+    from pathlib import Path
+
+    from idtlab.cli import main
+    from idtlab.statlab import TEST_KINDS
+
+    if data.draw(st.booleans(), label="in a test section"):
+        kind = data.draw(st.sampled_from(list(TEST_KINDS.values())), label="test kind")
+        lines = [("spec.kind = stable_line", False), ("spec.alpha = 1.5", False)]
+        lines += _test_section(kind, data.draw(_families, label="family"))
+    else:
+        lines = _marked(_render(data.draw(_specs, label="spec")))
+    index = data.draw(st.sampled_from([i for i, (_, numeric) in enumerate(lines) if numeric]), label="line")
+    key, value = lines[index][0].split(" = ")
+    items = value.split()
+    bad = data.draw(st.sampled_from(["nan", "inf", "-inf"]), label="value")
+    items[data.draw(st.integers(0, len(items) - 1), label="item")] = bad
+    text = "seed = 1\nn_paths = 500\ngrid = 0.5 1 2\n" + "\n".join(
+        f"{key} = {' '.join(items)}" if i == index else line for i, (line, _) in enumerate(lines)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        conf, out, err = Path(tmp) / "exp.conf", Path(tmp) / "out", StringIO()
+        conf.write_text(text + "\n")
+        with redirect_stderr(err):
+            assert main(["run", str(conf), "--out", str(out), "--threads", "1"]) == 2
+        assert err.getvalue().startswith(f"config error: field '{key}': expected ")
+        assert err.getvalue().endswith(f", got '{bad}'\n")
+        assert not out.exists()
+
+
+def _numeric_leaves(obj, path=()):
+    """Paths to every number of a spec, family or kernel: a field name, or ``(atoms field, atom, item)``."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _numeric_leaves(value, path + (f.name,))
+        elif isinstance(value, tuple):
+            for i in range(len(value)):
+                yield from (path + ((f.name, i, j),) for j in range(2))
+        else:
+            yield path + (f.name,)
+
+
+def _with_leaf(obj, path, value):
+    """``obj`` rebuilt through its constructors with the number at ``path`` set to ``value``."""
+    head, rest = path[0], path[1:]
+    if isinstance(head, tuple):
+        name, i, j = head
+        atoms = [list(atom) for atom in getattr(obj, name)]
+        atoms[i][j] = value
+        return dataclasses.replace(obj, **{name: tuple(map(tuple, atoms))})
+    new = _with_leaf(getattr(obj, head), rest, value) if rest else value
+    return dataclasses.replace(obj, **{head: new})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs, st.data())
+def test_non_finite_parameter_never_gives_a_passing_report(spec, data):
+    """A library caller's NaN or Inf parameter, at any depth, is refused by a constructor, or its
+    spec's idt test fails; it never passes."""
+    from idtlab.statlab import idt_test
+
+    path = data.draw(st.sampled_from(list(_numeric_leaves(spec))), label="leaf")
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
+    try:
+        spec = _with_leaf(spec, path, bad)
+    except ValueError:
+        return
+    assert not idt_test(spec, 1.0, 2, GRID, GRID.times, 200, RngState(1), 1.0).passed

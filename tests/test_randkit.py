@@ -130,6 +130,11 @@ def test_gamma_domain_errors():
         sample_gamma(RngState(1), 0.0, 1.0)
     with pytest.raises(ValueError):
         sample_gamma(RngState(1), 1.0, -2.0)
+    # an infinite rate would draw zeros, a NaN shape NaNs
+    with pytest.raises(ValueError, match="^field 'rate': expected a finite number > 0, got inf$"):
+        sample_gamma(RngState(1), 1.0, math.inf)
+    with pytest.raises(ValueError, match="^field 'shape': expected a finite number > 0, got nan$"):
+        sample_gamma(RngState(1), math.nan, 1.0)
 
 
 def test_rng_state_domain():

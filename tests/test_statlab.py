@@ -426,7 +426,7 @@ def test_association_mismatched_tails_fail():
 
 @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, math.nan])
 def test_association_level_outside_the_unit_interval_raises(level):
-    with pytest.raises(ValueError, match=re.escape(f"level must be inside (0, 1), got {level}")):
+    with pytest.raises(ValueError, match=re.escape(f"field 'level': expected a number inside (0, 1), got {level}")):
         association_test(StableLine(1.5), StableMotion(1.5), 1.5, TIMES, 100, RngState(26), level=level)
 
 
@@ -518,19 +518,19 @@ def test_a_kind_calls_its_function_with_its_fields_by_name(function, params):
 VIEW_OVERFLOW = "view dilation and scale must be finite and > 0, got an overflow"
 SPEC_TEST_PRECONDITIONS = [
     (idt_test, {"alpha": 0.6, "n": 1}, GRID, "n must be at least 2, got 1"),
-    (idt_test, {"alpha": 0, "n": 2}, GRID, "exponent must be finite and > 0, got 0"),
+    (idt_test, {"alpha": 0, "n": 2}, GRID, "field 'alpha': expected a finite number > 0, got 0"),
     (idt_test, {"alpha": 0.6, "n": 2, "mode": "x"}, GRID, "unknown mode 'x'"),
     (idt_test, {"alpha": 0.6, "n": 2}, TimeGrid([0.5, 1.0, 2.0, 4.0]), "at most three comparison times"),
     (idt_test, {"alpha": 0.6, "n": 2, "times": [0.5, 0.75]}, GRID, "time 0.75 is not on the grid [0.5, 1.0, 2.0]"),
-    (selfsimilarity_test, {"h": 0.5, "a": 1}, GRID, "dilation must be positive and != 1, got 1"),
-    (selfsimilarity_test, {"h": 0.5, "a": math.inf}, GRID, "dilation must be finite, got inf"),
+    (selfsimilarity_test, {"h": 0.5, "a": 1}, GRID, "dilation must be != 1, got 1"),
+    (selfsimilarity_test, {"h": 0.5, "a": math.inf}, GRID, "field 'a': expected a finite number > 0, got inf"),
     (selfsimilarity_test, {"h": 0.5, "a": 2.0, "times": [3.0]}, GRID, "time 3.0 is not on the grid [0.5, 1.0, 2.0]"),
     (stability_test, {"beta": 2.0, "n": 1}, GRID, "n must be at least 2, got 1"),
-    (stability_test, {"beta": 0.0, "n": 2}, GRID, "exponent must be finite and > 0, got 0.0"),
-    (stability_test, {"beta": math.nan, "n": 2}, GRID, "exponent must be finite and > 0, got nan"),
+    (stability_test, {"beta": 0.0, "n": 2}, GRID, "field 'beta': expected a finite number > 0, got 0.0"),
+    (stability_test, {"beta": math.nan, "n": 2}, GRID, "field 'beta': expected a finite number > 0, got nan"),
     (stability_test, {"beta": 2.0, "n": 2, "times": [0.25]}, GRID, "time 0.25 is not on the grid [0.5, 1.0, 2.0]"),
-    (temporal_sd_test, {"alpha": 0.6, "b": 1.5}, GRID, "b must be inside (0, 1), got 1.5"),
-    (temporal_sd_test, {"alpha": 0, "b": 0.5}, GRID, "exponent must be finite and > 0, got 0"),
+    (temporal_sd_test, {"alpha": 0.6, "b": 1.5}, GRID, "field 'b': expected a number inside (0, 1), got 1.5"),
+    (temporal_sd_test, {"alpha": 0, "b": 0.5}, GRID, "field 'alpha': expected a finite number > 0, got 0"),
     (temporal_sd_test, {"alpha": 0.6, "b": 0.5, "times": [1.5]}, GRID, "time 1.5 is not on the grid [0.5, 1.0, 2.0]"),
     # a view factor beyond the float range: the power overflows, or underflows to 0
     (idt_test, {"alpha": 0.0001, "n": 2}, GRID, VIEW_OVERFLOW),
