@@ -52,7 +52,7 @@ import os
 import sys
 
 from . import io as ensio
-from .domains import DOMAINS, check
+from .domains import DOMAINS, DomainError, check
 from .processes import FAMILY_KINDS, SPEC_KINDS, TimeGrid, generate, sample_blocks
 from .randkit import RngState
 from .report import TestReport
@@ -160,9 +160,7 @@ def _as_floats(raw, field: str, word: str = "float") -> list:
 
 
 def _as_grid(raw, field: str) -> list:
-    times = _as_floats(raw, field)
-    _checked([field], TimeGrid, times)
-    return times
+    return _checked([field], TimeGrid, _as_floats(raw, field, "nonnegative")).times.tolist()
 
 
 def _as_bool(raw, field: str) -> bool:
@@ -197,12 +195,15 @@ def _as_sections(raw, field: str) -> dict:
 
 
 def _checked(fields, rule, *args, **kwargs):
-    """``rule(*args, **kwargs)``, with a ``ValueError`` turned into a config error naming ``fields``."""
+    """``rule(*args, **kwargs)``, with a ``ValueError`` turned into a config error naming ``fields``; a
+    ``DomainError`` names only the one of ``fields`` whose last part is its field, if there is one."""
     try:
         return rule(*args, **kwargs)
     except ValueError as exc:
-        label = "field" if len(fields) == 1 else "fields"
-        raise ConfigError(f"{label} {', '.join(repr(f) for f in fields)}: {exc}") from None
+        own = [f for f in fields if isinstance(exc, DomainError) and f.rpartition(".")[2] == exc.field]
+        names, reason = (own, exc.reason) if own else (fields, exc)
+        label = "field" if len(names) == 1 else "fields"
+        raise ConfigError(f"{label} {', '.join(repr(f) for f in names)}: {reason}") from None
 
 
 def _value_fields(node: dict, path: str) -> list:
@@ -294,7 +295,7 @@ _SPEC_AND_TESTS = (("spec", "spec", None), ("test", "sections", {}))
 _COMMAND_FIELDS = {
     "run": (_RUN_FIELDS, _SPEC_AND_TESTS),
     "calibrate": (
-        (_SEED, _N_PATHS, _GRID, ("quantile", "float", 0.99), ("n_reps", "int", 200), ("output", "str", "thresholds.json")),
+        (_SEED, _N_PATHS, _GRID, ("quantile", "quantile", 0.99), ("n_reps", "int", 200), ("output", "str", "thresholds.json")),
         (("entry", "sections", None),),
     ),
     "export": (_RUN_FIELDS + (("export.formats", "formats", ["csv"]),), _SPEC_AND_TESTS),
@@ -340,7 +341,7 @@ def _test_params(kind: TestKind, node: dict, prefix: str, spec, grid_list, keys,
     params = _parse_fields([f for f in kind.fields if f[0] not in null], node, prefix, keys + ("times",) * kind.uses_times)
     if kind.uses_times:
         params["grid"] = grid_list
-        params["times"] = _as_floats(node.get("times", grid_list), f"{prefix}.times")
+        params["times"] = _as_floats(node.get("times", grid_list), f"{prefix}.times", "nonnegative")
     names = {name: spec_at for name in kind.null({}, spec) if name not in params}
     params = kind.fill(params, spec)
     for fields, rule in kind.checks:

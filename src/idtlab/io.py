@@ -146,9 +146,7 @@ def read_csv(path) -> PathEnsemble:
             rows.append([float(v) for v in cells])
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    values = np.array(rows)
-    grid = TimeGrid(times, allow_negative=bool(times[0] < 0))
-    return PathEnsemble(grid, values, None, 0, 0, meta={"source": str(path)})
+    return PathEnsemble(TimeGrid(times), np.array(rows), None, 0, 0, meta={"source": str(path)})
 
 
 def write_binary(ensemble: PathEnsemble, path) -> None:
@@ -191,9 +189,7 @@ def read_binary(path) -> PathEnsemble:
         got = fh.readinto(values)
     if got != values.nbytes:
         raise ValueError(f"{path}: payload is {got} bytes, expected n_paths*n_times*8 = {values.nbytes}")
-    times = np.asarray(times, dtype=np.float64)
-    grid = TimeGrid(times, allow_negative=bool(times[0] < 0))
     meta = dict(header.get("meta", {}))
     if header.get("spec"):
         meta["spec"] = header["spec"]
-    return PathEnsemble(grid, values, None, header.get("seed", 0), header.get("stream", 0), meta)
+    return PathEnsemble(TimeGrid(times), values, None, header.get("seed", 0), header.get("stream", 0), meta)

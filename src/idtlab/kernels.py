@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import Checked, check, checked_atoms, config_field
+from .domains import Checked, DomainError, TimeGrid, check, checked_atoms, config_field
 from .report import TestReport
 
 # the config rows of a spectral measure's ``symmetric`` pairs
@@ -52,12 +52,14 @@ class SpectralMeasure:
         """Build from ``(location >= 0, total weight)`` pairs, in the domains of ``SPECTRAL_ATOMS``.
 
         The weight of an off-origin location is split evenly between the
-        location and its mirror image.
+        location and its mirror image, so it must stay above 0 when halved.
         """
         atoms = []
         for a, w in checked_atoms(pairs, SPECTRAL_ATOMS):
             if a == 0.0:
                 atoms.append((0.0, w))
+            elif w / 2.0 == 0.0:
+                raise DomainError("weights", f"weight {w!r} at location {a!r} underflows to 0 when halved")
             else:
                 atoms.append((a, w / 2.0))
                 atoms.append((-a, w / 2.0))
@@ -149,12 +151,8 @@ class SpectralKernel(Checked):
 
 
 def cov_matrix(kernel, grid) -> np.ndarray:
-    """Covariance matrix of the kernel on the grid times; exactly symmetric."""
-    times = np.asarray(getattr(grid, "times", grid), dtype=np.float64)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("grid must be a nonempty 1-d collection of times")
-    if not np.all(np.diff(times) > 0):
-        raise ValueError("grid times must be strictly increasing")
+    """Covariance matrix of the kernel on ``grid``, a ``TimeGrid`` or the times of one; exactly symmetric."""
+    times = TimeGrid(getattr(grid, "times", grid)).times
     return kernel.cov(times[:, None], times[None, :])
 
 

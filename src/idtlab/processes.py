@@ -8,7 +8,8 @@ its sampler (a family's ``increments``).  ``SPEC_KINDS`` and
 fields.  So adding a kind takes one class and one table row, as adding a
 test kind takes one ``TestKind`` entry in ``statlab``.  Path ensembles
 are immutable: an N-by-m value matrix over a shared time grid plus the
-metadata needed to reproduce it bit for bit.
+metadata needed to reproduce it bit for bit.  Generation takes
+nonnegative times only, by one check (``_checked_request``).
 
 Memory: lines and Gaussian kernels ``sample`` the whole ensemble.  The
 other specs run one ``blocks`` loop, in row blocks of ``_BLOCK_BYTES``
@@ -50,7 +51,7 @@ from typing import Union
 
 import numpy as np
 
-from .domains import Checked, checked_atoms, config_field, config_rows
+from .domains import Checked, TimeGrid, checked_atoms, config_field, config_rows
 from .kernels import SPECTRAL_ATOMS, FBmKernel, SpectralKernel, SpectralMeasure, cov_matrix
 from .randkit import RngState, StableParams, sample_normal, sample_stable
 
@@ -61,47 +62,6 @@ class ContractViolation(RuntimeError):
 
 class FactorizationError(RuntimeError):
     """Covariance factorization failed even after the maximum jitter."""
-
-
-class TimeGrid:
-    """Strictly increasing sampling times shared by an ensemble.
-
-    Times must be nonnegative for process generation; transformed
-    ensembles (log-time coordinates) may carry negative entries and are
-    built with ``allow_negative=True``.
-    """
-
-    __slots__ = ("times",)
-
-    def __init__(self, times, allow_negative: bool = False):
-        t = np.asarray(times, dtype=np.float64)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("grid must be a nonempty 1-d collection of times")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("grid times must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("grid times must be strictly increasing")
-        if not allow_negative and t[0] < 0:
-            raise ValueError("grid times must be nonnegative")
-        t.setflags(write=False)
-        self.times = t
-
-    def __len__(self) -> int:
-        return self.times.size
-
-    def __getitem__(self, i) -> float:
-        return float(self.times[i])
-
-    def __eq__(self, other):
-        return isinstance(other, TimeGrid) and np.array_equal(self.times, other.times)
-
-    def scale(self, a: float) -> "TimeGrid":
-        if not a > 0:
-            raise ValueError("scale factor must be positive")
-        return TimeGrid(self.times * a, allow_negative=bool(self.times[0] < 0))
-
-    def __repr__(self) -> str:
-        return f"TimeGrid({self.times.tolist()})"
 
 
 class PathEnsemble:
@@ -701,11 +661,8 @@ def gaussian_paths(kernel, grid: TimeGrid, n_paths: int, rng: RngState) -> PathE
     The product of the normals and the factor is written straight into
     the output, so a draw holds the normals and the output only.
     """
-    times = grid.times
-    if isinstance(kernel, SpectralKernel) and times[0] < 0:
-        raise ValueError("spectral kernels require nonnegative times")
-    positive = times > 0
-    tpos = times[positive]
+    grid, n_paths = _checked_request(grid, n_paths)
+    tpos = grid.times[grid.times > 0]
     if tpos.size == 0:
         values = np.zeros((n_paths, len(grid)))
         return PathEnsemble(grid, values, GaussianKernel(kernel), rng.seed, rng.stream)
@@ -725,9 +682,9 @@ def gaussian_paths(kernel, grid: TimeGrid, n_paths: int, rng: RngState) -> PathE
         raise FactorizationError(
             f"covariance factorization failed after max jitter {base_jitter * 100:g}"
         )
-    z = sample_normal(rng, (int(n_paths), m.shape[0]))
+    z = sample_normal(rng, (n_paths, m.shape[0]))
     # times increase, so a time 0 can only be the first column
-    values = np.zeros((int(n_paths), len(grid)))
+    values = np.zeros((n_paths, len(grid)))
     np.matmul(z, chol.T, out=values[:, len(grid) - tpos.size :])
     return PathEnsemble(
         grid,
@@ -740,9 +697,8 @@ def gaussian_paths(kernel, grid: TimeGrid, n_paths: int, rng: RngState) -> PathE
 
 
 def _checked_request(grid, n_paths):
-    """``(grid, n_paths)`` as a TimeGrid of nonnegative times and a positive int."""
-    if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(grid)
+    """``(grid, n_paths)`` as a TimeGrid of nonnegative times and a positive int, for every generator entry."""
+    grid = grid if isinstance(grid, TimeGrid) else TimeGrid(grid)
     if grid.times[0] < 0:
         raise ValueError("process generation needs nonnegative times")
     n_paths = int(n_paths)

@@ -368,8 +368,7 @@ def _check_window(window, shift, n_times: int) -> tuple:
 
 def _check_replays(n_reps, quantile: float) -> int:
     n_reps = int(n_reps)
-    if not 0.0 < quantile <= 1.0:
-        raise ValueError(f"quantile must be in (0, 1], got {quantile}")
+    check("quantile", quantile, "quantile")
     # 1/(1 - 0.9) is 10.000000000000002: a count within 1e-9 of the bound resolves it
     if n_reps < (1 if quantile == 1.0 else math.ceil(1.0 / (1.0 - quantile) - 1e-9)):
         raise ValueError(f"{n_reps} repetitions cannot resolve the {quantile} quantile")

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .domains import DOMAINS
 from .io import atomic_write_bytes
 from .processes import TimeGrid, spec_label
 
@@ -115,8 +116,8 @@ class ThresholdTable:
         if not isinstance(meta, dict):
             raise ValueError(f"field 'meta': expected an object, got {_shown(meta)}")
         quantile = meta.get("quantile")
-        if not (_finite_number(quantile) and 0 < quantile <= 1):
-            raise ValueError(f"field 'meta', key 'quantile': expected a number in (0, 1], got {_shown(quantile)}")
+        if not (_finite_number(quantile) and DOMAINS["quantile"][0](quantile)):
+            raise ValueError(f"field 'meta', key 'quantile': expected {DOMAINS['quantile'][1]}, got {_shown(quantile)}")
         return cls(entries, meta)
 
     @classmethod

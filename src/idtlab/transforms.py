@@ -24,7 +24,7 @@ def lamperti_apply(ensemble: PathEnsemble, alpha: float, y_grid) -> PathEnsemble
     factors = np.exp(-alpha * y / 2.0)
     values = _by_columns(np.multiply, ensemble.values, factors)
     return PathEnsemble(
-        TimeGrid(y, allow_negative=True),
+        TimeGrid(y),
         values,
         ensemble.spec,
         ensemble.seed,

@@ -1185,6 +1185,57 @@ def test_view_factor_of_the_spec_exponent_names_the_spec_section(tmp_path, capsy
     assert not out.exists()
 
 
+NEGATIVE_TIME = "expected a finite number >= 0, got '-1'"
+CALIBRATE_IDT = CALIBRATE_CONF.split("\nentry.three", 1)[0]
+IDT_RUN = IDT_AT + "test.x.threshold = 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("run", STABLE_RUN.replace("grid = 0.5 1 2", "grid = -1 1 2") + IDT_RUN, f"field 'grid': {NEGATIVE_TIME}"),
+        ("run", STABLE_RUN + ASSOCIATION_AT + "test.y.times = -1 1\n", f"field 'test.y.times': {NEGATIVE_TIME}"),
+        ("calibrate", CALIBRATE_IDT.replace("grid = 0.5 1 2", "grid = -1 1 2"), f"field 'grid': {NEGATIVE_TIME}"),
+        # the quantile range is its own rule, so n_reps is not named with it
+        (
+            "calibrate",
+            CALIBRATE_IDT.replace("quantile = 0.96", "quantile = 1.5"),
+            "field 'quantile': expected a number in (0, 1], got '1.5'",
+        ),
+        (
+            "calibrate",
+            CALIBRATE_IDT.replace("quantile = 0.96", "quantile = 0"),
+            "field 'quantile': expected a number in (0, 1], got '0'",
+        ),
+        # a constructor's domain rejection names its own field alone, under the section's path
+        (
+            "run",
+            STABLE_RUN.replace("spec.kind = stable_line\nspec.alpha = 1.5\n", "")
+            + "spec.kind = spectral\nspec.alpha = 1\nspec.locations = 0 1\nspec.weights = 1 5e-324\n"
+            + IDT_RUN,
+            "field 'spec.weights': weight 5e-324 at location 1.0 underflows to 0 when halved",
+        ),
+    ],
+    ids=["run_grid", "association_times", "calibrate_grid", "quantile_above_one", "quantile_zero", "halved_weight"],
+)
+def test_value_outside_its_domain_names_one_field_before_any_work(tmp_path, capsys, monkeypatch, command, text, message):
+    """Times are nonnegative, as the processes' index is, and a quantile lies in (0, 1]: each rule is one
+    domain word, whose message names the one field at fault and the value that the config holds."""
+    import idtlab.cli
+    import idtlab.statlab
+
+    work = []
+    monkeypatch.setattr(idtlab.statlab, "idt_test", lambda *args, **kwargs: work.append("test"))
+    monkeypatch.setattr(idtlab.statlab, "association_test", lambda *args, **kwargs: work.append("test"))
+    monkeypatch.setattr(idtlab.cli, "calibrate", lambda *args, **kwargs: work.append("replay") or 0.0)
+    out = tmp_path / "out"
+    conf = _write(tmp_path, text)
+    assert main([command, conf, "--out", str(out), "--threads", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert work == []
+    assert not out.exists()
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"not JSON: {constant}")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from idtlab.domains import DomainError
 from idtlab.kernels import (
     FBmKernel,
     SpectralKernel,
@@ -122,6 +123,26 @@ def test_psd_check_identity_and_rank_one():
 def test_psd_check_fbm_is_psd():
     m = cov_matrix(FBmKernel(0.7), [0.5, 1.0, 2.0, 4.0])
     assert psd_check(m) >= -1e-10
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([], "^grid must be a nonempty 1-d collection of times$"),
+        ([2.0, 1.0], "^grid times must be strictly increasing$"),
+        ([1.0, np.inf], "^grid times must be finite$"),
+    ],
+    ids=["empty", "unordered", "infinite"],
+)
+def test_cov_matrix_takes_the_grid_rule(times, message):
+    with pytest.raises(ValueError, match=message):
+        cov_matrix(FBmKernel(0.3), times)
+
+
+def test_symmetric_weight_that_halves_to_zero_names_the_weights():
+    with pytest.raises(DomainError, match="^field 'weights': weight 5e-324 at location 1.0 underflows") as info:
+        SpectralMeasure.symmetric(((0.0, 1.0), (1.0, 5e-324)))
+    assert info.value.field == "weights"
 
 
 def test_psd_check_rejects_asymmetric():

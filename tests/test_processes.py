@@ -54,10 +54,23 @@ def test_time_grid_validation():
         TimeGrid([1.0, 1.0])
     with pytest.raises(ValueError):
         TimeGrid([2.0, 1.0])
-    with pytest.raises(ValueError):
-        TimeGrid([-1.0, 1.0])
-    TimeGrid([-1.0, 1.0], allow_negative=True)
     assert len(TimeGrid([0.0, 1.0])) == 2
+
+
+def test_negative_times_make_a_grid_but_no_ensemble():
+    # a grid may hold log times; generation alone takes nonnegative times only
+    grid = TimeGrid([-1.0, 1.0])
+    assert grid.times.tolist() == [-1.0, 1.0]
+    for draw in (generate, sample_blocks):
+        with pytest.raises(ValueError, match="^process generation needs nonnegative times$"):
+            draw(StableLine(1.0), grid, 10, RngState(1))
+
+
+def test_time_grid_copies_its_times():
+    times = np.array([0.5, 1.0])
+    grid = TimeGrid(times)
+    times[0] = 0.25  # the caller's array stays writable, and the grid keeps its own read-only copy
+    assert grid.times.tolist() == [0.5, 1.0] and not grid.times.flags.writeable
 
 
 def test_ensemble_is_immutable():
@@ -432,8 +445,14 @@ def test_gaussian_paths_zero_time_column_is_zero():
 
 def test_gaussian_spectral_rejects_negative_times():
     kernel = SpectralKernel(1.0, SpectralMeasure.symmetric(((1.0, 1.0),)))
-    with pytest.raises(ValueError, match="^spectral kernels require nonnegative times$"):
-        gaussian_paths(kernel, TimeGrid([-1.0, 1.0], allow_negative=True), 10, RngState(25))
+    with pytest.raises(ValueError, match="^process generation needs nonnegative times$"):
+        gaussian_paths(kernel, TimeGrid([-1.0, 1.0]), 10, RngState(25))
+
+
+def test_gaussian_fbm_rejects_negative_times():
+    # fBm's variance at t = -1 is 1, so a zero column there would be wrong, not a convention
+    with pytest.raises(ValueError, match="^process generation needs nonnegative times$"):
+        gaussian_paths(FBmKernel(0.3), TimeGrid([-1.0, 1.0]), 5, RngState(1))
 
 
 def test_gaussian_paths_records_jitter():
