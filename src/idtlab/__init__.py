@@ -75,7 +75,7 @@ from .statlab import (
     stationarity_test,
     temporal_sd_test,
 )
-from .thresholds import ThresholdTable, entry_key
+from .thresholds import ThresholdTable
 from .transforms import lamperti_apply, scale_paths, sum_independent
 
 __version__ = "0.1.0"

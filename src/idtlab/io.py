@@ -8,9 +8,9 @@ Binary: magic ``IDT1``, an 8-byte little-endian header length, a JSON
 metadata header, then the value matrix as row-major little-endian
 64-bit floats.
 
-Both readers reject a malformed file with a ``ValueError`` that names the
-CSV line or the binary header field at fault; a binary payload must be
-exactly ``n_paths * n_times * 8`` bytes long.
+Both readers reject a malformed file with a ``ValueError`` that starts
+with its path and names the CSV line, binary header field or grid rule at
+fault; a binary payload must be exactly ``n_paths * n_times * 8`` bytes.
 
 Memory: ``write_blocks`` takes an ensemble as consecutive row blocks and
 writes each block to every requested file before it takes the next, so
@@ -124,15 +124,23 @@ def write_csv(ensemble: PathEnsemble, path) -> None:
     write_blocks([("csv", path)], [ensemble.values], ensemble.grid, ensemble.n_paths)
 
 
+def _ensemble(path, times, values, seed, stream, meta) -> PathEnsemble:
+    """The ensemble read from ``path``; a rule its times or values break (a time that is not a number is
+    numpy's ``TypeError``) raises a ``ValueError`` that starts with the path."""
+    try:
+        return PathEnsemble(TimeGrid(times), values, None, seed, stream, meta)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_csv(path) -> PathEnsemble:
     with open(path, "rb") as fh:
-        lines = fh.read().decode("ascii").splitlines()
+        lines = fh.read().decode("ascii", "replace").splitlines()  # a non-ASCII byte fails its line's parse
     if not lines:
         raise ValueError(f"{path}: empty CSV")
     fields = lines[0].split(",")
     if any(not f.startswith("t=") for f in fields):
         raise ValueError(f"{path}: malformed header {lines[0]!r}")
-    times = np.array([float(f[2:]) for f in fields])
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -146,7 +154,7 @@ def read_csv(path) -> PathEnsemble:
             rows.append([float(v) for v in cells])
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return PathEnsemble(TimeGrid(times), np.array(rows), None, 0, 0, meta={"source": str(path)})
+    return _ensemble(path, [f[2:] for f in fields], rows, 0, 0, {"source": str(path)})
 
 
 def write_binary(ensemble: PathEnsemble, path) -> None:
@@ -192,4 +200,4 @@ def read_binary(path) -> PathEnsemble:
     meta = dict(header.get("meta", {}))
     if header.get("spec"):
         meta["spec"] = header["spec"]
-    return PathEnsemble(TimeGrid(times), values, None, header.get("seed", 0), header.get("stream", 0), meta)
+    return _ensemble(path, times, values, header.get("seed", 0), header.get("stream", 0), meta)

@@ -45,7 +45,8 @@ beside the block, and take the statistic over the whole vector at once.
 
 Each test kind has one ``TestKind`` entry in ``TEST_KINDS``: its config
 fields and defaults, its threshold key, its true null, its preconditions
-and how to run it.  A kind that compares ensembles of its spec also
+and how to run it; ``TestKind.key`` alone builds the key, an opaque
+string to ``thresholds``.  A kind that compares ensembles of its spec also
 states their ``views`` (each a substream, grid dilation, value scale and
 count of summed copies) and the ``combine`` of their ECF vectors
 (``got - ref``, ``got - ref**n`` or ``whole - part*rest``), and its
@@ -77,16 +78,18 @@ from .processes import (
 )
 from .randkit import RngState
 from .report import TestReport
-from .thresholds import DEFAULT_THETA_ID, entry_key
 from .transforms import lamperti_apply, sum_independent
 
 THETA_COMPONENTS = (0.25, 0.5, 1.0, 2.0)
+# names the frequency grid of the distance tests in every report and threshold key
+DEFAULT_THETA_ID = "m12:0.25-2"
 
 # The product kernel derives each magnitude from the previous one by a
 # complex squaring, so the components must double from the first.
 assert THETA_COMPONENTS == tuple(
     THETA_COMPONENTS[0] * 2.0**j for j in range(len(THETA_COMPONENTS))
 )
+assert DEFAULT_THETA_ID.endswith(f":{THETA_COMPONENTS[0]:g}-{THETA_COMPONENTS[-1]:g}")
 
 _SIGNED_COMPONENTS = THETA_COMPONENTS + tuple(-c for c in THETA_COMPONENTS)
 _SINGLE_THETAS = np.array(THETA_COMPONENTS).reshape(-1, 1)
@@ -621,11 +624,31 @@ class TestKind:
         return {**params, **{f: spec.idt_exponent for f, _, d in self.fields if d is _SPEC_EXPONENT}}
 
     def key(self, spec, n_paths: int, quantile: float, params: dict) -> str:
-        """The table key of this test on filled ``params``.  The hypothesis exponents (``alpha``, ``h``,
-        ``beta``) stay out: under the null they do not shape the statistic, so a negative control
-        shares the threshold of its positive twin."""
-        names = self.key_fields + ("grid", "times") * self.uses_times
-        return entry_key(self.name, spec, n_paths, quantile, **{name: params[name] for name in names})
+        """The table key of this test on filled ``params``: ``name=value`` parts joined by ``|``, the kind,
+        spec, paths, frequency grid and quantile, then the key fields, ``grid`` and ``times`` by name.  The
+        hypothesis exponents (``alpha``, ``h``, ``beta``) stay out: under the null they do not shape the
+        statistic, so a negative control shares the threshold of its positive twin."""
+        head = [f"test={self.name}", f"spec={spec_label(spec)}", f"n_paths={int(n_paths)}"]
+        head += [f"theta={DEFAULT_THETA_ID}", f"q={float(quantile)!r}"]
+        names = sorted(self.key_fields + ("grid", "times") * self.uses_times)
+        return "|".join(head + [f"{name}={_canon(params[name])}" for name in names])
+
+
+def _canon(value) -> str:
+    """A key part's text: ``[...]`` of float reprs for a sequence, ``true``/``false``, a number's repr, a string."""
+    if isinstance(value, TimeGrid):
+        value = value.times
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ",".join(repr(float(v)) for v in value) + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"cannot canonicalize {value!r} for a threshold key")
 
 
 def _check_views(kind: TestKind, params: dict) -> None:

@@ -4,7 +4,8 @@ Thresholds for the ECF distance tests come only from replaying a test
 under a true-null configuration (``statlab.calibrate``).  A table is one
 calibration: its ``meta`` records the quantile of every entry, and each
 entry is keyed by the full test configuration at that quantile, so a
-lookup can never silently mismatch the test it gates.
+lookup can never silently mismatch the test it gates.  Keys are opaque
+strings here; ``statlab.TestKind.key`` alone builds them.
 """
 
 from __future__ import annotations
@@ -13,45 +14,10 @@ import importlib.resources
 import json
 import math
 
-import numpy as np
-
 from .domains import DOMAINS
 from .io import atomic_write_bytes
-from .processes import TimeGrid, spec_label
 
 TABLE_VERSION = 1
-# names the frequency grid of statlab's distance tests in every key
-DEFAULT_THETA_ID = "m12:0.25-2"
-
-
-def _canon(value) -> str:
-    if isinstance(value, TimeGrid):
-        value = value.times
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ",".join(repr(float(v)) for v in value) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, str):
-        return value
-    raise TypeError(f"cannot canonicalize {value!r} for a threshold key")
-
-
-def entry_key(kind: str, spec, n_paths: int, quantile: float, **params) -> str:
-    """Canonical lookup key for one calibrated threshold on the default grid."""
-    parts = [
-        f"test={kind}",
-        f"spec={spec if isinstance(spec, str) else spec_label(spec)}",
-        f"n_paths={int(n_paths)}",
-        f"theta={DEFAULT_THETA_ID}",
-        f"q={repr(float(quantile))}",
-    ]
-    for name in sorted(params):
-        parts.append(f"{name}={_canon(params[name])}")
-    return "|".join(parts)
 
 
 def _finite_number(value) -> bool:
@@ -71,7 +37,7 @@ def _shown(value) -> str:
 
 
 class ThresholdTable:
-    """Mapping from canonical test keys to calibrated thresholds."""
+    """Mapping from test keys (``TestKind.key``) to calibrated thresholds."""
 
     def __init__(self, entries: dict, meta: dict | None = None):
         self.entries = dict(entries)

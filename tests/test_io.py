@@ -121,6 +121,46 @@ def test_binary_rejects_times_of_the_wrong_length(tmp_path):
         read_binary(_edited_binary(tmp_path, edit))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"t=2,t=1\n1,2\n", "grid times must be strictly increasing"),
+        (b"t=abc,t=1\n1,2\n", "could not convert string to float: 'abc'"),
+        (b"t=1,t=2\n", "values must be a 2-d matrix (paths x times)"),
+        (b"t=1,t=2\n1,\xff\n", "line 2: could not convert string to float: '\ufffd'"),
+    ],
+    ids=["unordered", "non_numeric", "no_rows", "non_ascii"],
+)
+def test_csv_grid_and_ensemble_rejections_start_with_the_path(tmp_path, text, message):
+    path = tmp_path / "paths.csv"
+    path.write_bytes(text)
+    with pytest.raises(ValueError) as exc:
+        read_csv(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([2.0, 1.0, 3.0], "grid times must be strictly increasing"),
+        (["x", 1.0, 2.0], "could not convert string to float: 'x'"),
+        ([{}, 1.0, 2.0], "float() argument must be a string or a real number, not 'dict'"),
+    ],
+    ids=["unordered", "non_numeric", "object"],
+)
+def test_binary_grid_rejections_start_with_the_path(tmp_path, times, message):
+    path = _edited_binary(tmp_path, lambda header, payload: ({**header, "times": times}, payload))
+    with pytest.raises(ValueError) as exc:
+        read_binary(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_binary_reads_negative_times(tmp_path):
+    """A Lamperti ensemble's log times are negative below t = 1, and its file reads back."""
+    path = _edited_binary(tmp_path, lambda header, payload: ({**header, "times": [-1.0, 0.0, 1.0]}, payload))
+    assert read_binary(path).grid.times.tolist() == [-1.0, 0.0, 1.0]
+
+
 def test_binary_rejects_unreadable_header(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(MAGIC + (5).to_bytes(8, "little") + b"{nope" + b"\0" * 8)
